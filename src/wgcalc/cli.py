@@ -346,6 +346,10 @@ def cmd_mc(args) -> int:
     if args.samples < 1000:
         raise UsageError(f"--samples: need at least 1000, got {args.samples}")
     try:
+        mc.check_seed(args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--seed: {exc}") from None
+    try:
         spec = MomentSpec(family, rows, cols, crows, ccols, dim, dminus)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -364,7 +368,7 @@ def cmd_mc(args) -> int:
               "mean_imag": est.mean.imag, "se_real": est.se_real,
               "se_imag": est.se_imag, "exact": str(report.exact),
               "z_real": report.z_real, "z_imag": report.z_imag,
-              "passed": report.passed}
+              "passed": report.passed, "stream": est.stream}
     if dminus is not None:
         record["dminus"] = dminus
     _emit(args, record, lines)

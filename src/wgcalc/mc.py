@@ -1,9 +1,10 @@
 """Monte Carlo oracle for Haar-moment values.
 
-Samples the four computable ensembles with a counter-based RNG (one Philox
-substream per sample index, so results do not depend on chunking or
-evaluation order), estimates entry-monomial means, and compares them
-against the exact backend at a 5-standard-error threshold.
+Samples the four computable ensembles with a counter-based RNG (each
+sample index owns a fixed run of Philox4x64 counter blocks under the seed
+as key, so results do not depend on chunking or evaluation order),
+estimates entry-monomial means, and compares them against the exact
+backend at a 5-standard-error threshold.
 
 Haar unitaries come from QR of a complex Ginibre matrix with the
 triangular factor's diagonal phase-normalized; plain QR without that fix
@@ -24,6 +25,9 @@ import numpy as np
 from .moments import MomentSpec, exact_moment
 
 _CHUNK = 4096
+# names the normal stream of _gaussian_block; change it whenever the
+# samples drawn for a given seed change
+STREAM = "philox4x64-counter-v1"
 Z_THRESHOLD = 5.0
 # float roundoff floor: degenerate monomials (all samples equal up to
 # machine error) get an absolute comparison instead of a z-score
@@ -71,6 +75,7 @@ class MomentEstimate:
     se_imag: float
     n: int
     seed: int
+    stream: str
 
 
 @dataclass(frozen=True)
@@ -83,20 +88,32 @@ class ZReport:
     passed: bool
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` fits the 64-bit Philox key."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _gaussian_block(seed, start, count, d, complex_valued):
-    shape = (count, d, d)
-    out = np.empty(shape, dtype=np.complex128 if complex_valued else np.float64)
-    for offset in range(count):
-        g = _substream(seed, start + offset)
-        if complex_valued:
-            out[offset] = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
-        else:
-            out[offset] = g.standard_normal((d, d))
-    return out
+    """Standard normals of samples start..start+count-1, shape (count, d, d).
+
+    A sample needs ``per`` normals and reads ``blocks = ceil(per / 4)``
+    Philox4x64 blocks: sample i takes those that follow counter i*blocks
+    under key ``seed``.  Each block gives four words, each word a uniform
+    from its top 53 bits, and Box-Muller turns pairs of uniforms into
+    pairs of normals.  A sample's normals therefore depend only on
+    (seed, i), never on the chunk it is drawn in.
+    """
+    per = 2 * d * d if complex_valued else d * d
+    blocks = -(-per // 4)
+    words = np.random.Philox(key=seed, counter=start * blocks).random_raw(count * blocks * 4)
+    u = (((words >> 11) + 0.5) * 2.0**-53).reshape(count, 2 * blocks, 2)
+    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
+    angle = 2.0 * np.pi * u[..., 1]
+    z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)[:, :per]
+    if complex_valued:
+        z = z[:, :d * d] + 1j * z[:, d * d:]
+    return z.reshape(count, d, d)
 
 
 def _qr_positive(a):
@@ -143,32 +160,6 @@ def _check_unitary(q, tol=1e-10):
     prod = np.matmul(q, q.conj().swapaxes(-1, -2))
     err = float(np.max(np.abs(prod - np.eye(d))))
     _assert_small(err, tol, "unitarity")
-
-
-def haar_unitary(d: int, rng: np.random.Generator):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q = _qr_positive(z[None])[0]
-    _check_unitary(q[None])
-    return q
-
-
-def haar_orthogonal(d: int, rng: np.random.Generator):
-    z = rng.standard_normal((d, d))
-    q = _qr_positive(z[None])[0]
-    _check_unitary(q[None])
-    return q
-
-
-def sample_coe(d: int, rng: np.random.Generator):
-    u = haar_unitary(d, rng)
-    return u @ u.T
-
-
-def sample_aiii(a: int, b: int, rng: np.random.Generator):
-    g = haar_unitary(a + b, rng)
-    signs = np.ones(a + b)
-    signs[a:] = -1.0
-    return (g * signs[None, :]) @ g.conj().T
 
 
 def _sample_block(ens: EnsembleSpec, seed: int, start: int, count: int):
@@ -239,6 +230,7 @@ def estimate_moments(
     """Estimate several monomials of one ensemble on a shared sample stream."""
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
+    check_seed(seed)
     for spec in specs:
         if spec.family != ens.family or spec.d != ens.d:
             raise ValueError("moment spec does not match the ensemble")
@@ -263,7 +255,7 @@ def estimate_moments(
         mean = complex(np.mean(v))
         se_r = float(np.std(v.real, ddof=1) / math.sqrt(n))
         se_i = float(np.std(v.imag, ddof=1) / math.sqrt(n))
-        out.append(MomentEstimate(mean, se_r, se_i, n, seed))
+        out.append(MomentEstimate(mean, se_r, se_i, n, seed, STREAM))
     return out
 
 

@@ -89,6 +89,11 @@ def test_mc_passes_and_reports(capsys):
     assert code == 0
     assert out.endswith("PASS\n")
     assert "exact: 0" in out
+    assert len(out.splitlines()) == 4
+    code, out, _ = run_capture(capsys, ["mc", "--family", "u", "--dim", "1", "--rows", "1",
+                                        "--cols", "1", "--samples", "2000", "--seed", "7", "--json"])
+    assert code == 0
+    assert json.loads(out)["stream"] == "philox4x64-counter-v1"
 
 
 def test_cache_round_trip_and_corruption_exit(capsys, tmp_path):
@@ -160,3 +165,8 @@ def test_errors_name_the_offending_argument(capsys):
                                         "--dim", "5", "--rows", "1", "--cols", "1"])
     assert code == 1
     assert "--dim" in err
+    for seed in ("-1", str(2**64)):
+        code, _, err = run_capture(capsys, ["mc", "--family", "u", "--dim", "1", "--rows", "1",
+                                            "--cols", "1", "--seed", seed])
+        assert code == 1
+        assert "--seed" in err

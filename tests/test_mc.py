@@ -6,47 +6,69 @@ import numpy as np
 import pytest
 
 from wgcalc.mc import (
+    STREAM,
     EnsembleSpec,
+    _gaussian_block,
+    _sample_block,
     compare_with_exact,
     estimate_moment,
     estimate_moments,
-    haar_orthogonal,
-    haar_unitary,
-    sample_aiii,
-    sample_coe,
 )
 from wgcalc.moments import MomentSpec
 
 SEED = 20260822
+BATCH = 64
 
 
 def test_haar_unitary_is_unitary():
-    rng = np.random.Generator(np.random.Philox(key=[SEED, 0]))
-    u = haar_unitary(4, rng)
-    assert u.shape == (4, 4)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
+    u = _sample_block(EnsembleSpec("u", 4), SEED, 0, BATCH)
+    assert u.shape == (BATCH, 4, 4)
+    assert np.max(np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(4))) < 1e-12
 
 
 def test_haar_orthogonal_is_real_orthogonal():
-    rng = np.random.Generator(np.random.Philox(key=[SEED, 1]))
-    o = haar_orthogonal(3, rng)
+    o = _sample_block(EnsembleSpec("o", 3), SEED, 0, BATCH)
     assert o.dtype == np.float64
-    assert np.max(np.abs(o @ o.T - np.eye(3))) < 1e-12
+    assert np.max(np.abs(o @ o.swapaxes(1, 2) - np.eye(3))) < 1e-12
 
 
 def test_coe_sample_is_symmetric_unitary():
-    rng = np.random.Generator(np.random.Philox(key=[SEED, 2]))
-    s = sample_coe(3, rng)
-    assert np.max(np.abs(s - s.T)) < 1e-12
-    assert np.max(np.abs(s @ s.conj().T - np.eye(3))) < 1e-11
+    s = _sample_block(EnsembleSpec("coe", 3), SEED, 0, BATCH)
+    assert np.max(np.abs(s - s.swapaxes(1, 2))) < 1e-12
+    assert np.max(np.abs(s @ s.conj().swapaxes(1, 2) - np.eye(3))) < 1e-11
 
 
 def test_aiii_sample_constraints():
-    rng = np.random.Generator(np.random.Philox(key=[SEED, 3]))
-    s = sample_aiii(2, 1, rng)
-    assert np.max(np.abs(s - s.conj().T)) < 1e-11
-    assert abs(np.trace(s) - 1) < 1e-10
+    s = _sample_block(EnsembleSpec("aiii", 3, 2, 1), SEED, 0, BATCH)
+    assert np.max(np.abs(s - s.conj().swapaxes(1, 2))) < 1e-11
+    assert np.max(np.abs(np.einsum("bii->b", s) - 1)) < 1e-10
     assert np.max(np.abs(s @ s - np.eye(3))) < 1e-11
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_gaussian_block_offset_matches_full_stream(complex_valued):
+    start, count = 37, 50
+    for d in range(1, 5):
+        full = _gaussian_block(SEED, 0, start + count, d, complex_valued)
+        part = _gaussian_block(SEED, start, count, d, complex_valued)
+        assert np.array_equal(part, full[start:])
+
+
+def test_pooled_normals_are_standard():
+    z = _gaussian_block(SEED, 0, 20000, 3, True).ravel()
+    normals = np.concatenate((z.real, z.imag))
+    n = normals.size
+    assert abs(np.mean(normals)) < 5 / np.sqrt(n)
+    # the sample variance of n standard normals has standard error sqrt(2/n)
+    assert abs(np.var(normals) - 1) < 5 * np.sqrt(2 / n)
+    assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 5 / np.sqrt(z.size)
+
+
+def test_first_normal_at_seed_is_pinned():
+    # a change here means every estimate for a given seed changed: rename STREAM
+    assert STREAM == "philox4x64-counter-v1"
+    first = _gaussian_block(SEED, 0, 1, 2, True)[0, 0, 0]
+    assert abs(first - (0.8209029592863308 - 0.7998329323467099j)) < 1e-12
 
 
 def test_estimates_are_reproducible_and_chunk_independent():
@@ -130,6 +152,9 @@ def test_estimate_rejects_bad_requests():
     spec = MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3)
     with pytest.raises(ValueError):
         estimate_moment(spec, 999, SEED)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_moment(spec, 2000, seed)
     with pytest.raises(ValueError):
         estimate_moments(EnsembleSpec("o", 3), [spec], 2000, SEED)
     big = MomentSpec("u", rows=(5,), cols=(1,), crows=(5,), ccols=(1,), d=3)
