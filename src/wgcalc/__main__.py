@@ -1,0 +1,6 @@
+"""``python -m wgcalc``: the ``wg`` command."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

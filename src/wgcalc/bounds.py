@@ -241,10 +241,11 @@ def neighborhood_certify(k: int) -> BoundReport:
     rows = []
     seen = set()
     for sigma in all_permutations(k):
+        mu = sigma.cycle_type()
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
                 tau_sigma = sigma.swap_values(a, b)
-                pair = (sigma.cycle_type(), tau_sigma.cycle_type())
+                pair = (mu, tau_sigma.cycle_type())
                 if pair in seen:
                     continue
                 seen.add(pair)

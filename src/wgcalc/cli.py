@@ -527,3 +527,7 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,7 +13,10 @@ levels below it, with the empty object worth 1:
 
 Values are constant on cycle-type (permutation families) or coset-type
 (pair-partition families) classes, so each level is solved as a small exact
-linear system over class representatives; results are cached per dimension
+linear system with one unknown per class.  One row builder serves every
+family: it reads each class's solid, dashed and squiggled targets from the
+class graph of :mod:`wgcalc.graphs` (COE and symplectic go through the
+orthogonal graph at a shifted dimension).  Results are cached per dimension
 argument and extended level by level on demand.  Singular systems are
 detected exactly and reported, never patched.
 
@@ -29,14 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratfunc
-from .graphs import GraphKind, count_paths, count_paths_refined
+from .graphs import GraphKind, class_node, count_paths, count_paths_refined
 from .symcore import (
     PairPartition,
     Permutation,
     act,
     all_pair_partitions,
-    class_representative,
-    coset_representative,
     partitions,
 )
 
@@ -93,84 +94,33 @@ def _state(key: tuple) -> _TableState:
     return st
 
 
-def _solve_class_level(family, j, d, dminus, rows_builder) -> dict[tuple[int, ...], Fraction]:
-    classes = list(partitions(j))
-    index = {mu: i for i, mu in enumerate(classes)}
-    rows, rhs = rows_builder(classes, index)
-    sol = ratfunc.solve_linear_exact(rows, rhs)
-    if sol is None:
-        raise SingularSystemError(family, j, d, dminus)
-    return {mu: sol[i] for mu, i in index.items()}
-
-
-def _extend_unitary(st: _TableState, k: int, d: int) -> None:
+def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminus=None) -> WgTable:
+    """Solve levels ``st.level+1 .. k`` from class-graph rows; return the table up to ``k``."""
     for j in range(st.level + 1, k + 1):
-
-        def build(classes, index):
-            rows, rhs = [], []
-            for mu in classes:
-                rep = class_representative(mu)
-                row = [Fraction(0)] * len(classes)
-                row[index[mu]] += d
-                for i in range(1, j):
-                    row[index[rep.swap_values(i, j).cycle_type()]] += 1
-                rows.append(row)
-                if rep.fixes_top():
-                    rhs.append(st.values[rep.restrict_down().cycle_type()])
-                else:
-                    rhs.append(Fraction(0))
-            return rows, rhs
-
-        st.values.update(_solve_class_level("u", j, d, None, build))
+        classes = list(partitions(j))
+        index = {mu: i for i, mu in enumerate(classes)}
+        rows, rhs = [], []
+        for mu in classes:
+            node = class_node(kind, mu)
+            row = [Fraction(0)] * len(classes)
+            row[index[mu]] += d
+            for target, mult in node.solid:
+                row[index[target]] += mult
+            rows.append(row)
+            if node.dashed is not None:
+                down = st.values[node.dashed]
+                rhs.append(down if dminus is None else dminus * down)
+            elif node.squiggled is not None:
+                rhs.append(st.values[node.squiggled])
+            else:
+                rhs.append(Fraction(0))
+        sol = ratfunc.solve_linear_exact(rows, rhs)
+        if sol is None:
+            raise SingularSystemError(family, j, d, dminus)
+        st.values.update(zip(classes, sol))
         st.level = j
-
-
-def _extend_orthogonal(st: _TableState, k: int, d: int, family="o") -> None:
-    # also used for the COE recurrence, whose left coefficient is d+1: the
-    # caller passes the shifted d and relabels
-    for j in range(st.level + 1, k + 1):
-
-        def build(classes, index):
-            rows, rhs = [], []
-            for mu in classes:
-                rep = coset_representative(mu)
-                row = [Fraction(0)] * len(classes)
-                row[index[mu]] += d
-                for i in range(1, 2 * j - 1):
-                    row[index[rep.swap_points(i, 2 * j - 1).coset_type()]] += 1
-                rows.append(row)
-                if rep.has_top_block():
-                    rhs.append(st.values[rep.pairing_down().coset_type()])
-                else:
-                    rhs.append(Fraction(0))
-            return rows, rhs
-
-        st.values.update(_solve_class_level(family, j, d, None, build))
-        st.level = j
-
-
-def _extend_aiii(st: _TableState, k: int, d: int, dminus: int) -> None:
-    for j in range(st.level + 1, k + 1):
-
-        def build(classes, index):
-            rows, rhs = [], []
-            for mu in classes:
-                rep = class_representative(mu)
-                row = [Fraction(0)] * len(classes)
-                row[index[mu]] += d
-                for i in range(1, j):
-                    row[index[rep.swap_values(i, j).cycle_type()]] += 1
-                rows.append(row)
-                if rep.fixes_top():
-                    rhs.append(dminus * st.values[rep.restrict_down().cycle_type()])
-                elif rep.top_in_two_cycle():
-                    rhs.append(st.values[rep.flat().cycle_type()])
-                else:
-                    rhs.append(Fraction(0))
-            return rows, rhs
-
-        st.values.update(_solve_class_level("aiii", j, d, dminus, build))
-        st.level = j
+    vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
+    return WgTable(family, k, d, dminus, vals)
 
 
 def _check_dim(d) -> int:
@@ -191,10 +141,7 @@ def solve_unitary_table(k: int, d: int, force: bool = False) -> WgTable:
         raise ValueError("level must be nonnegative")
     if d < k and not force:
         raise ValueError(f"dimension {d} below level {k}; pass force=True to try anyway")
-    st = _state(("u", d))
-    _extend_unitary(st, k, d)
-    vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
-    return WgTable("u", k, d, None, vals)
+    return _extend(_state(("u", d)), "u", GraphKind.UNITARY, k, d)
 
 
 def wg_unitary_class(mu: tuple[int, ...], d: int, force: bool = False) -> Fraction:
@@ -214,10 +161,7 @@ def solve_orthogonal_table(k: int, d: int) -> WgTable:
     _check_dim(d)
     if k < 0:
         raise ValueError("level must be nonnegative")
-    st = _state(("o", d))
-    _extend_orthogonal(st, k, d)
-    vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
-    return WgTable("o", k, d, None, vals)
+    return _extend(_state(("o", d)), "o", GraphKind.ORTHOGONAL, k, d)
 
 
 def wg_orthogonal_class(mu: tuple[int, ...], d: int) -> Fraction:
@@ -304,10 +248,7 @@ def solve_aiii_table(k: int, d: int, dminus: int) -> WgTable:
             f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
             stacklevel=2,
         )
-    st = _state(("aiii", d, dminus))
-    _extend_aiii(st, k, d, dminus)
-    vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
-    return WgTable("aiii", k, d, dminus, vals)
+    return _extend(_state(("aiii", d, dminus)), "aiii", GraphKind.AIII, k, d, dminus)
 
 
 def wg_aiii_class(mu: tuple[int, ...], d: int, dminus: int) -> Fraction:

@@ -13,22 +13,32 @@ of ``{1..k}`` (unitary, A III) or pair partitions of ``{1..2k}``
 * squiggled (A III only), dropping two levels: remove the 2-cycle through
   the top point.
 
-A path runs from its start vertex down to the empty object.  ``count_paths``
-counts paths with exactly ``l`` solid steps; the memo table is a plain dict
-keyed by immutable values, so concurrent readers are safe and insertion is
-idempotent.  Paths with their solid-step annotations biject with monotone
-transposition factorizations; both directions are implemented below.
+A path runs from its start vertex down to the empty object.  Paths with
+their solid-step annotations biject with monotone transposition
+factorizations; both directions are implemented below.
+
+Path counts are class functions of the start vertex (cycle type, coset
+type), so each kind is also described once at class level and filled
+lazily: :func:`class_node` reads a class's solid targets with
+multiplicities, dashed target and squiggled target off its representative.
+The counters recurse over ``(class, solid)`` and ``(class, solid, dashed)``,
+and :mod:`wgcalc.exact` builds its rows from the same nodes.  Class constancy
+is assumed, not derived; ``tests/test_graphs.py`` checks the class-level
+counts against element-level walks and :func:`enumerate_paths` on every
+element of small levels, and ``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .symcore import (
     PairPartition,
     Permutation,
+    class_representative,
+    coset_representative,
     format_pair_partition,
     format_permutation,
 )
@@ -68,16 +78,18 @@ class EdgeStep:
     target: Element
 
 
+def _solid_targets(kind: GraphKind, elem: Element) -> list[Element]:
+    """Targets of the solid steps leaving ``elem``; index ``i`` sits at position ``i-1``."""
+    k = elem.level
+    if kind is GraphKind.ORTHOGONAL:
+        return [elem.swap_points(i, 2 * k - 1) for i in range(1, 2 * k - 1)]
+    return [elem.swap_values(i, k) for i in range(1, k)]
+
+
 def solid_neighbors(kind: GraphKind, elem: Element) -> tuple[EdgeStep, ...]:
     """All solid steps leaving ``elem``, in index order.  Empty at low levels."""
     _check_element(kind, elem)
-    k = elem.level
-    if kind is GraphKind.ORTHOGONAL:
-        top = 2 * k - 1
-        return tuple(
-            EdgeStep(SOLID, i, elem.swap_points(i, top)) for i in range(1, 2 * k - 1)
-        )
-    return tuple(EdgeStep(SOLID, i, elem.swap_values(i, k)) for i in range(1, k))
+    return tuple(EdgeStep(SOLID, i, t) for i, t in enumerate(_solid_targets(kind, elem), 1))
 
 
 def dashed_target(kind: GraphKind, elem: Element) -> Element | None:
@@ -96,8 +108,87 @@ def squiggled_target(kind: GraphKind, elem: Element) -> Permutation | None:
     return elem.flat() if elem.top_in_two_cycle() else None
 
 
+class ClassNode(NamedTuple):
+    """Where a class representative's edges land: ``solid`` pairs each target
+    class with its number of solid edges; ``dashed``/``squiggled`` are classes or None."""
+
+    solid: tuple[tuple[tuple[int, ...], int], ...]
+    dashed: tuple[int, ...] | None
+    squiggled: tuple[int, ...] | None
+
+
+_CLASS_GRAPHS: dict[GraphKind, dict[tuple[int, ...], ClassNode]] = {}
 _COUNTS: dict[tuple, int] = {}
 _AIII_COUNTS: dict[tuple, int] = {}
+
+
+def _element_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
+    """The class of a vertex: coset type of a pairing, cycle type of a permutation."""
+    _check_element(kind, elem)
+    return elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
+
+
+def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
+    """The node of class ``mu``, read off its representative on first use."""
+    graph = _CLASS_GRAPHS.setdefault(kind, {})
+    node = graph.get(mu)
+    if node is None:
+        ortho = kind is GraphKind.ORTHOGONAL
+        rep = coset_representative(mu) if ortho else class_representative(mu)
+        type_of = PairPartition.coset_type if ortho else Permutation.cycle_type
+        solid: dict[tuple[int, ...], int] = {}
+        for target in map(type_of, _solid_targets(kind, rep)):
+            solid[target] = solid.get(target, 0) + 1
+        down = dashed_target(kind, rep)
+        flat = squiggled_target(kind, rep) if kind is GraphKind.AIII else None
+        node = graph[mu] = ClassNode(
+            tuple(solid.items()),
+            None if down is None else type_of(down),
+            None if flat is None else type_of(flat),
+        )
+    return node
+
+
+def _count(kind: GraphKind, mu: tuple[int, ...], solid: int) -> int:
+    key = (kind, mu, solid)
+    cached = _COUNTS.get(key)
+    if cached is not None:
+        return cached
+    if not mu:
+        total = 1 if solid == 0 else 0
+    else:
+        node = class_node(kind, mu)
+        total = 0
+        if solid > 0:
+            for target, mult in node.solid:
+                total += mult * _count(kind, target, solid - 1)
+        if node.dashed is not None:
+            total += _count(kind, node.dashed, solid)
+    _COUNTS[key] = total
+    return total
+
+
+def _count_refined(mu: tuple[int, ...], solid: int, dashed: int) -> int:
+    if solid < 0 or dashed < 0:
+        return 0
+    key = (mu, solid, dashed)
+    cached = _AIII_COUNTS.get(key)
+    if cached is not None:
+        return cached
+    if not mu:
+        total = 1 if solid == 0 and dashed == 0 else 0
+    else:
+        node = class_node(GraphKind.AIII, mu)
+        total = 0
+        if solid > 0:
+            for target, mult in node.solid:
+                total += mult * _count_refined(target, solid - 1, dashed)
+        if node.dashed is not None:
+            total += _count_refined(node.dashed, solid, dashed - 1)
+        elif node.squiggled is not None:
+            total += _count_refined(node.squiggled, solid, dashed)
+    _AIII_COUNTS[key] = total
+    return total
 
 
 def count_paths(kind: GraphKind, elem: Element, solid: int) -> int:
@@ -106,30 +197,13 @@ def count_paths(kind: GraphKind, elem: Element, solid: int) -> int:
     For the A III graph this aggregates over every split of the level into
     dashed and squiggled descents.
     """
-    _check_element(kind, elem)
+    mu = _element_class(kind, elem)
     if solid < 0:
         return 0
     if kind is GraphKind.AIII:
         k = elem.level
-        return sum(
-            count_paths_refined(elem, solid, k - 2 * l2) for l2 in range(k // 2 + 1)
-        )
-    key = (kind, elem, solid)
-    cached = _COUNTS.get(key)
-    if cached is not None:
-        return cached
-    if elem.level == 0:
-        total = 1 if solid == 0 else 0
-    else:
-        total = 0
-        if solid > 0:
-            for step in solid_neighbors(kind, elem):
-                total += count_paths(kind, step.target, solid - 1)
-        down = dashed_target(kind, elem)
-        if down is not None:
-            total += count_paths(kind, down, solid)
-    _COUNTS[key] = total
-    return total
+        return sum(_count_refined(mu, solid, k - 2 * l2) for l2 in range(k // 2 + 1))
+    return _count(kind, mu, solid)
 
 
 def count_paths_refined(sigma: Permutation, solid: int, dashed: int) -> int:
@@ -137,26 +211,7 @@ def count_paths_refined(sigma: Permutation, solid: int, dashed: int) -> int:
 
     The squiggled count is forced: ``dashed + 2*squiggled`` equals the level.
     """
-    if solid < 0 or dashed < 0:
-        return 0
-    key = (sigma, solid, dashed)
-    cached = _AIII_COUNTS.get(key)
-    if cached is not None:
-        return cached
-    k = sigma.level
-    if k == 0:
-        total = 1 if solid == 0 and dashed == 0 else 0
-    else:
-        total = 0
-        if solid > 0:
-            for i in range(1, k):
-                total += count_paths_refined(sigma.swap_values(i, k), solid - 1, dashed)
-        if sigma.fixes_top():
-            total += count_paths_refined(sigma.restrict_down(), solid, dashed - 1)
-        elif sigma.top_in_two_cycle():
-            total += count_paths_refined(sigma.flat(), solid, dashed)
-    _AIII_COUNTS[key] = total
-    return total
+    return _count_refined(_element_class(GraphKind.AIII, sigma), solid, dashed)
 
 
 @dataclass(frozen=True)
@@ -364,5 +419,6 @@ def enumerate_monotone_factorizations(
 
 
 def clear_caches() -> None:
+    _CLASS_GRAPHS.clear()
     _COUNTS.clear()
     _AIII_COUNTS.clear()

@@ -57,13 +57,6 @@ def poly_eval(p: Poly, x) -> Fraction:
     return acc
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim(
-        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
-    )
-
-
 def poly_scale(p: Poly, c) -> Poly:
     return poly_trim([x * c for x in p])
 
@@ -76,13 +69,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_shift(p: Poly, n: int) -> Poly:
-    """Multiply by x**n."""
-    if not p:
-        return ()
-    return (Fraction(0),) * n + tuple(p)
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:

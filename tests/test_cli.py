@@ -1,6 +1,10 @@
 """End-to-end checks of the wg command surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,18 @@ def test_value_frozen_examples(capsys):
     code, out, _ = run_capture(capsys, ["value", "--family", "aiii", "--perm", "2,1",
                                         "--dim", "4", "--dminus", "2"])
     assert (code, out) == (0, "1/5\n")
+
+
+@pytest.mark.parametrize("module", ["wgcalc", "wgcalc.cli"])
+def test_python_dash_m_runs_the_command(module):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "value", "--family", "u", "--perm", "2,1", "--dim", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "-1/120\n")
 
 
 def test_value_symbolic(capsys):

@@ -1,8 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from wgcalc import exact, graphs
 from wgcalc.graphs import (
     DASHED,
     SOLID,
@@ -11,6 +13,7 @@ from wgcalc.graphs import (
     MonotoneFactorization,
     Path,
     PathLimitExceeded,
+    class_node,
     count_paths,
     count_paths_refined,
     dashed_target,
@@ -22,7 +25,13 @@ from wgcalc.graphs import (
     solid_neighbors,
     squiggled_target,
 )
-from wgcalc.symcore import PairPartition, Permutation, all_pair_partitions
+from wgcalc.symcore import (
+    PairPartition,
+    Permutation,
+    all_pair_partitions,
+    all_permutations,
+    partitions,
+)
 
 U = GraphKind.UNITARY
 O = GraphKind.ORTHOGONAL
@@ -101,6 +110,77 @@ def test_enumeration_matches_counts():
     for s in [Permutation((2, 1)), Permutation((2, 3, 1)), Permutation((1, 3, 2))]:
         for l in range(5):
             assert len(enumerate_paths(A3, s, l)) == count_paths(A3, s, l)
+
+
+def _walk_counts(kind, elem, solid, memo):
+    """Paths from ``elem`` with ``solid`` solid steps, by dashed-step count,
+    walked element by element without the class graph."""
+    key = (elem, solid)
+    if key not in memo:
+        out = Counter()
+        if elem.level == 0:
+            if solid == 0:
+                out[0] = 1
+        else:
+            if solid > 0:
+                for step in solid_neighbors(kind, elem):
+                    out.update(_walk_counts(kind, step.target, solid - 1, memo))
+            down = dashed_target(kind, elem)
+            if down is not None:
+                for dashed, n in _walk_counts(kind, down, solid, memo).items():
+                    out[dashed + 1] += n
+            flat = squiggled_target(kind, elem) if kind is A3 else None
+            if flat is not None:
+                out.update(_walk_counts(kind, flat, solid, memo))
+        memo[key] = out
+    return memo[key]
+
+
+@pytest.mark.parametrize(
+    "kind, elements, top",
+    [(U, all_permutations, 5), (A3, all_permutations, 5), (O, all_pair_partitions, 4)],
+)
+def test_class_counts_match_element_level_counts_on_every_element(kind, elements, top):
+    # the element walk is checked against full enumeration one level lower,
+    # where enumerating every path stays cheap
+    memo = {}
+    for k in range(top + 1):
+        for e in elements(k):
+            for l in range(e.absolute_length() + 5):
+                walked = _walk_counts(kind, e, l, memo)
+                assert count_paths(kind, e, l) == sum(walked.values())
+                if kind is A3:
+                    for l1 in range(k + 1):
+                        assert count_paths_refined(e, l, l1) == walked[l1]
+                if k < top:
+                    assert Counter(p.count(DASHED) for p in enumerate_paths(kind, e, l)) == walked
+
+
+def test_class_nodes_are_well_formed():
+    for kind, top in ((U, 6), (A3, 6), (O, 5)):
+        for k in range(1, top + 1):
+            for mu in partitions(k):
+                node = class_node(kind, mu)
+                assert sum(mult for _, mult in node.solid) == (2 * k - 2 if kind is O else k - 1)
+                assert all(sum(target) == k for target, _ in node.solid)
+                assert node.dashed is None or node.squiggled is None
+                if kind is not A3:
+                    assert node.squiggled is None
+
+
+def test_count_memo_is_bounded_by_classes():
+    graphs.clear_caches()
+    cycle = Permutation((2, 3, 4, 5, 6, 7, 8, 1))
+    exact.series("u", cycle, 3)
+    classes = sum(1 for j in range(9) for _ in partitions(j))
+    solid_range = cycle.absolute_length() + 2 * 3 + 1
+    assert 0 < len(graphs._COUNTS) <= classes * solid_range
+    graphs.clear_caches()
+    assert (graphs._CLASS_GRAPHS, graphs._COUNTS, graphs._AIII_COUNTS) == ({}, {}, {})
+    count_paths_refined(cycle, 7, 0)
+    assert graphs._CLASS_GRAPHS and graphs._AIII_COUNTS
+    graphs.clear_caches()
+    assert (graphs._CLASS_GRAPHS, graphs._COUNTS, graphs._AIII_COUNTS) == ({}, {}, {})
 
 
 def test_single_path_identity_level_one():
