@@ -13,10 +13,12 @@ levels below it, with the empty object worth 1:
 
 Values are constant on cycle-type (permutation families) or coset-type
 (pair-partition families) classes, so each level is solved as a small exact
-linear system with one unknown per class.  One row builder serves every
-family: it reads each class's solid, dashed and squiggled targets from the
-class graph of :mod:`wgcalc.graphs` (COE and symplectic go through the
-orthogonal graph at a shifted dimension).  Results are cached per dimension
+linear system with one unknown per class, by sparse fraction-free
+elimination (:func:`wgcalc.ratfunc.solve_linear_exact`).  One row builder
+serves every family: it reads each class's solid, dashed and squiggled
+targets from the class graph of :mod:`wgcalc.graphs` and writes each row as
+a ``{column: integer}`` dict (COE and symplectic go through the orthogonal
+graph at a shifted dimension).  Results are cached per dimension
 argument and extended level by level on demand.  Singular systems are
 detected exactly and reported, never patched.
 
@@ -76,15 +78,18 @@ class WgTable:
 
 
 class _TableState:
+    """Solved values keyed by class (or by pairing for ``wg_coe_direct``),
+    complete for every level up to ``level``; the empty key is worth 1."""
+
     __slots__ = ("values", "level")
 
-    def __init__(self):
-        self.values: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    def __init__(self, empty=()):
+        self.values: dict = {empty: Fraction(1)}
         self.level = 0
 
 
 _STATES: dict[tuple, _TableState] = {}
-_COE_FULL: dict[int, dict] = {}
+_COE_FULL: dict[int, _TableState] = {}
 
 
 def _state(key: tuple) -> _TableState:
@@ -94,18 +99,18 @@ def _state(key: tuple) -> _TableState:
     return st
 
 
-def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminus=None) -> WgTable:
-    """Solve levels ``st.level+1 .. k`` from class-graph rows; return the table up to ``k``."""
+def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminus=None) -> _TableState:
+    """Solve levels ``st.level+1 .. k`` from class-graph rows."""
     for j in range(st.level + 1, k + 1):
         classes = list(partitions(j))
         index = {mu: i for i, mu in enumerate(classes)}
         rows, rhs = [], []
         for mu in classes:
             node = class_node(kind, mu)
-            row = [Fraction(0)] * len(classes)
-            row[index[mu]] += d
+            row = {index[mu]: d}
             for target, mult in node.solid:
-                row[index[target]] += mult
+                col = index[target]
+                row[col] = row.get(col, 0) + mult
             rows.append(row)
             if node.dashed is not None:
                 down = st.values[node.dashed]
@@ -113,12 +118,16 @@ def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminu
             elif node.squiggled is not None:
                 rhs.append(st.values[node.squiggled])
             else:
-                rhs.append(Fraction(0))
+                rhs.append(0)
         sol = ratfunc.solve_linear_exact(rows, rhs)
         if sol is None:
             raise SingularSystemError(family, j, d, dminus)
         st.values.update(zip(classes, sol))
         st.level = j
+    return st
+
+
+def _table(st: _TableState, family: str, k: int, d: int, dminus=None) -> WgTable:
     vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
     return WgTable(family, k, d, dminus, vals)
 
@@ -129,13 +138,7 @@ def _check_dim(d) -> int:
     return d
 
 
-def solve_unitary_table(k: int, d: int, force: bool = False) -> WgTable:
-    """Unitary Weingarten values for every class of level at most ``k``.
-
-    ``d < k`` sits outside the proven-invertible range and is rejected
-    unless ``force`` is set; with ``force`` the solve still detects a
-    genuinely singular system exactly.
-    """
+def _unitary_state(k: int, d: int, force: bool) -> _TableState:
     _check_dim(d)
     if k < 0:
         raise ValueError("level must be nonnegative")
@@ -144,12 +147,29 @@ def solve_unitary_table(k: int, d: int, force: bool = False) -> WgTable:
     return _extend(_state(("u", d)), "u", GraphKind.UNITARY, k, d)
 
 
+def solve_unitary_table(k: int, d: int, force: bool = False) -> WgTable:
+    """Unitary Weingarten values for every class of level at most ``k``.
+
+    ``d < k`` sits outside the proven-invertible range and is rejected
+    unless ``force`` is set; with ``force`` the solve still detects a
+    genuinely singular system exactly.
+    """
+    return _table(_unitary_state(k, d, force), "u", k, d)
+
+
 def wg_unitary_class(mu: tuple[int, ...], d: int, force: bool = False) -> Fraction:
-    return solve_unitary_table(sum(mu), d, force).values[tuple(mu)]
+    return _unitary_state(sum(mu), d, force).values[tuple(mu)]
 
 
 def wg_unitary(sigma: Permutation, d: int, force: bool = False) -> Fraction:
     return wg_unitary_class(sigma.cycle_type(), d, force)
+
+
+def _orthogonal_state(k: int, d: int) -> _TableState:
+    _check_dim(d)
+    if k < 0:
+        raise ValueError("level must be nonnegative")
+    return _extend(_state(("o", d)), "o", GraphKind.ORTHOGONAL, k, d)
 
 
 def solve_orthogonal_table(k: int, d: int) -> WgTable:
@@ -158,14 +178,11 @@ def solve_orthogonal_table(k: int, d: int) -> WgTable:
     Negative arguments are how the symplectic route is evaluated, so no
     positivity constraint is imposed; singular dimensions raise.
     """
-    _check_dim(d)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    return _extend(_state(("o", d)), "o", GraphKind.ORTHOGONAL, k, d)
+    return _table(_orthogonal_state(k, d), "o", k, d)
 
 
 def wg_orthogonal_class(mu: tuple[int, ...], d: int) -> Fraction:
-    return solve_orthogonal_table(sum(mu), d).values[tuple(mu)]
+    return _orthogonal_state(sum(mu), d).values[tuple(mu)]
 
 
 def wg_orthogonal(m: PairPartition, d: int) -> Fraction:
@@ -199,24 +216,26 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     """
     _check_dim(d)
     k = m.level
-    store = _COE_FULL.setdefault(d, {"values": {PairPartition(()): Fraction(1)}, "level": 0})
-    for j in range(store["level"] + 1, k + 1):
+    st = _COE_FULL.get(d)
+    if st is None:
+        st = _COE_FULL[d] = _TableState(PairPartition(()))
+    for j in range(st.level + 1, k + 1):
         elems = list(all_pair_partitions(j))
         index = {e: i for i, e in enumerate(elems)}
         rows, rhs = [], []
         for e in elems:
-            row = [Fraction(0)] * len(elems)
-            row[index[e]] += d + 1
+            row = {index[e]: d + 1}
             for i in range(1, 2 * j - 1):
-                row[index[e.swap_points(i, 2 * j - 1)]] += 1
+                col = index[e.swap_points(i, 2 * j - 1)]
+                row[col] = row.get(col, 0) + 1
             rows.append(row)
-            rhs.append(store["values"][e.pairing_down()] if e.has_top_block() else Fraction(0))
+            rhs.append(st.values[e.pairing_down()] if e.has_top_block() else 0)
         sol = ratfunc.solve_linear_exact(rows, rhs)
         if sol is None:
             raise SingularSystemError("coe", j, d)
-        store["values"].update({e: sol[i] for e, i in index.items()})
-        store["level"] = j
-    return store["values"][m]
+        st.values.update(zip(elems, sol))
+        st.level = j
+    return st.values[m]
 
 
 def wg_symplectic_abs_class(mu: tuple[int, ...], d: int) -> Fraction:
@@ -231,12 +250,7 @@ def wg_symplectic_abs(m: PairPartition, d: int) -> Fraction:
     return wg_symplectic_abs_class(m.coset_type(), d)
 
 
-def solve_aiii_table(k: int, d: int, dminus: int) -> WgTable:
-    """A III Weingarten values at ``d = a+b``, ``dminus = a-b``.
-
-    ``|dminus| > d`` has no matching ensemble; it is still computable and is
-    flagged with a warning rather than rejected.
-    """
+def _aiii_state(k: int, d: int, dminus: int) -> _TableState:
     _check_dim(d)
     _check_dim(dminus)
     if k < 0:
@@ -246,13 +260,22 @@ def solve_aiii_table(k: int, d: int, dminus: int) -> WgTable:
     if abs(dminus) > d:
         warnings.warn(
             f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
-            stacklevel=2,
+            stacklevel=3,
         )
     return _extend(_state(("aiii", d, dminus)), "aiii", GraphKind.AIII, k, d, dminus)
 
 
+def solve_aiii_table(k: int, d: int, dminus: int) -> WgTable:
+    """A III Weingarten values at ``d = a+b``, ``dminus = a-b``.
+
+    ``|dminus| > d`` has no matching ensemble; it is still computable and is
+    flagged with a warning rather than rejected.
+    """
+    return _table(_aiii_state(k, d, dminus), "aiii", k, d, dminus)
+
+
 def wg_aiii_class(mu: tuple[int, ...], d: int, dminus: int) -> Fraction:
-    return solve_aiii_table(sum(mu), d, dminus).values[tuple(mu)]
+    return _aiii_state(sum(mu), d, dminus).values[tuple(mu)]
 
 
 def wg_aiii(sigma: Permutation, d: int, dminus: int) -> Fraction:

@@ -1,7 +1,10 @@
 """Exact rational linear algebra and rational-function reconstruction.
 
-Everything here works over :class:`fractions.Fraction`.  Polynomials are
-coefficient tuples, lowest degree first; the zero polynomial is ``()``.
+Results are :class:`fractions.Fraction`.  The linear solver eliminates on
+sparse integer rows (fraction-free) and only back-substitutes over
+Fraction; polynomials and rational functions work over Fraction
+throughout.  Polynomials are coefficient tuples, lowest degree first; the
+zero polynomial is ``()``.
 """
 
 from __future__ import annotations
@@ -14,28 +17,96 @@ from typing import Callable, Sequence
 Poly = tuple[Fraction, ...]
 
 
-def solve_linear_exact(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve a square system by fraction-exact Gaussian elimination.
+def _integer_row(row, b) -> tuple[dict[int, int], int]:
+    """One equation as coprime integers: ``{column: coefficient}`` and the
+    right-hand side, scaled by the lcm of their denominators and divided by
+    their content.  Zero coefficients are dropped."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    entries = {c: v for c, v in items if v}
+    m = lcm(b.denominator, *(v.denominator for v in entries.values()))
+    ints = {c: v.numerator * (m // v.denominator) for c, v in entries.items()}
+    rhs = b.numerator * (m // b.denominator)
+    g = gcd(rhs, *ints.values())
+    if g > 1:
+        ints = {c: v // g for c, v in ints.items()}
+        rhs //= g
+    return ints, rhs
 
-    Returns ``None`` when the matrix is singular.
+
+def solve_linear_exact(
+    rows: Sequence[dict[int, Fraction] | Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[Fraction] | None:
+    """Solve a square system exactly by sparse fraction-free elimination.
+
+    Each row is either a ``{column: value}`` mapping of its nonzero entries
+    or a dense sequence; values and ``rhs`` are ints or Fractions.  Every
+    row is scaled to coprime integers.  Each step pivots Markowitz-style
+    (the uneliminated column with the fewest active rows, then the shortest
+    row in it) and clears that column from the other active rows by
+    ``p*row - f*pivot_row`` with ``gcd(p, f)`` divided out first and the
+    row's content afterwards.  Back-substitution runs over Fraction.
+
+    Returns ``None`` when the matrix is singular, detected exactly as an
+    uneliminated column with no nonzero in any active row.
     """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
+    a: list[dict[int, int]] = []
+    b: list[int] = []
+    for row, value in zip(rows, rhs):
+        ints, rhs_int = _integer_row(row, value)
+        a.append(ints)
+        b.append(rhs_int)
+    # active rows with a nonzero in each uneliminated column
+    col_rows: dict[int, set[int]] = {c: set() for c in range(n)}
+    for r, row in enumerate(a):
+        for c in row:
+            col_rows[c].add(r)
+    order: list[tuple[int, int]] = []
+    while col_rows:
+        col = min(col_rows, key=lambda c: len(col_rows[c]))
+        active = col_rows.pop(col)
+        if not active:
             return None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        piv = min(active, key=lambda r: len(a[r]))
+        active.remove(piv)
+        prow, pb = a[piv], b[piv]
+        for c in prow:
+            if c != col:
+                col_rows[c].discard(piv)
+        p = prow[col]
+        for r in active:
+            row = a[r]
+            f = row.pop(col)
+            g = gcd(p, f)
+            pp, ff = p // g, f // g
+            new = {c: pp * v for c, v in row.items()} if pp != 1 else row
+            for c, v in prow.items():
+                if c == col:
+                    continue
+                nv = new.get(c, 0) - ff * v
+                if nv:
+                    if c not in new:
+                        col_rows[c].add(r)
+                    new[c] = nv
+                else:
+                    del new[c]
+                    col_rows[c].discard(r)
+            rhs_r = pp * b[r] - ff * pb
+            g = gcd(rhs_r, *new.values())
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+                rhs_r //= g
+            a[r], b[r] = new, rhs_r
+        order.append((col, piv))
+    x: list[Fraction] = [Fraction(0)] * n
+    for col, piv in reversed(order):
+        prow = a[piv]
+        acc = Fraction(b[piv])
+        for c, v in prow.items():
+            if c != col:
+                acc -= v * x[c]
+        x[col] = acc / prow[col]
+    return x
 
 
 def poly_trim(p: Sequence[Fraction]) -> Poly:
@@ -205,8 +276,10 @@ def _fit(points: list[tuple[int, Fraction]], p: int, q: int):
     # num_0..num_p and den_0..den_{q-1} unknown, den monic of degree q
     rows, rhs = [], []
     for x, y in points:
-        xp = [Fraction(x) ** i for i in range(max(p, q) + 1)]
-        rows.append([xp[i] for i in range(p + 1)] + [-y * xp[j] for j in range(q)])
+        xp = [x**i for i in range(max(p, q) + 1)]
+        row = {i: xp[i] for i in range(p + 1)}
+        row.update((p + 1 + j, -y * xp[j]) for j in range(q))
+        rows.append(row)
         rhs.append(y * xp[q])
     sol = solve_linear_exact(rows, rhs)
     if sol is None:

@@ -202,6 +202,26 @@ def test_orthogonal_singular_dimension():
         wg_symplectic_abs_class((1,), 0)
 
 
+def test_singular_levels_refused_and_lower_levels_kept():
+    # the forced unitary table at d < k and the orthogonal table at d=1
+    # hit an exactly singular level-2 system; level 1 stays available
+    with pytest.raises(SingularSystemError) as info:
+        solve_unitary_table(3, 1, force=True)
+    assert (info.value.family, info.value.level, info.value.d) == ("u", 2, 1)
+    assert wg_unitary_class((1,), 1, force=True) == 1
+    with pytest.raises(SingularSystemError) as info:
+        solve_orthogonal_table(4, 1)
+    assert (info.value.family, info.value.level, info.value.d) == ("o", 2, 1)
+    assert wg_orthogonal_class((1,), 1) == 1
+    # the element-level COE system is singular wherever the class one is
+    for d in (0, -1):
+        with pytest.raises(SingularSystemError):
+            wg_coe(PairPartition.trivial(2), d)
+        with pytest.raises(SingularSystemError) as info:
+            wg_coe_direct(PairPartition.trivial(2), d)
+        assert info.value.family == "coe"
+
+
 def test_aiii_signature_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from wgcalc.exact import SingularSystemError
 from wgcalc.moments import (
     MomentSpec,
     delta_admissible,
@@ -187,3 +188,18 @@ def test_moment_spec_dispatch():
         MomentSpec("aiii", (1,), (1,), d=3)
     with pytest.raises(ValueError):
         MomentSpec("u", (1, 2), (1,))
+
+
+def test_moments_below_level_are_refused():
+    # E|u11|^2k and E[o11^2k] at d < k exist (1/C(d+k-1,k) and
+    # prod (2i+1)/(d+2i)), but the recurrence system is singular or guarded
+    # there: until a pseudo-inverse route exists the engine must raise, never
+    # return a value
+    for k, d in [(2, 1), (3, 2), (3, 1), (4, 2), (4, 3), (4, 1)]:
+        ones = (1,) * k
+        with pytest.raises(ValueError, match="below level"):
+            moment_unitary(ones, ones, ones, ones, d)
+    for k, d in [(2, 1), (3, 1), (3, 2)]:
+        ones = (1,) * (2 * k)
+        with pytest.raises(SingularSystemError):
+            moment_orthogonal(ones, ones, d)
