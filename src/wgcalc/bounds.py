@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import solve_orthogonal_table, solve_unitary_table, wg_symplectic_abs_class
+from .exact import wg_class
 from .graphs import GraphKind, count_paths
 from .symcore import (
     PairPartition,
@@ -140,12 +140,11 @@ def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
     if d < k:
         raise ValueError(f"ratio bound needs d >= k, got d={d}, k={k}")
     upper_applies = d**4 > 36 * k**7
-    table = solve_unitary_table(k, d)
     rows = []
     for mu in partitions(k):
         n = sum(mu) - len(mu)
         base = shortest_count(GraphKind.UNITARY, class_representative(mu))
-        ratio = (-1) ** n * Fraction(d) ** (k + n) * table.values[mu] / base
+        ratio = (-1) ** n * Fraction(d) ** (k + n) * wg_class("u", mu, d) / base
         lower_bound = Fraction(d * d, d * d - (k - 1))
         ok_low = lower_bound <= ratio
         low = lower_bound / ratio
@@ -193,7 +192,7 @@ def certify_sp_ratio(k: int, d: int) -> BoundReport:
         m = coset_representative(mu)
         n = m.absolute_length()
         base = count_paths(GraphKind.ORTHOGONAL, m, n)
-        value = Fraction(2 * d) ** (n + k) * wg_symplectic_abs_class(mu, d)
+        value = Fraction(2 * d) ** (n + k) * wg_class("sp", mu, d)
         lower_bound = base * Fraction(2 * d * d, 2 * d * d - (k - 1))
         ok_low = lower_bound <= value
         low = lower_bound / value
@@ -213,13 +212,12 @@ def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
     """Two-sided ratio bound for the signed orthogonal values at one d."""
     if d * d <= 144 * k**7:
         raise ValueError(f"orthogonal ratio bound needs d > 12 k^(7/2); d={d}, k={k}")
-    table = solve_orthogonal_table(k, d)
     rows = []
     for mu in partitions(k):
         m = coset_representative(mu)
         n = m.absolute_length()
         base = count_paths(GraphKind.ORTHOGONAL, m, n)
-        value = (-1) ** n * Fraction(d) ** (n + k) * table.values[mu]
+        value = (-1) ** n * Fraction(d) ** (n + k) * wg_class("o", mu, d)
         scaled = value * (d * d - 144 * k**7)
         ok_up = scaled <= base * d * d
         up = scaled / (base * d * d)
@@ -237,11 +235,21 @@ def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
 
 def neighborhood_certify(k: int) -> BoundReport:
     """Multiplying by any transposition grows the minimal path count by at
-    most 6 k^{3/2}, checked over all of S_k."""
+    most 6 k^{3/2}, checked over all of S_k.
+
+    Conjugation preserves cycle type, so every permutation of one class
+    reaches the same target classes; the first permutation of each class
+    (in lexicographic order) yields all of that class's rows.
+    """
     rows = []
     seen = set()
+    done = set()
+    classes = sum(1 for _ in partitions(k))
     for sigma in all_permutations(k):
         mu = sigma.cycle_type()
+        if mu in done:
+            continue
+        done.add(mu)
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
                 tau_sigma = sigma.swap_values(a, b)
@@ -255,6 +263,8 @@ def neighborhood_certify(k: int) -> BoundReport:
                 margin = Fraction(after * after, 36 * k**3 * before * before)
                 label = f"{format_partition(pair[0])}->{format_partition(pair[1])}"
                 rows.append(BoundRow(label, None, None, margin, ok))
+        if len(done) == classes:
+            break
     return _finish("u", "neighborhood", k, None, None, rows)
 
 

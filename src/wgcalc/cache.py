@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import exact
 from .symcore import format_partition, parse_partition, partitions
 
-_TAGS = {"u": "U", "o": "O", "coe": "COE", "sp": "SP", "aiii": "AIII"}
+_TAGS = {fam: fam.upper() for fam in exact.FAMILIES}
 _FAMILIES = {tag: fam for fam, tag in _TAGS.items()}
 _VALUE_RE = re.compile(r"-?\d+/\d+$")
 
@@ -52,18 +52,6 @@ def _parse_dims(family: str, text: str, lineno: int) -> tuple[int, int | None]:
             f"line {lineno}: malformed dimension field {text!r}"
         ) from None
     return d, dminus
-
-
-def _class_value(family, mu, d, dminus) -> Fraction:
-    if family == "u":
-        return exact.wg_unitary_class(mu, d, force=True)
-    if family == "o":
-        return exact.wg_orthogonal_class(mu, d)
-    if family == "coe":
-        return exact.wg_coe_class(mu, d)
-    if family == "sp":
-        return exact.wg_symplectic_abs_class(mu, d)
-    return exact.wg_aiii_class(mu, d, dminus)
 
 
 def _key_text(key: tuple) -> str:
@@ -130,10 +118,6 @@ def export(path: str, family: str, k: int, d: int, dminus: int | None = None) ->
     present.  Returns the number of newly written records."""
     if family not in _TAGS:
         raise ValueError(f"unknown family {family!r}")
-    if family == "aiii" and dminus is None:
-        raise ValueError("aiii export needs dminus")
-    if family != "aiii" and dminus is not None:
-        raise ValueError(f"family {family!r} takes no dminus")
     if k < 1:
         raise ValueError(f"level must be positive, got {k}")
     existing = _parse_file(path) if os.path.exists(path) else {}
@@ -142,7 +126,7 @@ def export(path: str, family: str, k: int, d: int, dminus: int | None = None) ->
     fresh = []
     for level in range(1, k + 1):
         for mu in partitions(level):
-            value = _class_value(family, mu, d, dminus)
+            value = exact.wg_class(family, mu, d, dminus, force=True)
             key = (tag, level, format_partition(mu), dims)
             if key in existing:
                 stored, lineno = existing[key]
@@ -182,7 +166,7 @@ def verify(path: str, fraction: float = 0.05, seed: int = 0) -> tuple[int, int]:
         stored, lineno = entries[key]
         d, dminus = _parse_dims(family, dims_text, lineno)
         try:
-            value = _class_value(family, mu, d, dminus)
+            value = exact.wg_class(family, mu, d, dminus, force=True)
         except (exact.SingularSystemError, ValueError) as exc:
             raise CacheCorruptionError(
                 f"line {lineno}: cannot recompute {_key_text(key)}: {exc}"

@@ -126,16 +126,7 @@ def cmd_value(args) -> int:
     if args.dim is None:
         raise UsageError("--dim is required unless --symbolic is given")
     try:
-        if family == "u":
-            value = exact.wg_unitary(elem, args.dim)
-        elif family == "o":
-            value = exact.wg_orthogonal(elem, args.dim)
-        elif family == "coe":
-            value = exact.wg_coe(elem, args.dim)
-        elif family == "sp":
-            value = exact.wg_symplectic_abs(elem, args.dim)
-        else:
-            value = exact.wg_aiii(elem, args.dim, dminus)
+        value = exact.wg(family, elem, args.dim, dminus)
     except (ValueError, exact.SingularSystemError) as exc:
         raise UsageError(f"--dim: {exc}") from None
     record = {"family": family, "element": _element_text(elem),
@@ -414,7 +405,7 @@ def build_parser() -> _Parser:
         sub.add_argument("--pairing", help='pair partition, e.g. "1,2|3,4"')
 
     sub = subs.add_parser("value", help="exact Weingarten value")
-    sub.add_argument("--family", required=True, choices=["u", "o", "coe", "sp", "aiii"])
+    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
     element_flags(sub)
     sub.add_argument("--dim", type=int)
     sub.add_argument("--dminus", type=int)
@@ -471,7 +462,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_bounds)
 
     sub = subs.add_parser("mc", help="Monte Carlo z-test against the exact value")
-    sub.add_argument("--family", required=True, choices=["u", "o", "coe", "sp", "aiii"])
+    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
     sub.add_argument("--dim", type=int)
     sub.add_argument("--sig", help="aiii signature A,B")
     sub.add_argument("--rows", required=True)
@@ -487,7 +478,7 @@ def build_parser() -> _Parser:
     cache_subs = cache_parser.add_subparsers(dest="cache_command", required=True)
 
     sub = cache_subs.add_parser("export", help="append class values for levels 1..k")
-    sub.add_argument("--family", required=True, choices=["u", "o", "coe", "sp", "aiii"])
+    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--dminus", type=int)

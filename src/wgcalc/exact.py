@@ -17,14 +17,16 @@ linear system with one unknown per class, by sparse fraction-free
 elimination (:func:`wgcalc.ratfunc.solve_linear_exact`).  One row builder
 serves every family: it reads each class's solid, dashed and squiggled
 targets from the class graph of :mod:`wgcalc.graphs` and writes each row as
-a ``{column: integer}`` dict (COE and symplectic go through the orthogonal
-graph at a shifted dimension).  Results are cached per dimension
-argument and extended level by level on demand.  Singular systems are
-detected exactly and reported, never patched.
+a ``{column: integer}`` dict.  Results are cached per dimension argument
+and extended level by level on demand.  Singular systems are detected
+exactly and reported, never patched.
 
-The series half of the module turns path counts from :mod:`wgcalc.graphs`
-into truncated large-``d`` expansions, and :func:`reconstruct_rational`
-recovers closed forms in ``d`` from exact evaluations.
+Public API: :func:`wg` (one element) and :func:`wg_class` (one class, and
+the one place each family is mapped to its memo, shifted dimension and
+guards); :func:`wg_orthogonal_pair`; :func:`wg_coe_direct` (COE element by
+element, an independent check of the class reduction); :func:`series`
+(large-``d`` expansions from the path counts of :mod:`wgcalc.graphs`) and
+:func:`reconstruct_rational` (closed forms in ``d``).
 """
 
 from __future__ import annotations
@@ -58,25 +60,6 @@ class SingularSystemError(ArithmeticError):
         super().__init__(f"singular {family} system at level {level}, {dims}")
 
 
-@dataclass(frozen=True)
-class WgTable:
-    """Snapshot of solved values: one entry per class of each level up to ``level``.
-
-    Class keys are partitions; a partition of weight ``j`` labels a level-``j``
-    class (cycle type or coset type depending on the family).
-    """
-
-    family: str
-    level: int
-    d: int
-    dminus: int | None
-    values: dict[tuple[int, ...], Fraction]
-
-    def lookup(self, elem) -> Fraction:
-        key = elem.coset_type() if isinstance(elem, PairPartition) else elem.cycle_type()
-        return self.values[key]
-
-
 class _TableState:
     """Solved values keyed by class (or by pairing for ``wg_coe_direct``),
     complete for every level up to ``level``; the empty key is worth 1."""
@@ -92,15 +75,9 @@ _STATES: dict[tuple, _TableState] = {}
 _COE_FULL: dict[int, _TableState] = {}
 
 
-def _state(key: tuple) -> _TableState:
-    st = _STATES.get(key)
-    if st is None:
-        st = _STATES[key] = _TableState()
-    return st
-
-
-def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminus=None) -> _TableState:
-    """Solve levels ``st.level+1 .. k`` from class-graph rows."""
+def _extend(st: _TableState, kind: GraphKind, k: int, d: int, dminus=None) -> int | None:
+    """Solve levels ``st.level+1 .. k`` from class-graph rows; return the
+    first level whose system is singular, or None once all are solved."""
     for j in range(st.level + 1, k + 1):
         classes = list(partitions(j))
         index = {mu: i for i, mu in enumerate(classes)}
@@ -121,15 +98,10 @@ def _extend(st: _TableState, family: str, kind: GraphKind, k: int, d: int, dminu
                 rhs.append(0)
         sol = ratfunc.solve_linear_exact(rows, rhs)
         if sol is None:
-            raise SingularSystemError(family, j, d, dminus)
+            return j
         st.values.update(zip(classes, sol))
         st.level = j
-    return st
-
-
-def _table(st: _TableState, family: str, k: int, d: int, dminus=None) -> WgTable:
-    vals = {mu: st.values[mu] for n in range(k + 1) for mu in partitions(n)}
-    return WgTable(family, k, d, dminus, vals)
+    return None
 
 
 def _check_dim(d) -> int:
@@ -138,55 +110,85 @@ def _check_dim(d) -> int:
     return d
 
 
-def _unitary_state(k: int, d: int, force: bool) -> _TableState:
+def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None,
+             force: bool = False) -> Fraction:
+    """Weingarten value of the level-``sum(mu)`` class ``mu`` of ``family``.
+
+    The one place a family is mapped to its route:
+
+    * ``u``:    the unitary system at ``d``; ``d < k`` sits outside the
+      proven-invertible range and is rejected unless ``force`` is set
+      (a genuinely singular system is still detected exactly).
+    * ``o``:    the orthogonal system at ``d``, any integer; negative
+      arguments are how the symplectic route is evaluated.
+    * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity).
+    * ``sp``:   ``|orthogonal at -2d|`` for ``d >= 1``; the sign is
+      deliberately out of scope.
+    * ``aiii``: the A III system at ``d = a+b``, ``dminus = a-b``;
+      ``|dminus| > d`` has no matching ensemble, so it is still computed
+      but flagged with a warning.
+
+    Each system is solved level by level and memoized per dimension
+    argument.  A singular level raises :class:`SingularSystemError` naming
+    ``family`` and ``d`` as given, also on the shifted routes.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family != "aiii" and dminus is not None:
+        raise ValueError(f"family {family!r} takes no dminus")
     _check_dim(d)
+    mu = tuple(mu)
+    k = sum(mu)
     if k < 0:
         raise ValueError("level must be nonnegative")
-    if d < k and not force:
-        raise ValueError(f"dimension {d} below level {k}; pass force=True to try anyway")
-    return _extend(_state(("u", d)), "u", GraphKind.UNITARY, k, d)
+    kind, dim = GraphKind.ORTHOGONAL, d
+    if family == "u":
+        if d < k and not force:
+            raise ValueError(f"dimension {d} below level {k}; pass force=True to try anyway")
+        kind = GraphKind.UNITARY
+    elif family == "coe":
+        dim = d + 1
+    elif family == "sp":
+        if d < 1:
+            raise ValueError(f"symplectic dimension must be positive, got {d}")
+        dim = -2 * d
+    elif family == "aiii":
+        if dminus is None:
+            raise ValueError("family 'aiii' needs dminus")
+        _check_dim(dminus)
+        if d < 1:
+            raise ValueError(f"dimension must be positive, got {d}")
+        if abs(dminus) > d:
+            warnings.warn(
+                f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
+                stacklevel=2,
+            )
+        kind = GraphKind.AIII
+    key = (kind, dim, dminus)
+    st = _STATES.get(key)
+    if st is None:
+        st = _STATES[key] = _TableState()
+    if st.level < k:
+        level = _extend(st, kind, k, dim, dminus)
+        if level is not None:
+            raise SingularSystemError(family, level, d, dminus)
+    value = st.values[mu]
+    return abs(value) if family == "sp" else value
 
 
-def solve_unitary_table(k: int, d: int, force: bool = False) -> WgTable:
-    """Unitary Weingarten values for every class of level at most ``k``.
-
-    ``d < k`` sits outside the proven-invertible range and is rejected
-    unless ``force`` is set; with ``force`` the solve still detects a
-    genuinely singular system exactly.
-    """
-    return _table(_unitary_state(k, d, force), "u", k, d)
-
-
-def wg_unitary_class(mu: tuple[int, ...], d: int, force: bool = False) -> Fraction:
-    return _unitary_state(sum(mu), d, force).values[tuple(mu)]
-
-
-def wg_unitary(sigma: Permutation, d: int, force: bool = False) -> Fraction:
-    return wg_unitary_class(sigma.cycle_type(), d, force)
-
-
-def _orthogonal_state(k: int, d: int) -> _TableState:
-    _check_dim(d)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    return _extend(_state(("o", d)), "o", GraphKind.ORTHOGONAL, k, d)
-
-
-def solve_orthogonal_table(k: int, d: int) -> WgTable:
-    """Orthogonal Weingarten values; ``d`` may be any nonzero integer.
-
-    Negative arguments are how the symplectic route is evaluated, so no
-    positivity constraint is imposed; singular dimensions raise.
-    """
-    return _table(_orthogonal_state(k, d), "o", k, d)
-
-
-def wg_orthogonal_class(mu: tuple[int, ...], d: int) -> Fraction:
-    return _orthogonal_state(sum(mu), d).values[tuple(mu)]
-
-
-def wg_orthogonal(m: PairPartition, d: int) -> Fraction:
-    return wg_orthogonal_class(m.coset_type(), d)
+def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False) -> Fraction:
+    """Weingarten value of one element: a permutation for ``u`` and
+    ``aiii``, a pair partition for ``o``, ``coe`` and ``sp``.  See
+    :func:`wg_class` for the routes and their guards."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if family in ("u", "aiii"):
+        if not isinstance(elem, Permutation):
+            raise TypeError(f"family {family!r} expects a permutation")
+        return wg_class(family, elem.cycle_type(), d, dminus, force)
+    if not isinstance(elem, PairPartition):
+        raise TypeError(f"family {family!r} expects a pair partition")
+    return wg_class(family, elem.coset_type(), d, dminus, force)
 
 
 def wg_orthogonal_pair(m: PairPartition, n: PairPartition, d: int) -> Fraction:
@@ -195,24 +197,15 @@ def wg_orthogonal_pair(m: PairPartition, n: PairPartition, d: int) -> Fraction:
     if m.level != n.level:
         raise ValueError("pairings must have equal level")
     reduced = act(m.as_permutation().inverse(), n)
-    return wg_orthogonal(reduced, d)
-
-
-def wg_coe_class(mu: tuple[int, ...], d: int) -> Fraction:
-    """COE value through the dimension-shift identity: orthogonal at ``d+1``."""
-    return wg_orthogonal_class(mu, d + 1)
-
-
-def wg_coe(m: PairPartition, d: int) -> Fraction:
-    return wg_coe_class(m.coset_type(), d)
+    return wg("o", reduced, d)
 
 
 def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     """COE value solved element by element from its own recurrence.
 
     No class reduction: one unknown per pair partition of each level, so
-    this route is structurally independent of :func:`wg_coe` and doubles as
-    a check of the class constancy it assumes.
+    this route is structurally independent of ``wg("coe", ...)`` and
+    doubles as a check of the class constancy it assumes.
     """
     _check_dim(d)
     k = m.level
@@ -236,50 +229,6 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
         st.values.update(zip(elems, sol))
         st.level = j
     return st.values[m]
-
-
-def wg_symplectic_abs_class(mu: tuple[int, ...], d: int) -> Fraction:
-    if d < 1:
-        raise ValueError(f"symplectic dimension must be positive, got {d}")
-    return abs(wg_orthogonal_class(mu, -2 * d))
-
-
-def wg_symplectic_abs(m: PairPartition, d: int) -> Fraction:
-    """Absolute symplectic value ``|W_sp(m, d)|`` via the orthogonal solver
-    at ``-2d``.  The sign is deliberately out of scope."""
-    return wg_symplectic_abs_class(m.coset_type(), d)
-
-
-def _aiii_state(k: int, d: int, dminus: int) -> _TableState:
-    _check_dim(d)
-    _check_dim(dminus)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if abs(dminus) > d:
-        warnings.warn(
-            f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
-            stacklevel=3,
-        )
-    return _extend(_state(("aiii", d, dminus)), "aiii", GraphKind.AIII, k, d, dminus)
-
-
-def solve_aiii_table(k: int, d: int, dminus: int) -> WgTable:
-    """A III Weingarten values at ``d = a+b``, ``dminus = a-b``.
-
-    ``|dminus| > d`` has no matching ensemble; it is still computable and is
-    flagged with a warning rather than rejected.
-    """
-    return _table(_aiii_state(k, d, dminus), "aiii", k, d, dminus)
-
-
-def wg_aiii_class(mu: tuple[int, ...], d: int, dminus: int) -> Fraction:
-    return _aiii_state(sum(mu), d, dminus).values[tuple(mu)]
-
-
-def wg_aiii(sigma: Permutation, d: int, dminus: int) -> Fraction:
-    return wg_aiii_class(sigma.cycle_type(), d, dminus)
 
 
 @dataclass(frozen=True)
@@ -384,24 +333,11 @@ def reconstruct_rational(
     skipped.  For ``sp`` the recovered function is the absolute value, for
     ``aiii`` it is the slice at a fixed ``dminus``.
     """
-    k = element.level
-    start = 2 * k + 1
-    if family == "u":
-        f = lambda d: wg_unitary(element, d)
-    elif family == "o":
-        f = lambda d: wg_orthogonal(element, d)
-    elif family == "coe":
-        f = lambda d: wg_coe(element, d)
-    elif family == "sp":
-        f = lambda d: wg_symplectic_abs(element, d)
-    elif family == "aiii":
-        if dminus is None:
-            raise ValueError("aiii reconstruction needs dminus")
-        f = lambda d: wg_aiii(element, d, dminus)
-    else:
-        raise ValueError(f"unknown family {family!r}")
     return ratfunc.reconstruct(
-        f, start=start, degree_cap=degree_cap, skip_exceptions=(SingularSystemError,)
+        lambda d: wg(family, element, d, dminus),
+        start=2 * element.level + 1,
+        degree_cap=degree_cap,
+        skip_exceptions=(SingularSystemError,),
     )
 
 

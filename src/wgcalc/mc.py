@@ -164,27 +164,19 @@ def _check_unitary(q, tol=1e-10):
 
 def _sample_block(ens: EnsembleSpec, seed: int, start: int, count: int):
     d = ens.d
-    if ens.family == "u":
-        q = _qr_positive(_gaussian_block(seed, start, count, d, True))
-        _check_unitary(q)
-        return q
-    if ens.family == "o":
-        q = _qr_positive(_gaussian_block(seed, start, count, d, False))
-        _check_unitary(q)
+    q = _qr_positive(_gaussian_block(seed, start, count, d, ens.family != "o"))
+    _check_unitary(q)
+    if ens.family in ("u", "o"):
         return q
     if ens.family == "coe":
-        u = _qr_positive(_gaussian_block(seed, start, count, d, True))
-        _check_unitary(u)
-        s = np.matmul(u, u.swapaxes(1, 2))
+        s = np.matmul(q, q.swapaxes(1, 2))
         err = float(np.max(np.abs(s - s.swapaxes(1, 2))))
         _assert_small(err, 1e-10, "symmetry")
         _check_unitary(s, tol=1e-9)
         return s
-    g = _qr_positive(_gaussian_block(seed, start, count, d, True))
-    _check_unitary(g)
     signs = np.ones(d)
     signs[ens.a:] = -1.0
-    s = np.matmul(g * signs[None, None, :], g.conj().swapaxes(1, 2))
+    s = np.matmul(q * signs[None, None, :], q.conj().swapaxes(1, 2))
     err = float(np.max(np.abs(s - s.conj().swapaxes(1, 2))))
     _assert_small(err, 1e-9, "hermiticity")
     traces = np.einsum("bii->b", s)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import wg_aiii, wg_coe, wg_orthogonal_pair, wg_unitary
+from .exact import wg, wg_orthogonal_pair
 from .symcore import PairPartition, Permutation, act
 
 Indices = tuple[int, ...]
@@ -124,7 +124,7 @@ def moment_unitary(i, j, iprime, jprime, d: int) -> Fraction:
         return Fraction(0)
     for sigma in _matching_permutations(i, iprime):
         for tau in taus:
-            total += wg_unitary(sigma * tau.inverse(), d)
+            total += wg("u", sigma * tau.inverse(), d)
     return total
 
 
@@ -157,7 +157,7 @@ def moment_coe(i, j, d: int) -> Fraction:
     trivial = PairPartition.trivial(k)
     total = Fraction(0)
     for sigma in _matching_permutations(i, j):
-        total += wg_coe(act(sigma, trivial), d)
+        total += wg("coe", act(sigma, trivial), d)
     return total
 
 
@@ -168,7 +168,7 @@ def moment_aiii(i, j, d: int, dminus: int) -> Fraction:
     _check_indices(d, rows=i, cols=j)
     total = Fraction(0)
     for sigma in _matching_permutations(i, j):
-        total += wg_aiii(sigma, d, dminus)
+        total += wg("aiii", sigma, d, dminus)
     return total
 
 

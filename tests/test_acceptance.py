@@ -60,7 +60,7 @@ def test_criterion_03_coe_equals_shifted_orthogonal():
     for k in range(1, 5):
         for d in range(2 * k, 2 * k + 6):
             for m in all_pair_partitions(k):
-                assert exact.wg_coe_direct(m, d) == exact.wg_orthogonal(m, d + 1)
+                assert exact.wg_coe_direct(m, d) == exact.wg("o", m, d + 1)
     _finish(3, t0, 120.0)
 
 
@@ -70,7 +70,7 @@ def test_criterion_04_aiii_transposition_formula():
     for d in range(3, 9):
         for dminus in range(0, d + 1):
             want = Fraction(d * d - dminus * dminus, d * (d * d - 1))
-            assert exact.wg_aiii(swap, d, dminus) == want
+            assert exact.wg("aiii", swap, d, dminus) == want
     _finish(4, t0, 10.0)
 
 
@@ -187,8 +187,8 @@ def test_criterion_09_symplectic_magnitude_and_positivity():
             st = exact.series("sp", m, 3)
             assert all(c >= 0 for c in st.coefficients)
             for d in range(k, k + 5):
-                value = exact.wg_symplectic_abs(m, d)
-                assert value == abs(exact.wg_orthogonal(m, -2 * d))
+                value = exact.wg("sp", m, d)
+                assert value == abs(exact.wg("o", m, -2 * d))
                 assert value > 0
             # the truncation really tracks the value: at a large dimension
             # the defect stays below twice the first omitted term
@@ -196,7 +196,7 @@ def test_criterion_09_symplectic_magnitude_and_positivity():
             n_next = -st.leading_exponent + st.order + 1
             c_next = graphs.count_paths(
                 GraphKind.ORTHOGONAL, m, m.absolute_length() + st.order + 1)
-            defect = abs(exact.wg_symplectic_abs(m, d_big) - st.evaluate(d_big))
+            defect = abs(exact.wg("sp", m, d_big) - st.evaluate(d_big))
             assert defect <= Fraction(2 * c_next, (2 * d_big) ** n_next)
     _finish(9, t0, 30.0)
 

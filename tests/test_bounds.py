@@ -19,8 +19,10 @@ from wgcalc.bounds import (
 )
 from wgcalc.graphs import GraphKind, count_paths
 from wgcalc.symcore import (
+    all_permutations,
     class_representative,
     coset_representative,
+    format_partition,
     parse_permutation,
     partitions,
 )
@@ -112,6 +114,33 @@ def test_neighborhood_bound():
     for k in range(1, 6):
         report = neighborhood_certify(k)
         assert report.all_pass, k
+
+
+def _neighborhood_rows_full_walk(k):
+    """Reference rows: every permutation of S_k times every transposition."""
+    rows, seen = [], set()
+    for sigma in all_permutations(k):
+        mu = sigma.cycle_type()
+        for a in range(1, k + 1):
+            for b in range(a + 1, k + 1):
+                tau_sigma = sigma.swap_values(a, b)
+                pair = (mu, tau_sigma.cycle_type())
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                before = shortest_count(GraphKind.UNITARY, sigma)
+                after = shortest_count(GraphKind.UNITARY, tau_sigma)
+                margin = F(after * after, 36 * k**3 * before * before)
+                label = f"{format_partition(pair[0])}->{format_partition(pair[1])}"
+                rows.append((label, margin, margin <= 1))
+    return rows
+
+
+def test_neighborhood_one_permutation_per_class_matches_full_walk():
+    for k in range(1, 7):
+        report = neighborhood_certify(k)
+        got = [(r.class_key, r.upper_margin, r.ok) for r in report.rows]
+        assert got == _neighborhood_rows_full_walk(k), k
 
 
 def test_easy_injection():

@@ -57,11 +57,11 @@ def test_series_frozen_example(capsys):
 
 def test_printed_value_reparses_exactly(capsys):
     from fractions import Fraction
-    from wgcalc.exact import wg_unitary
+    from wgcalc.exact import wg
     from wgcalc.symcore import parse_permutation
     code, out, _ = run_capture(capsys, ["value", "--family", "u", "--perm", "3,1,2", "--dim", "6"])
     assert code == 0
-    assert Fraction(out.strip()) == wg_unitary(parse_permutation("3,1,2"), 6)
+    assert Fraction(out.strip()) == wg("u", parse_permutation("3,1,2"), 6)
 
 
 def test_json_output_is_sorted_and_deterministic(capsys):
@@ -186,3 +186,14 @@ def test_errors_name_the_offending_argument(capsys):
                                             "--cols", "1", "--seed", seed])
         assert code == 1
         assert "--seed" in err
+
+
+def test_shifted_routes_name_their_own_family_and_dimension(capsys):
+    code, _, err = run_capture(capsys, ["value", "--family", "coe", "--pairing", "1,2|3,4",
+                                        "--dim", "0"])
+    assert code == 1
+    assert err == "error: --dim: singular coe system at level 2, d=0\n"
+    code, _, err = run_capture(capsys, ["value", "--family", "sp", "--pairing", "1,2|3,4",
+                                        "--dim", "1"])
+    assert code == 1
+    assert err == "error: --dim: singular sp system at level 2, d=1\n"

@@ -1,29 +1,21 @@
+import functools
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
+from wgcalc import exact
 from wgcalc.exact import (
     SingularSystemError,
     clear_caches,
     reconstruct_rational,
     series,
-    solve_aiii_table,
-    solve_orthogonal_table,
-    solve_unitary_table,
-    wg_aiii,
-    wg_aiii_class,
-    wg_coe,
-    wg_coe_class,
+    wg,
+    wg_class,
     wg_coe_direct,
-    wg_orthogonal,
-    wg_orthogonal_class,
     wg_orthogonal_pair,
-    wg_symplectic_abs,
-    wg_symplectic_abs_class,
-    wg_unitary,
-    wg_unitary_class,
 )
+from wgcalc.graphs import GraphKind
 from wgcalc.symcore import (
     PairPartition,
     Permutation,
@@ -36,96 +28,96 @@ from wgcalc.symcore import (
 
 def test_unitary_closed_forms():
     for d in (2, 3, 5, 9):
-        assert wg_unitary_class((1,), d) == F(1, d)
+        assert wg_class("u", (1,), d) == F(1, d)
     for d in (3, 5, 9):
-        assert wg_unitary_class((1, 1), d) == F(1, d * d - 1)
-        assert wg_unitary_class((2,), d) == F(-1, d * (d * d - 1))
-    assert wg_unitary_class((1, 1), 5) == F(1, 24)
-    assert wg_unitary_class((2,), 3) == F(-1, 24)
-    assert wg_unitary(parse_permutation("2,1"), 2) == F(-1, 6)
-    assert wg_unitary(parse_permutation("2,3,1"), 3) == F(1, 60)
+        assert wg_class("u", (1, 1), d) == F(1, d * d - 1)
+        assert wg_class("u", (2,), d) == F(-1, d * (d * d - 1))
+    assert wg_class("u", (1, 1), 5) == F(1, 24)
+    assert wg_class("u", (2,), 3) == F(-1, 24)
+    assert wg("u", parse_permutation("2,1"), 2) == F(-1, 6)
+    assert wg("u", parse_permutation("2,3,1"), 3) == F(1, 60)
 
 
 def test_orthogonal_closed_forms():
     for d in (3, 5, 8):
-        assert wg_orthogonal_class((1,), d) == F(1, d)
-        assert wg_orthogonal_class((1, 1), d) == F(d + 1, (d + 2) * d * (d - 1))
-        assert wg_orthogonal_class((2,), d) == F(-1, (d + 2) * d * (d - 1))
-    assert wg_orthogonal(parse_pair_partition("1,2|3,4"), 4) == F(5, 72)
-    assert wg_orthogonal(parse_pair_partition("1,3|2,4"), 4) == F(-1, 72)
+        assert wg_class("o", (1,), d) == F(1, d)
+        assert wg_class("o", (1, 1), d) == F(d + 1, (d + 2) * d * (d - 1))
+        assert wg_class("o", (2,), d) == F(-1, (d + 2) * d * (d - 1))
+    assert wg("o", parse_pair_partition("1,2|3,4"), 4) == F(5, 72)
+    assert wg("o", parse_pair_partition("1,3|2,4"), 4) == F(-1, 72)
 
 
 def test_coe_closed_forms():
     for d in (2, 3, 7):
-        assert wg_coe_class((1,), d) == F(1, d + 1)
-        assert wg_coe_class((1, 1), d) == F(d + 2, (d + 3) * (d + 1) * d)
-    assert wg_coe(parse_pair_partition("1,2|3,4"), 3) == F(5, 72)
+        assert wg_class("coe", (1,), d) == F(1, d + 1)
+        assert wg_class("coe", (1, 1), d) == F(d + 2, (d + 3) * (d + 1) * d)
+    assert wg("coe", parse_pair_partition("1,2|3,4"), 3) == F(5, 72)
 
 
 def test_symplectic_closed_forms():
     for d in (1, 2, 3):
-        assert wg_symplectic_abs_class((1,), d) == F(1, 2 * d)
+        assert wg_class("sp", (1,), d) == F(1, 2 * d)
     for d in (2, 3):
         q = (2 * d - 2) * 2 * d * (2 * d + 1)
-        assert wg_symplectic_abs_class((1, 1), d) == F(2 * d - 1, q)
-    assert wg_symplectic_abs(parse_pair_partition("1,2|3,4"), 2) == F(3, 40)
-    assert wg_symplectic_abs(parse_pair_partition("1,3|2,4"), 2) == F(1, 40)
+        assert wg_class("sp", (1, 1), d) == F(2 * d - 1, q)
+    assert wg("sp", parse_pair_partition("1,2|3,4"), 2) == F(3, 40)
+    assert wg("sp", parse_pair_partition("1,3|2,4"), 2) == F(1, 40)
 
 
 def test_aiii_closed_forms():
     for d, dm in ((3, 1), (4, 2), (5, 0), (6, 6)):
-        assert wg_aiii_class((1,), d, dm) == F(dm, d)
-        assert wg_aiii_class((1, 1), d, dm) == F(dm * dm - 1, d * d - 1)
-        assert wg_aiii_class((2,), d, dm) == F(d * d - dm * dm, d * (d * d - 1))
-    assert wg_aiii(parse_permutation("2,1"), 4, 2) == F(1, 5)
+        assert wg_class("aiii", (1,), d, dm) == F(dm, d)
+        assert wg_class("aiii", (1, 1), d, dm) == F(dm * dm - 1, d * d - 1)
+        assert wg_class("aiii", (2,), d, dm) == F(d * d - dm * dm, d * (d * d - 1))
+    assert wg("aiii", parse_permutation("2,1"), 4, 2) == F(1, 5)
 
 
 def test_unitary_recurrence_residual_elementwise():
     # the recurrence that defined the solve must hold for raw elements, not
     # just the class representatives it was assembled from
     d = 7
-    table = solve_unitary_table(4, d)
+    lookup = functools.partial(wg, "u", d=d)
     for k in range(1, 5):
         for sigma in all_permutations(k):
-            lhs = d * table.lookup(sigma)
+            lhs = d * lookup(sigma)
             acc = F(0)
             for i in range(1, k):
-                acc += table.lookup(sigma.swap_values(i, k))
+                acc += lookup(sigma.swap_values(i, k))
             rhs = -acc
             if sigma.fixes_top():
-                rhs += table.lookup(sigma.restrict_down())
+                rhs += lookup(sigma.restrict_down())
             assert lhs == rhs, sigma
 
 
 def test_orthogonal_recurrence_residual_elementwise():
     d = 5
-    table = solve_orthogonal_table(3, d)
+    lookup = functools.partial(wg, "o", d=d)
     for k in range(1, 4):
         for m in all_pair_partitions(k):
-            lhs = d * table.lookup(m)
+            lhs = d * lookup(m)
             acc = F(0)
             for i in range(1, 2 * k - 1):
-                acc += table.lookup(m.swap_points(i, 2 * k - 1))
+                acc += lookup(m.swap_points(i, 2 * k - 1))
             rhs = -acc
             if m.has_top_block():
-                rhs += table.lookup(m.pairing_down())
+                rhs += lookup(m.pairing_down())
             assert lhs == rhs, m
 
 
 def test_aiii_recurrence_residual_elementwise():
     d, dm = 5, 2
-    table = solve_aiii_table(4, d, dm)
+    lookup = functools.partial(wg, "aiii", d=d, dminus=dm)
     for k in range(1, 5):
         for sigma in all_permutations(k):
-            lhs = d * table.lookup(sigma)
+            lhs = d * lookup(sigma)
             acc = F(0)
             for i in range(1, k):
-                acc += table.lookup(sigma.swap_values(i, k))
+                acc += lookup(sigma.swap_values(i, k))
             rhs = -acc
             if sigma.fixes_top():
-                rhs += dm * table.lookup(sigma.restrict_down())
+                rhs += dm * lookup(sigma.restrict_down())
             elif sigma.top_in_two_cycle():
-                rhs += table.lookup(sigma.flat())
+                rhs += lookup(sigma.flat())
             assert lhs == rhs, sigma
 
 
@@ -133,7 +125,7 @@ def test_coe_direct_matches_shifted_orthogonal():
     for d in (2, 3):
         for k in range(1, 4):
             for m in all_pair_partitions(k):
-                assert wg_coe_direct(m, d) == wg_coe(m, d), (m, d)
+                assert wg_coe_direct(m, d) == wg("coe", m, d), (m, d)
 
 
 def test_unitary_sign_law():
@@ -142,8 +134,8 @@ def test_unitary_sign_law():
 
     for k in range(1, 6):
         for d in (k, k + 3):
-            table = solve_unitary_table(k, d)
-            for mu, val in table.values.items():
+            for mu in (mu for j in range(k + 1) for mu in partitions(j)):
+                val = wg_class("u", mu, d)
                 n = sum(mu) - len(mu)
                 assert val != 0
                 assert (val > 0) == (n % 2 == 0), (mu, d)
@@ -154,10 +146,8 @@ def test_orthogonal_sign_law_spot():
 
     for k in range(1, 4):
         d = 2 * k
-        table = solve_orthogonal_table(k, d)
-        for mu, val in table.values.items():
-            if not mu:
-                continue
+        for mu in (mu for j in range(1, k + 1) for mu in partitions(j)):
+            val = wg_class("o", mu, d)
             n = sum(mu) - len(mu)
             assert val != 0
             assert (val > 0) == (n % 2 == 0), (mu, d)
@@ -174,66 +164,102 @@ def test_full_cycle_magnitude():
         for j in range(d - k + 1, d + k):
             denom *= j
         expected = F((-1) ** (k - 1) * cat, denom)
-        assert wg_unitary_class((k,), d) == expected
+        assert wg_class("u", (k,), d) == expected
 
 
 def test_dimension_guards():
     with pytest.raises(ValueError):
-        solve_unitary_table(3, 2)
+        wg_class("u", (3,), 2)
     with pytest.raises(ValueError):
-        wg_unitary_class((2, 1), 2)
+        wg_class("u", (2, 1), 2)
     # forcing past the guard still detects true singularities exactly
     with pytest.raises(SingularSystemError) as info:
-        wg_unitary_class((1, 1), 1, force=True)
+        wg_class("u", (1, 1), 1, force=True)
     assert info.value.level == 2
     with pytest.raises(SingularSystemError):
-        wg_unitary_class((1,), 0, force=True)
-    assert wg_unitary_class((1, 1), 2, force=True) == F(1, 3)
+        wg_class("u", (1,), 0, force=True)
+    assert wg_class("u", (1, 1), 2, force=True) == F(1, 3)
 
 
 def test_orthogonal_singular_dimension():
     with pytest.raises(SingularSystemError) as info:
-        wg_orthogonal_class((1, 1), 1)
+        wg_class("o", (1, 1), 1)
     assert info.value.family == "o"
     assert info.value.level == 2
     with pytest.raises(SingularSystemError):
-        wg_symplectic_abs_class((1, 1), 1)
+        wg_class("sp", (1, 1), 1)
     with pytest.raises(ValueError):
-        wg_symplectic_abs_class((1,), 0)
+        wg_class("sp", (1,), 0)
 
 
 def test_singular_levels_refused_and_lower_levels_kept():
     # the forced unitary table at d < k and the orthogonal table at d=1
     # hit an exactly singular level-2 system; level 1 stays available
     with pytest.raises(SingularSystemError) as info:
-        solve_unitary_table(3, 1, force=True)
+        wg_class("u", (3,), 1, force=True)
     assert (info.value.family, info.value.level, info.value.d) == ("u", 2, 1)
-    assert wg_unitary_class((1,), 1, force=True) == 1
+    assert wg_class("u", (1,), 1, force=True) == 1
     with pytest.raises(SingularSystemError) as info:
-        solve_orthogonal_table(4, 1)
+        wg_class("o", (4,), 1)
     assert (info.value.family, info.value.level, info.value.d) == ("o", 2, 1)
-    assert wg_orthogonal_class((1,), 1) == 1
+    assert wg_class("o", (1,), 1) == 1
     # the element-level COE system is singular wherever the class one is
     for d in (0, -1):
         with pytest.raises(SingularSystemError):
-            wg_coe(PairPartition.trivial(2), d)
+            wg("coe", PairPartition.trivial(2), d)
         with pytest.raises(SingularSystemError) as info:
             wg_coe_direct(PairPartition.trivial(2), d)
         assert info.value.family == "coe"
 
 
+def test_shifted_routes_raise_with_the_callers_family_and_dimension():
+    # COE runs the orthogonal system at d+1 and sp at -2d, but a singular
+    # level is reported against the family and dimension asked for
+    with pytest.raises(SingularSystemError) as info:
+        wg("coe", PairPartition.trivial(2), 0)
+    assert (info.value.family, info.value.level, info.value.d) == ("coe", 2, 0)
+    assert str(info.value) == "singular coe system at level 2, d=0"
+    with pytest.raises(SingularSystemError) as info:
+        wg_class("sp", (1, 1), 1)
+    assert (info.value.family, info.value.level, info.value.d) == ("sp", 2, 1)
+    # the orthogonal memo the routes share still reports itself as o
+    with pytest.raises(SingularSystemError) as info:
+        wg_class("o", (2,), 1)
+    assert (info.value.family, info.value.d) == ("o", 1)
+
+
+def test_family_route_argument_checks():
+    with pytest.raises(ValueError, match="unknown family"):
+        wg_class("q", (1,), 3)
+    with pytest.raises(ValueError, match="unknown family"):
+        wg("q", Permutation.identity(1), 3)
+    with pytest.raises(ValueError, match="takes no dminus"):
+        wg_class("u", (1,), 3, dminus=1)
+    with pytest.raises(ValueError, match="needs dminus"):
+        wg_class("aiii", (1,), 3)
+    with pytest.raises(TypeError):
+        wg("u", PairPartition.trivial(1), 3)
+    with pytest.raises(TypeError):
+        wg("coe", Permutation.identity(1), 3)
+    with pytest.raises(ValueError, match="needs dminus"):
+        reconstruct_rational("aiii", Permutation.identity(1))
+    with pytest.raises(ValueError, match="unknown family"):
+        reconstruct_rational("q", Permutation.identity(1))
+
+
 def test_aiii_signature_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        wg_aiii_class((1,), 3, 5)
+        wg_class("aiii", (1,), 3, 5)
     assert any("signature" in str(w.message) for w in caught)
 
 
 def test_table_lookup():
-    table = solve_unitary_table(3, 5)
-    assert table.lookup(Permutation.identity(3)) == wg_unitary_class((1, 1, 1), 5)
-    assert table.lookup(parse_permutation("2,3,1")) == wg_unitary_class((3,), 5)
-    assert set(table.values) == {
+    # one element lookup fills the unitary memo at d=5 with every class of
+    # levels <= 3, and nothing else
+    clear_caches()
+    value = wg("u", parse_permutation("2,3,1"), 5)
+    assert set(exact._STATES[(GraphKind.UNITARY, 5, None)].values) == {
         (),
         (1,),
         (1, 1),
@@ -242,11 +268,13 @@ def test_table_lookup():
         (2, 1),
         (3,),
     }
+    assert value == wg_class("u", (3,), 5)
+    assert wg("u", Permutation.identity(3), 5) == wg_class("u", (1, 1, 1), 5)
 
 
 def test_orthogonal_pair_reduction():
     m = parse_pair_partition("1,3|2,4")
-    assert wg_orthogonal_pair(m, m, 5) == wg_orthogonal_class((1, 1), 5)
+    assert wg_orthogonal_pair(m, m, 5) == wg_class("o", (1, 1), 5)
     triv = PairPartition.trivial(2)
     assert wg_orthogonal_pair(triv, m, 4) == F(-1, 72)
     with pytest.raises(ValueError):
@@ -335,7 +363,7 @@ def test_series_matches_exact_at_large_dimension():
     n = t.absolute_length()
     c_next = count_paths(GraphKind.UNITARY, t, n + 2 * (order + 1))
     for d in (9, 12):
-        tail = abs(wg_unitary(t, d) - s.evaluate(d))
+        tail = abs(wg("u", t, d) - s.evaluate(d))
         exp = -s.leading_exponent + 2 * (order + 1)
         assert F(c_next, 2 * d**exp) < tail < F(2 * c_next, d**exp)
     m = parse_pair_partition("1,4|2,3|5,6")
@@ -343,12 +371,12 @@ def test_series_matches_exact_at_large_dimension():
     so = series("o", m, order)
     c_next = count_paths(GraphKind.ORTHOGONAL, m, m.absolute_length() + order + 1)
     for d in (9, 12):
-        tail = abs(wg_orthogonal(m, d) - so.evaluate(d))
+        tail = abs(wg("o", m, d) - so.evaluate(d))
         exp = -so.leading_exponent + order + 1
         assert F(c_next, 2 * d**exp) < tail < F(2 * c_next, d**exp)
 
 
 def test_clear_caches_roundtrip():
-    v = wg_unitary_class((2, 1), 6)
+    v = wg_class("u", (2, 1), 6)
     clear_caches()
-    assert wg_unitary_class((2, 1), 6) == v
+    assert wg_class("u", (2, 1), 6) == v
