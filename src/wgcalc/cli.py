@@ -77,12 +77,6 @@ def _parse_element(args, family: str):
         raise UsageError(f"--pairing: {exc}") from None
 
 
-def _element_text(elem) -> str:
-    if isinstance(elem, symcore.Permutation):
-        return symcore.format_permutation(elem)
-    return symcore.format_pair_partition(elem)
-
-
 def _need_dminus(args, family: str) -> int | None:
     if family == "aiii":
         if args.dminus is None:
@@ -117,7 +111,7 @@ def cmd_value(args) -> int:
     if args.symbolic:
         rep = exact.reconstruct_rational(family, elem, dminus=dminus)
         text = rep.text()
-        record = {"family": family, "element": _element_text(elem),
+        record = {"family": family, "element": symcore.format_element(elem),
                   "rational_function": text}
         if dminus is not None:
             record["dminus"] = dminus
@@ -129,7 +123,7 @@ def cmd_value(args) -> int:
         value = exact.wg(family, elem, args.dim, dminus)
     except (ValueError, exact.SingularSystemError) as exc:
         raise UsageError(f"--dim: {exc}") from None
-    record = {"family": family, "element": _element_text(elem),
+    record = {"family": family, "element": symcore.format_element(elem),
               "dim": args.dim, "value": str(value)}
     if dminus is not None:
         record["dminus"] = dminus
@@ -161,29 +155,22 @@ def cmd_series(args) -> int:
     else:
         json_coeffs = list(st.coefficients)
         plain = ",".join(texts)
-    record = {"family": family, "element": _element_text(elem), "order": args.order,
+    record = {"family": family, "element": symcore.format_element(elem), "order": args.order,
               "leading_exponent": st.leading_exponent, "coefficients": json_coeffs}
     _emit(args, record, [f"leading exponent: {st.leading_exponent}",
                          f"coefficients: {plain}"])
     return 0
 
 
-_KINDS = {"u": graphs.GraphKind.UNITARY, "o": graphs.GraphKind.ORTHOGONAL,
-          "aiii": graphs.GraphKind.AIII}
-
-
 def cmd_paths(args) -> int:
     family = args.family
-    kind = _KINDS[family]
+    kind = graphs.GraphKind(family)
     elem = _parse_element(args, family)
     if args.solid < 0:
         raise UsageError(f"--solid: must be nonnegative, got {args.solid}")
     if args.dashed is not None and family != "aiii":
         raise UsageError("--dashed applies only to family aiii")
-    if args.dashed is not None:
-        count = graphs.count_paths_refined(elem, args.solid, args.dashed)
-    else:
-        count = graphs.count_paths(kind, elem, args.solid)
+    count = graphs.count_paths(kind, elem, args.solid, args.dashed)
     lines = [f"count: {count}"]
     listed = None
     if args.list:
@@ -192,7 +179,7 @@ def cmd_paths(args) -> int:
             paths = [p for p in paths if p.count(graphs.DASHED) == args.dashed]
         listed = [graphs.format_path(p) for p in paths]
         lines.extend(listed)
-    record = {"family": family, "element": _element_text(elem), "solid": args.solid,
+    record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid,
               "count": count}
     if args.dashed is not None:
         record["dashed"] = args.dashed
@@ -204,9 +191,7 @@ def cmd_paths(args) -> int:
 
 def cmd_factorizations(args) -> int:
     family = args.family
-    kind = _KINDS[family]
-    if kind is graphs.GraphKind.AIII:
-        raise UsageError("--family: monotone factorizations cover families u and o")
+    kind = graphs.GraphKind(family)
     elem = _parse_element(args, family)
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
@@ -214,7 +199,7 @@ def cmd_factorizations(args) -> int:
             if f.target() == elem]
     texts = ["".join(f"({s},{t})" for s, t in f.transpositions) or "e" for f in hits]
     lines = [f"count: {len(hits)}"]
-    record = {"family": family, "element": _element_text(elem),
+    record = {"family": family, "element": symcore.format_element(elem),
               "length": args.length, "count": len(hits)}
     if args.list:
         lines.extend(texts)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratfunc
-from .graphs import GraphKind, class_node, count_paths, count_paths_refined
+from .graphs import GraphKind, class_node, count_paths
 from .symcore import (
     PairPartition,
     Permutation,
@@ -110,6 +110,12 @@ def _check_dim(d) -> int:
     return d
 
 
+def _check_coe_dim(d: int) -> None:
+    """No COE ensemble has ``d < 1``; both COE routes refuse it."""
+    if d < 1:
+        raise ValueError(f"COE dimension must be positive, got {d}")
+
+
 def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None,
              force: bool = False) -> Fraction:
     """Weingarten value of the level-``sum(mu)`` class ``mu`` of ``family``.
@@ -121,7 +127,8 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
       (a genuinely singular system is still detected exactly).
     * ``o``:    the orthogonal system at ``d``, any integer; negative
       arguments are how the symplectic route is evaluated.
-    * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity).
+    * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity),
+      for ``d >= 1``.
     * ``sp``:   ``|orthogonal at -2d|`` for ``d >= 1``; the sign is
       deliberately out of scope.
     * ``aiii``: the A III system at ``d = a+b``, ``dminus = a-b``;
@@ -147,6 +154,7 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
             raise ValueError(f"dimension {d} below level {k}; pass force=True to try anyway")
         kind = GraphKind.UNITARY
     elif family == "coe":
+        _check_coe_dim(d)
         dim = d + 1
     elif family == "sp":
         if d < 1:
@@ -207,7 +215,7 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     this route is structurally independent of ``wg("coe", ...)`` and
     doubles as a check of the class constancy it assumes.
     """
-    _check_dim(d)
+    _check_coe_dim(_check_dim(d))
     k = m.level
     st = _COE_FULL.get(d)
     if st is None:
@@ -305,7 +313,7 @@ def series(family: str, element, order: int) -> SeriesTruncation:
         for l1 in range(k % 2, k + 1, 2):
             base = (k + l1) // 2
             for l0 in range(0, max_n - base + 1):
-                cnt = count_paths_refined(element, l0, l1)
+                cnt = count_paths(GraphKind.AIII, element, l0, l1)
                 if cnt:
                     n = l0 + base
                     by_exponent.setdefault(n, {}).setdefault(l1, 0)

@@ -21,11 +21,12 @@ Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level and filled
 lazily: :func:`class_node` reads a class's solid targets with
 multiplicities, dashed target and squiggled target off its representative.
-The counters recurse over ``(class, solid)`` and ``(class, solid, dashed)``,
-and :mod:`wgcalc.exact` builds its rows from the same nodes.  Class constancy
-is assumed, not derived; ``tests/test_graphs.py`` checks the class-level
-counts against element-level walks and :func:`enumerate_paths` on every
-element of small levels, and ``exact.wg_coe_direct`` checks the solver.
+One counter, :func:`count_paths`, recurses over ``(class, solid, dashed)``
+for every kind, and :mod:`wgcalc.exact` builds its rows from the same
+nodes.  Class constancy is assumed, not derived; ``tests/test_graphs.py``
+checks the class-level counts against element-level walks and
+:func:`enumerate_paths` on every element of small levels, and
+``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .symcore import (
     Permutation,
     class_representative,
     coset_representative,
-    format_pair_partition,
-    format_permutation,
+    format_element,
 )
 
 Element = Union[Permutation, PairPartition]
@@ -71,25 +71,37 @@ def _check_element(kind: GraphKind, elem: Element) -> None:
 
 @dataclass(frozen=True)
 class EdgeStep:
-    """One traversed edge: its kind, the solid index ``i`` (if any), the vertex reached."""
+    """One traversed edge: its kind, the vertex reached and, on a solid step,
+    its transposition ``(index, top)``; ``top`` is ``k``, or ``2k-1`` for
+    orthogonal, at the level ``k`` the step stays on."""
 
     kind: str
     index: int | None
     target: Element
+    top: int | None = None
+
+
+def _top(kind: GraphKind, level: int) -> int:
+    """The point every solid transposition at ``level`` moves."""
+    return 2 * level - 1 if kind is GraphKind.ORTHOGONAL else level
+
+
+def _swapper(kind: GraphKind, elem: Element):
+    """``elem``'s action by a transposition: on points, or on values."""
+    return elem.swap_points if kind is GraphKind.ORTHOGONAL else elem.swap_values
 
 
 def _solid_targets(kind: GraphKind, elem: Element) -> list[Element]:
     """Targets of the solid steps leaving ``elem``; index ``i`` sits at position ``i-1``."""
-    k = elem.level
-    if kind is GraphKind.ORTHOGONAL:
-        return [elem.swap_points(i, 2 * k - 1) for i in range(1, 2 * k - 1)]
-    return [elem.swap_values(i, k) for i in range(1, k)]
+    top, swap = _top(kind, elem.level), _swapper(kind, elem)
+    return [swap(i, top) for i in range(1, top)]
 
 
 def solid_neighbors(kind: GraphKind, elem: Element) -> tuple[EdgeStep, ...]:
     """All solid steps leaving ``elem``, in index order.  Empty at low levels."""
     _check_element(kind, elem)
-    return tuple(EdgeStep(SOLID, i, t) for i, t in enumerate(_solid_targets(kind, elem), 1))
+    top = _top(kind, elem.level)
+    return tuple(EdgeStep(SOLID, i, t, top) for i, t in enumerate(_solid_targets(kind, elem), 1))
 
 
 def dashed_target(kind: GraphKind, elem: Element) -> Element | None:
@@ -119,7 +131,6 @@ class ClassNode(NamedTuple):
 
 _CLASS_GRAPHS: dict[GraphKind, dict[tuple[int, ...], ClassNode]] = {}
 _COUNTS: dict[tuple, int] = {}
-_AIII_COUNTS: dict[tuple, int] = {}
 
 
 def _element_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
@@ -149,69 +160,43 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     return node
 
 
-def _count(kind: GraphKind, mu: tuple[int, ...], solid: int) -> int:
-    key = (kind, mu, solid)
+def _count(kind: GraphKind, mu: tuple[int, ...], solid: int, dashed: int) -> int:
+    key = (kind, mu, solid, dashed)
     cached = _COUNTS.get(key)
-    if cached is not None:
-        return cached
-    if not mu:
-        total = 1 if solid == 0 else 0
-    else:
-        node = class_node(kind, mu)
-        total = 0
-        if solid > 0:
-            for target, mult in node.solid:
-                total += mult * _count(kind, target, solid - 1)
-        if node.dashed is not None:
-            total += _count(kind, node.dashed, solid)
-    _COUNTS[key] = total
-    return total
-
-
-def _count_refined(mu: tuple[int, ...], solid: int, dashed: int) -> int:
-    if solid < 0 or dashed < 0:
-        return 0
-    key = (mu, solid, dashed)
-    cached = _AIII_COUNTS.get(key)
     if cached is not None:
         return cached
     if not mu:
         total = 1 if solid == 0 and dashed == 0 else 0
     else:
-        node = class_node(GraphKind.AIII, mu)
+        node = class_node(kind, mu)
         total = 0
         if solid > 0:
             for target, mult in node.solid:
-                total += mult * _count_refined(target, solid - 1, dashed)
+                total += mult * _count(kind, target, solid - 1, dashed)
         if node.dashed is not None:
-            total += _count_refined(node.dashed, solid, dashed - 1)
+            if dashed > 0:
+                total += _count(kind, node.dashed, solid, dashed - 1)
         elif node.squiggled is not None:
-            total += _count_refined(node.squiggled, solid, dashed)
-    _AIII_COUNTS[key] = total
+            total += _count(kind, node.squiggled, solid, dashed)
+    _COUNTS[key] = total
     return total
 
 
-def count_paths(kind: GraphKind, elem: Element, solid: int) -> int:
-    """Number of paths from ``elem`` to the empty object with ``solid`` solid steps.
+def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
+    """Number of paths from ``elem`` to the empty object with ``solid`` solid
+    steps and, if given, ``dashed`` dashed steps.
 
-    For the A III graph this aggregates over every split of the level into
-    dashed and squiggled descents.
+    Unitary and orthogonal paths take exactly ``level`` dashed steps.  An A
+    III path takes ``dashed + 2*squiggled == level``; without ``dashed`` the
+    count aggregates over every such split.
     """
     mu = _element_class(kind, elem)
-    if solid < 0:
+    if solid < 0 or (dashed is not None and dashed < 0):
         return 0
-    if kind is GraphKind.AIII:
-        k = elem.level
-        return sum(_count_refined(mu, solid, k - 2 * l2) for l2 in range(k // 2 + 1))
-    return _count(kind, mu, solid)
-
-
-def count_paths_refined(sigma: Permutation, solid: int, dashed: int) -> int:
-    """A III paths from ``sigma`` with exactly ``solid`` solid and ``dashed`` dashed steps.
-
-    The squiggled count is forced: ``dashed + 2*squiggled`` equals the level.
-    """
-    return _count_refined(_element_class(GraphKind.AIII, sigma), solid, dashed)
+    k = elem.level
+    if dashed is None and kind is GraphKind.AIII:
+        return sum(_count(kind, mu, solid, l1) for l1 in range(k, -1, -2))
+    return _count(kind, mu, solid, k if dashed is None else dashed)
 
 
 @dataclass(frozen=True)
@@ -230,17 +215,7 @@ class Path:
 
     def solid_transpositions(self) -> tuple[tuple[int, int], ...]:
         """The transposition carried by each solid step, in traversal order."""
-        out = []
-        level = self.start.level
-        for step in self.steps:
-            if step.kind == SOLID:
-                top = 2 * level - 1 if self.kind is GraphKind.ORTHOGONAL else level
-                out.append((step.index, top))
-            elif step.kind == DASHED:
-                level -= 1
-            else:
-                level -= 2
-        return tuple(out)
+        return tuple((s.index, s.top) for s in self.steps if s.kind == SOLID)
 
 
 def enumerate_paths(
@@ -283,27 +258,15 @@ def enumerate_paths(
     return out
 
 
-def _format_element(elem: Element) -> str:
-    if isinstance(elem, PairPartition):
-        return format_pair_partition(elem)
-    return format_permutation(elem)
-
-
 def format_path(path: Path) -> str:
     """Serialize: solid ``-(s,t)->``, dashed ``=>``, squiggled ``~>``."""
-    parts = [_format_element(path.start)]
-    level = path.start.level
+    parts = [format_element(path.start)]
     for step in path.steps:
         if step.kind == SOLID:
-            top = 2 * level - 1 if path.kind is GraphKind.ORTHOGONAL else level
-            parts.append(f"-({step.index},{top})->")
-        elif step.kind == DASHED:
-            parts.append("=>")
-            level -= 1
+            parts.append(f"-({step.index},{step.top})->")
         else:
-            parts.append("~>")
-            level -= 2
-        parts.append(_format_element(step.target))
+            parts.append("=>" if step.kind == DASHED else "~>")
+        parts.append(format_element(step.target))
     return " ".join(parts)
 
 
@@ -348,8 +311,6 @@ class MonotoneFactorization:
 
 
 def path_to_factorization(path: Path) -> MonotoneFactorization:
-    if path.kind is GraphKind.AIII:
-        raise ValueError("monotone factorizations are defined for the unitary and orthogonal graphs")
     return MonotoneFactorization(path.kind, path.start.level, path.solid_transpositions())
 
 
@@ -381,11 +342,8 @@ def factorization_to_path(f: MonotoneFactorization) -> Path:
             descend_once()
         if cur.level != want_level:
             raise ValueError(f"factor ({s},{t}) sits above the current level {cur.level}")
-        if kind is GraphKind.ORTHOGONAL:
-            nxt = cur.swap_points(s, t)
-        else:
-            nxt = cur.swap_values(s, t)
-        steps.append(EdgeStep(SOLID, s, nxt))
+        nxt = _swapper(kind, cur)(s, t)
+        steps.append(EdgeStep(SOLID, s, nxt, t))
         cur = nxt
     while cur.level > 0:
         descend_once()
@@ -421,4 +379,3 @@ def enumerate_monotone_factorizations(
 def clear_caches() -> None:
     _CLASS_GRAPHS.clear()
     _COUNTS.clear()
-    _AIII_COUNTS.clear()

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import wg, wg_orthogonal_pair
-from .symcore import PairPartition, Permutation, act
+from .symcore import PairPartition, Permutation, act, pair_partitions
 
 Indices = tuple[int, ...]
 
@@ -81,25 +81,6 @@ def _matching_permutations(source: Sequence[int], target: Sequence[int]) -> Iter
         yield Permutation(tuple(images))
 
 
-def _value_pairings(seq: Sequence[int]) -> Iterator[PairPartition]:
-    """Pair partitions of the positions of ``seq`` joining only equal values."""
-
-    def rec(points: tuple[int, ...]):
-        if not points:
-            yield ()
-            return
-        a = points[0]
-        for idx in range(1, len(points)):
-            b = points[idx]
-            if seq[a - 1] == seq[b - 1]:
-                rest = points[1:idx] + points[idx + 1:]
-                for tail in rec(rest):
-                    yield ((a, b),) + tail
-
-    for blocks in rec(tuple(range(1, len(seq) + 1))):
-        yield PairPartition(blocks)
-
-
 def _check_indices(d: int, **named: Sequence[int]) -> None:
     for name, seq in named.items():
         for v in seq:
@@ -136,10 +117,10 @@ def moment_orthogonal(i, j, d: int) -> Fraction:
     if len(i) % 2 == 1:
         return Fraction(0)
     total = Fraction(0)
-    col_pairings = list(_value_pairings(j))
+    col_pairings = list(pair_partitions(j))
     if not col_pairings:
         return Fraction(0)
-    for m in _value_pairings(i):
+    for m in pair_partitions(i):
         for n in col_pairings:
             total += wg_orthogonal_pair(m, n, d)
     return total

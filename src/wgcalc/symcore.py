@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 EMPTY_TEXT = "∅"  # printed for the level-0 permutation / pairing
 
@@ -291,8 +291,14 @@ def all_permutations(k: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
-def all_pair_partitions(k: int) -> Iterator[PairPartition]:
-    """All ``(2k-1)!!`` pair partitions of ``{1..2k}``, in a fixed order."""
+def pair_partitions(labels: Sequence) -> Iterator[PairPartition]:
+    """Pair partitions of the positions ``1..len(labels)`` whose blocks join
+    equal labels, in a fixed order: the first free position is paired with
+    each later one in turn.
+
+    >>> [m.blocks for m in pair_partitions("abab")]
+    [((1, 3), (2, 4))]
+    """
 
     def rec(points: tuple[int, ...]):
         if not points:
@@ -300,12 +306,18 @@ def all_pair_partitions(k: int) -> Iterator[PairPartition]:
             return
         first = points[0]
         for i in range(1, len(points)):
-            rest = points[1:i] + points[i + 1:]
-            for tail in rec(rest):
-                yield ((first, points[i]),) + tail
+            if labels[first - 1] == labels[points[i] - 1]:
+                rest = points[1:i] + points[i + 1:]
+                for tail in rec(rest):
+                    yield ((first, points[i]),) + tail
 
-    for blocks in rec(tuple(range(1, 2 * k + 1))):
+    for blocks in rec(tuple(range(1, len(labels) + 1))):
         yield PairPartition(blocks)
+
+
+def all_pair_partitions(k: int) -> Iterator[PairPartition]:
+    """All ``(2k-1)!!`` pair partitions of ``{1..2k}``, in a fixed order."""
+    return pair_partitions((0,) * (2 * k))
 
 
 def class_representative(mu: tuple[int, ...]) -> Permutation:
@@ -399,6 +411,12 @@ def format_pair_partition(m: PairPartition) -> str:
     if m.level == 0:
         return EMPTY_TEXT
     return "|".join(f"{a},{b}" for a, b in m.blocks)
+
+
+def format_element(elem: Permutation | PairPartition) -> str:
+    if isinstance(elem, PairPartition):
+        return format_pair_partition(elem)
+    return format_permutation(elem)
 
 
 def format_partition(mu: tuple[int, ...]) -> str:

@@ -192,7 +192,7 @@ def test_shifted_routes_name_their_own_family_and_dimension(capsys):
     code, _, err = run_capture(capsys, ["value", "--family", "coe", "--pairing", "1,2|3,4",
                                         "--dim", "0"])
     assert code == 1
-    assert err == "error: --dim: singular coe system at level 2, d=0\n"
+    assert err == "error: --dim: COE dimension must be positive, got 0\n"
     code, _, err = run_capture(capsys, ["value", "--family", "sp", "--pairing", "1,2|3,4",
                                         "--dim", "1"])
     assert code == 1

@@ -203,22 +203,25 @@ def test_singular_levels_refused_and_lower_levels_kept():
         wg_class("o", (4,), 1)
     assert (info.value.family, info.value.level, info.value.d) == ("o", 2, 1)
     assert wg_class("o", (1,), 1) == 1
-    # the element-level COE system is singular wherever the class one is
-    for d in (0, -1):
-        with pytest.raises(SingularSystemError):
+    # no COE ensemble has d < 1: both COE routes refuse it alike
+    for d in (0, -1, -2, -3):
+        with pytest.raises(ValueError, match=f"COE dimension must be positive, got {d}"):
             wg("coe", PairPartition.trivial(2), d)
-        with pytest.raises(SingularSystemError) as info:
+        with pytest.raises(ValueError, match=f"COE dimension must be positive, got {d}"):
             wg_coe_direct(PairPartition.trivial(2), d)
-        assert info.value.family == "coe"
+    # at d=1 the element-level COE system is singular where the class one is
+    with pytest.raises(SingularSystemError) as info:
+        wg_coe_direct(PairPartition.trivial(3), 1)
+    assert (info.value.family, info.value.level, info.value.d) == ("coe", 3, 1)
 
 
 def test_shifted_routes_raise_with_the_callers_family_and_dimension():
     # COE runs the orthogonal system at d+1 and sp at -2d, but a singular
     # level is reported against the family and dimension asked for
     with pytest.raises(SingularSystemError) as info:
-        wg("coe", PairPartition.trivial(2), 0)
-    assert (info.value.family, info.value.level, info.value.d) == ("coe", 2, 0)
-    assert str(info.value) == "singular coe system at level 2, d=0"
+        wg("coe", PairPartition.trivial(3), 1)
+    assert (info.value.family, info.value.level, info.value.d) == ("coe", 3, 1)
+    assert str(info.value) == "singular coe system at level 3, d=1"
     with pytest.raises(SingularSystemError) as info:
         wg_class("sp", (1, 1), 1)
     assert (info.value.family, info.value.level, info.value.d) == ("sp", 2, 1)

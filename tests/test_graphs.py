@@ -15,7 +15,6 @@ from wgcalc.graphs import (
     PathLimitExceeded,
     class_node,
     count_paths,
-    count_paths_refined,
     dashed_target,
     enumerate_monotone_factorizations,
     enumerate_paths,
@@ -149,9 +148,8 @@ def test_class_counts_match_element_level_counts_on_every_element(kind, elements
             for l in range(e.absolute_length() + 5):
                 walked = _walk_counts(kind, e, l, memo)
                 assert count_paths(kind, e, l) == sum(walked.values())
-                if kind is A3:
-                    for l1 in range(k + 1):
-                        assert count_paths_refined(e, l, l1) == walked[l1]
+                for l1 in range(k + 1):
+                    assert count_paths(kind, e, l, l1) == walked[l1]
                 if k < top:
                     assert Counter(p.count(DASHED) for p in enumerate_paths(kind, e, l)) == walked
 
@@ -176,11 +174,11 @@ def test_count_memo_is_bounded_by_classes():
     solid_range = cycle.absolute_length() + 2 * 3 + 1
     assert 0 < len(graphs._COUNTS) <= classes * solid_range
     graphs.clear_caches()
-    assert (graphs._CLASS_GRAPHS, graphs._COUNTS, graphs._AIII_COUNTS) == ({}, {}, {})
-    count_paths_refined(cycle, 7, 0)
-    assert graphs._CLASS_GRAPHS and graphs._AIII_COUNTS
+    assert (graphs._CLASS_GRAPHS, graphs._COUNTS) == ({}, {})
+    count_paths(A3, cycle, 7, 0)
+    assert graphs._CLASS_GRAPHS and graphs._COUNTS
     graphs.clear_caches()
-    assert (graphs._CLASS_GRAPHS, graphs._COUNTS, graphs._AIII_COUNTS) == ({}, {}, {})
+    assert (graphs._CLASS_GRAPHS, graphs._COUNTS) == ({}, {})
 
 
 def test_single_path_identity_level_one():
@@ -230,7 +228,7 @@ def test_refined_counts_for_transposition():
                 expect = 1  # even ping-pong then the squiggled exit
             if l1 == 2 and l0 % 2 == 1:
                 expect = 1  # odd ping-pong then two dashed steps
-            assert count_paths_refined(s, l0, l1) == expect
+            assert count_paths(A3, s, l0, l1) == expect
 
 
 def test_length_profile_along_paths():
