@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import cache as cache_mod
 from . import exact, graphs, mc, symcore
-from .moments import MomentSpec, exact_moment
+from .moments import INDEX_FIELDS, IndexRangeError, MomentSpec, exact_moment
 from .ratfunc import poly_text
 
 CACHE_ENV = "WG_CACHE"
@@ -208,29 +208,30 @@ def cmd_factorizations(args) -> int:
     return 0
 
 
-def cmd_moment(args) -> int:
-    family = args.family
-    rows = _int_list(args.rows, "--rows")
-    cols = _int_list(args.cols, "--cols")
-    crows = _int_list(args.crows, "--crows")
-    ccols = _int_list(args.ccols, "--ccols")
-    dminus = _need_dminus(args, family)
-    for flag, seq in (("--rows", rows), ("--cols", cols),
-                      ("--crows", crows), ("--ccols", ccols)):
-        for v in seq:
-            if not 1 <= v <= args.dim:
-                raise UsageError(f"{flag}: index {v} outside 1..{args.dim}")
+def _moment_spec(args, family: str, dims) -> MomentSpec:
+    """Parse ``--rows/--cols/--crows/--ccols`` and build the spec at the
+    ``(dim, dminus)`` that ``dims()`` checks and returns.  ``dims`` runs
+    after the lists parse, so a malformed list is reported first."""
+    lists = [_int_list(getattr(args, name), f"--{name}") for name in INDEX_FIELDS]
+    dim, dminus = dims()
     try:
-        spec = MomentSpec(family, rows, cols, crows, ccols, args.dim, dminus)
-        value = exact_moment(spec)
+        return MomentSpec(family, *lists, dim, dminus)
+    except IndexRangeError as exc:
+        raise UsageError(f"--{exc.field}: {exc.reason}") from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    record = {"family": family, "dim": args.dim, "rows": list(rows),
-              "cols": list(cols), "value": str(value)}
-    if crows:
-        record["crows"], record["ccols"] = list(crows), list(ccols)
-    if dminus is not None:
-        record["dminus"] = dminus
+
+
+def cmd_moment(args) -> int:
+    family = args.family
+    spec = _moment_spec(args, family, lambda: (args.dim, _need_dminus(args, family)))
+    value = exact_moment(spec)
+    record = {"family": family, "dim": spec.d, "rows": list(spec.rows),
+              "cols": list(spec.cols), "value": str(value)}
+    if spec.crows:
+        record["crows"], record["ccols"] = list(spec.crows), list(spec.ccols)
+    if spec.dminus is not None:
+        record["dminus"] = spec.dminus
     _emit(args, record, [str(value)])
     return 0
 
@@ -265,6 +266,9 @@ def _report_output(args, report) -> int:
 def cmd_bounds(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k: must be positive, got {args.k}")
+    for flag, value in (("--gmax", args.gmax), ("--extra", args.extra)):
+        if value < 0:
+            raise UsageError(f"{flag}: must be nonnegative, got {value}")
     check = args.check
     try:
         if check == "counts":
@@ -292,17 +296,8 @@ def cmd_bounds(args) -> int:
     return _report_output(args, report)
 
 
-def cmd_mc(args) -> int:
-    family = args.family
-    if family == "sp":
-        raise UsageError(
-            "--family: symplectic sampling is unsupported; exact symplectic "
-            "values are defined only up to sign, so there is no oracle target"
-        )
-    rows = _int_list(args.rows, "--rows")
-    cols = _int_list(args.cols, "--cols")
-    crows = _int_list(args.crows, "--crows")
-    ccols = _int_list(args.ccols, "--ccols")
+def _mc_dims(args, family: str) -> tuple[int, int | None]:
+    """Check ``--sig/--dim/--samples/--seed``; return ``(dim, dminus)``."""
     dminus = None
     dim = args.dim
     if family == "aiii":
@@ -325,10 +320,17 @@ def cmd_mc(args) -> int:
         mc.check_seed(args.seed)
     except ValueError as exc:
         raise UsageError(f"--seed: {exc}") from None
-    try:
-        spec = MomentSpec(family, rows, cols, crows, ccols, dim, dminus)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return dim, dminus
+
+
+def cmd_mc(args) -> int:
+    family = args.family
+    if family == "sp":
+        raise UsageError(
+            "--family: symplectic sampling is unsupported; exact symplectic "
+            "values are defined only up to sign, so there is no oracle target"
+        )
+    spec = _moment_spec(args, family, lambda: _mc_dims(args, family))
     report = mc.compare_with_exact(spec, args.samples, args.seed)
     est = report.estimate
     verdict = "PASS" if report.passed else "FAIL"
@@ -339,14 +341,14 @@ def cmd_mc(args) -> int:
         f"z: {report.z_real:.4g}, {report.z_imag:.4g}",
         verdict,
     ]
-    record = {"family": family, "dim": dim, "samples": args.samples,
+    record = {"family": family, "dim": spec.d, "samples": args.samples,
               "seed": args.seed, "mean_real": est.mean.real,
               "mean_imag": est.mean.imag, "se_real": est.se_real,
               "se_imag": est.se_imag, "exact": str(report.exact),
               "z_real": report.z_real, "z_imag": report.z_imag,
               "passed": report.passed, "stream": est.stream}
-    if dminus is not None:
-        record["dminus"] = dminus
+    if spec.dminus is not None:
+        record["dminus"] = spec.dminus
     _emit(args, record, lines)
     return 0 if report.passed else 2
 
@@ -366,6 +368,8 @@ def cmd_cache_export(args) -> int:
         written = cache_mod.export(path, args.family, args.k, args.dim, dminus)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except OSError as exc:
+        raise UsageError(f"--out: {exc.strerror}: {path!r}") from None
     record = {"path": path, "written": written}
     _emit(args, record, [f"wrote {written} new records to {path}"])
     return 0
@@ -375,7 +379,10 @@ def cmd_cache_verify(args) -> int:
     path = _cache_path(args, "--path")
     if not 0 < args.fraction <= 1:
         raise UsageError(f"--fraction: must be in (0, 1], got {args.fraction}")
-    checked, total = cache_mod.verify(path, fraction=args.fraction, seed=args.seed)
+    try:
+        checked, total = cache_mod.verify(path, fraction=args.fraction, seed=args.seed)
+    except OSError as exc:
+        raise UsageError(f"--path: {exc.strerror}: {path!r}") from None
     record = {"path": path, "checked": checked, "total": total}
     _emit(args, record, [f"verified {checked} of {total} records: ok"])
     return 0

@@ -23,10 +23,10 @@ exactly and reported, never patched.
 
 Public API: :func:`wg` (one element) and :func:`wg_class` (one class, and
 the one place each family is mapped to its memo, shifted dimension and
-guards); :func:`wg_orthogonal_pair`; :func:`wg_coe_direct` (COE element by
-element, an independent check of the class reduction); :func:`series`
-(large-``d`` expansions from the path counts of :mod:`wgcalc.graphs`) and
-:func:`reconstruct_rational` (closed forms in ``d``).
+guards); :func:`wg_coe_direct` (COE element by element, an independent
+check of the class reduction); :func:`series` (large-``d`` expansions from
+the path counts of :mod:`wgcalc.graphs`) and :func:`reconstruct_rational`
+(closed forms in ``d``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .graphs import GraphKind, class_node, count_paths
 from .symcore import (
     PairPartition,
     Permutation,
-    act,
     all_pair_partitions,
     partitions,
 )
@@ -197,15 +196,6 @@ def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False
     if not isinstance(elem, PairPartition):
         raise TypeError(f"family {family!r} expects a pair partition")
     return wg_class(family, elem.coset_type(), d, dminus, force)
-
-
-def wg_orthogonal_pair(m: PairPartition, n: PairPartition, d: int) -> Fraction:
-    """Two-pairing value: reduce by the permutation carrying the trivial
-    pairing to ``m``, then look up the one-argument function."""
-    if m.level != n.level:
-        raise ValueError("pairings must have equal level")
-    reduced = act(m.as_permutation().inverse(), n)
-    return wg("o", reduced, d)
 
 
 def wg_coe_direct(m: PairPartition, d: int) -> Fraction:

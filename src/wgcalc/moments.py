@@ -13,23 +13,28 @@ sums of Weingarten values:
 * A III:      ``E[prod s(i_r,j_r)] = sum_sigma delta_sigma(i,j)
               W_aiii(sigma)``
 
-``delta_sigma(i,j) = 1`` iff ``i[sigma(r)] == j[r]`` for every slot, and
-``Delta_m(i) = 1`` iff every block of ``m`` joins equal indices.  The sums
-are pruned by matching equal-value position groups instead of enumerating
-the full symmetric group.
+``delta_sigma(i,j) = 1`` iff ``i[sigma(r)] == j[r]`` for every slot,
+``Delta_m(i) = 1`` iff every block of ``m`` joins equal indices, and
+``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  The sums are pruned by matching
+equal-value position groups instead of enumerating the full symmetric
+group.  Wg is a class function, so :func:`exact_moment` counts the terms
+of each class and looks each class up once.  :class:`MomentSpec` is the one
+validator of a moment request.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import wg, wg_orthogonal_pair
+from .exact import wg_class
 from .symcore import PairPartition, Permutation, act, pair_partitions
 
 Indices = tuple[int, ...]
+INDEX_FIELDS = ("rows", "cols", "crows", "ccols")
 
 
 def delta_sigma(sigma: Permutation, i: Sequence[int], iprime: Sequence[int]) -> int:
@@ -81,76 +86,13 @@ def _matching_permutations(source: Sequence[int], target: Sequence[int]) -> Iter
         yield Permutation(tuple(images))
 
 
-def _check_indices(d: int, **named: Sequence[int]) -> None:
-    for name, seq in named.items():
-        for v in seq:
-            if not 1 <= v <= d:
-                raise ValueError(f"{name} index {v} outside 1..{d}")
+class IndexRangeError(ValueError):
+    """An entry index outside ``1..d``; ``field`` names its index list."""
 
-
-def moment_unitary(i, j, iprime, jprime, d: int) -> Fraction:
-    """Mean of a product of entries and conjugated entries of a Haar unitary.
-
-    Unequal numbers of plain and conjugated factors integrate to zero by
-    phase invariance; that case short-circuits without enumeration.
-    """
-    if len(i) != len(j) or len(iprime) != len(jprime):
-        raise ValueError("row and column sequences must have equal length")
-    _check_indices(d, rows=i, cols=j, crows=iprime, ccols=jprime)
-    if len(i) != len(iprime):
-        return Fraction(0)
-    total = Fraction(0)
-    taus = list(_matching_permutations(j, jprime))
-    if not taus:
-        return Fraction(0)
-    for sigma in _matching_permutations(i, iprime):
-        for tau in taus:
-            total += wg("u", sigma * tau.inverse(), d)
-    return total
-
-
-def moment_orthogonal(i, j, d: int) -> Fraction:
-    """Mean of a product of entries of a Haar orthogonal matrix."""
-    if len(i) != len(j):
-        raise ValueError("row and column sequences must have equal length")
-    _check_indices(d, rows=i, cols=j)
-    if len(i) % 2 == 1:
-        return Fraction(0)
-    total = Fraction(0)
-    col_pairings = list(pair_partitions(j))
-    if not col_pairings:
-        return Fraction(0)
-    for m in pair_partitions(i):
-        for n in col_pairings:
-            total += wg_orthogonal_pair(m, n, d)
-    return total
-
-
-def moment_coe(i, j, d: int) -> Fraction:
-    """Mean of a COE monomial: ``i`` strings together the index pairs of the
-    plain factors, ``j`` those of the conjugated factors, both of length 2k."""
-    if len(i) % 2 == 1 or len(j) % 2 == 1:
-        raise ValueError("COE sequences pair up indices, so lengths must be even")
-    _check_indices(d, rows=i, cols=j)
-    if len(i) != len(j):
-        return Fraction(0)
-    k = len(i) // 2
-    trivial = PairPartition.trivial(k)
-    total = Fraction(0)
-    for sigma in _matching_permutations(i, j):
-        total += wg("coe", act(sigma, trivial), d)
-    return total
-
-
-def moment_aiii(i, j, d: int, dminus: int) -> Fraction:
-    """Mean of a product of entries of the two-block symmetry ensemble."""
-    if len(i) != len(j):
-        raise ValueError("row and column sequences must have equal length")
-    _check_indices(d, rows=i, cols=j)
-    total = Fraction(0)
-    for sigma in _matching_permutations(i, j):
-        total += wg("aiii", sigma, d, dminus)
-    return total
+    def __init__(self, field: str, index: int, d: int):
+        self.field = field
+        self.reason = f"index {index} outside 1..{d}"
+        super().__init__(f"{field} {self.reason}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +101,8 @@ class MomentSpec:
 
     ``rows``/``cols`` hold the plain factors' indices, ``crows``/``ccols``
     the conjugated factors' where the family has them (unitary and COE).
+    Construction is the one place a moment is validated: every index must
+    lie in ``1..d``.
     """
 
     family: str
@@ -172,6 +116,10 @@ class MomentSpec:
     def __post_init__(self):
         if self.family not in ("u", "o", "coe", "aiii"):
             raise ValueError(f"unknown moment family {self.family!r}")
+        for field in INDEX_FIELDS:
+            for v in getattr(self, field):
+                if not 1 <= v <= self.d:
+                    raise IndexRangeError(field, v, self.d)
         if len(self.rows) != len(self.cols) or len(self.crows) != len(self.ccols):
             raise ValueError("row and column index lists must pair up")
         if self.family in ("o", "aiii") and self.crows:
@@ -180,13 +128,59 @@ class MomentSpec:
             raise ValueError("aiii moments need dminus")
 
 
-def exact_moment(spec: MomentSpec) -> Fraction:
+def _term_classes(spec: MomentSpec) -> Iterator[tuple[int, ...]]:
+    """The class of each nonzero term of the spec's Weingarten sum.
+
+    Unitary terms pair the row matchings sigma with the column matchings
+    tau and fall in the cycle type of ``sigma tau^-1``; orthogonal terms
+    pair row with column pairings ``m, n`` and fall in the coset type of
+    ``m^-1 . n``; COE terms are the matchings sigma of the interleaved index
+    pairs, in the coset type of ``sigma . e_k``; A III terms are the
+    matchings sigma themselves.
+    """
     if spec.family == "u":
-        return moment_unitary(spec.rows, spec.cols, spec.crows, spec.ccols, spec.d)
+        # an unbalanced monomial (zero by phase invariance) has no tau either,
+        # so no sigma is enumerated
+        taus = list(_matching_permutations(spec.cols, spec.ccols))
+        if not taus:
+            return iter(())
+        return ((sigma * tau.inverse()).cycle_type()
+                for sigma in _matching_permutations(spec.rows, spec.crows)
+                for tau in taus)
     if spec.family == "o":
-        return moment_orthogonal(spec.rows, spec.cols, spec.d)
+        # an odd number of factors has no pairings, so it integrates to zero
+        col_pairings = list(pair_partitions(spec.cols))
+        if not col_pairings:
+            return iter(())
+        return (act(m.as_permutation().inverse(), n).coset_type()
+                for m in pair_partitions(spec.rows)
+                for n in col_pairings)
     if spec.family == "coe":
         i = tuple(x for pair in zip(spec.rows, spec.cols) for x in pair)
         j = tuple(x for pair in zip(spec.crows, spec.ccols) for x in pair)
-        return moment_coe(i, j, spec.d)
-    return moment_aiii(spec.rows, spec.cols, spec.d, spec.dminus)
+        trivial = PairPartition.trivial(len(i) // 2)
+        return (act(sigma, trivial).coset_type() for sigma in _matching_permutations(i, j))
+    return (sigma.cycle_type() for sigma in _matching_permutations(spec.rows, spec.cols))
+
+
+def exact_moment(spec: MomentSpec) -> Fraction:
+    """Exact mean of the spec's entry monomial.
+
+    Wg is a class function, so the Weingarten sum is, over the classes of
+    :func:`_term_classes`, the number of terms in each class times one
+    :func:`wgcalc.exact.wg_class` lookup.  Lookup errors (a unitary ``d``
+    below the level, a singular system) propagate unchanged.
+
+    >>> exact_moment(MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3))
+    Fraction(1, 3)
+    """
+    dminus = spec.dminus if spec.family == "aiii" else None
+    counts: Counter = Counter()
+    for mu in _term_classes(spec):
+        if not counts:
+            # every term has the same level, so a refused level raises at
+            # the first term instead of after the whole enumeration
+            wg_class(spec.family, mu, spec.d, dminus)
+        counts[mu] += 1
+    return sum((n * wg_class(spec.family, mu, spec.d, dminus) for mu, n in counts.items()),
+               Fraction(0))

@@ -197,3 +197,35 @@ def test_shifted_routes_name_their_own_family_and_dimension(capsys):
                                         "--dim", "1"])
     assert code == 1
     assert err == "error: --dim: singular sp system at level 2, d=1\n"
+
+
+def test_moment_and_mc_name_the_flag_of_an_out_of_range_index(capsys):
+    argv = ["--family", "coe", "--dim", "3", "--rows", "1", "--cols", "5",
+            "--crows", "1", "--ccols", "1"]
+    for command in ("moment", "mc"):
+        code, out, err = run_capture(capsys, [command, *argv])
+        assert (code, out, err) == (1, "", "error: --cols: index 5 outside 1..3\n")
+
+
+def test_bounds_refuse_a_negative_range(capsys):
+    for argv in (["--check", "counts", "--k", "3", "--gmax", "-1"],
+                 ["--check", "injection", "--k", "3", "--extra", "-1"]):
+        code, out, err = run_capture(capsys, ["bounds", *argv])
+        flag = argv[-2]
+        assert (code, out, err) == (1, "", f"error: {flag}: must be nonnegative, got -1\n")
+
+
+def test_cache_io_errors_name_the_path_flag(capsys, tmp_path):
+    missing = tmp_path / "missing.tsv"
+    code, out, err = run_capture(capsys, ["cache", "verify", "--path", str(missing)])
+    assert (code, out) == (1, "")
+    assert err == f"error: --path: No such file or directory: {str(missing)!r}\n"
+    code, _, err = run_capture(capsys, ["cache", "verify", "--path", str(tmp_path)])
+    assert (code, err) == (1, f"error: --path: Is a directory: {str(tmp_path)!r}\n")
+    out_path = tmp_path / "no-such-dir" / "x.tsv"
+    code, _, err = run_capture(capsys, ["cache", "export", "--family", "u", "--k", "2",
+                                        "--dim", "3", "--out", str(out_path)])
+    assert (code, err) == (1, f"error: --out: No such file or directory: {str(out_path)!r}\n")
+    code, _, err = run_capture(capsys, ["cache", "export", "--family", "u", "--k", "2",
+                                        "--dim", "3", "--out", str(tmp_path)])
+    assert (code, err) == (1, f"error: --out: Is a directory: {str(tmp_path)!r}\n")

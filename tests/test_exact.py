@@ -13,7 +13,6 @@ from wgcalc.exact import (
     wg,
     wg_class,
     wg_coe_direct,
-    wg_orthogonal_pair,
 )
 from wgcalc.graphs import GraphKind
 from wgcalc.symcore import (
@@ -273,15 +272,6 @@ def test_table_lookup():
     }
     assert value == wg_class("u", (3,), 5)
     assert wg("u", Permutation.identity(3), 5) == wg_class("u", (1, 1, 1), 5)
-
-
-def test_orthogonal_pair_reduction():
-    m = parse_pair_partition("1,3|2,4")
-    assert wg_orthogonal_pair(m, m, 5) == wg_class("o", (1, 1), 5)
-    triv = PairPartition.trivial(2)
-    assert wg_orthogonal_pair(triv, m, 4) == F(-1, 72)
-    with pytest.raises(ValueError):
-        wg_orthogonal_pair(PairPartition.trivial(1), m, 4)
 
 
 def test_series_unitary():

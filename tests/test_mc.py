@@ -157,8 +157,9 @@ def test_estimate_rejects_bad_requests():
             estimate_moment(spec, 2000, seed)
     with pytest.raises(ValueError):
         estimate_moments(EnsembleSpec("o", 3), [spec], 2000, SEED)
-    big = MomentSpec("u", rows=(5,), cols=(1,), crows=(5,), ccols=(1,), d=3)
-    with pytest.raises(ValueError):
+    # MomentSpec refuses the out-of-range index before any sampling
+    with pytest.raises(ValueError, match="rows index 5 outside 1..3"):
+        big = MomentSpec("u", rows=(5,), cols=(1,), crows=(5,), ccols=(1,), d=3)
         estimate_moments(EnsembleSpec("u", 3), [big], 2000, SEED)
     odd = MomentSpec("aiii", rows=(1,), cols=(1,), d=3, dminus=2)
     with pytest.raises(ValueError):

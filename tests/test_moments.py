@@ -3,20 +3,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from wgcalc.exact import SingularSystemError
+from wgcalc.exact import SingularSystemError, wg, wg_class
 from wgcalc.moments import (
+    IndexRangeError,
     MomentSpec,
     delta_admissible,
     delta_sigma,
     exact_moment,
-    moment_aiii,
-    moment_coe,
-    moment_orthogonal,
-    moment_unitary,
     strongly_admissible,
 )
 from wgcalc.symcore import (
+    PairPartition,
     Permutation,
+    act,
+    all_pair_partitions,
+    all_permutations,
     parse_pair_partition,
     parse_permutation,
     strong_admissible_sequence,
@@ -47,60 +48,66 @@ def test_strong_sequence_is_strongly_admissible():
 
 def test_unitary_moments():
     d = 5
-    assert moment_unitary((1,), (1,), (1,), (1,), d) == F(1, d)
-    assert moment_unitary((1, 2), (1, 2), (1, 2), (1, 2), d) == F(1, d * d - 1)
-    assert moment_unitary((1, 1), (1, 1), (1, 1), (1, 1), d) == F(2, d * (d + 1))
-    assert moment_unitary((1, 2), (1, 2), (1, 2), (2, 1), d) == F(-1, d * (d * d - 1))
+    assert exact_moment(MomentSpec("u", (1,), (1,), (1,), (1,), d)) == F(1, d)
+    assert exact_moment(MomentSpec("u", (1, 2), (1, 2), (1, 2), (1, 2), d)) == F(1, d * d - 1)
+    assert exact_moment(MomentSpec("u", (1, 1), (1, 1), (1, 1), (1, 1), d)) == F(2, d * (d + 1))
+    assert exact_moment(MomentSpec("u", (1, 2), (1, 2), (1, 2), (2, 1), d)) == F(
+        -1, d * (d * d - 1))
     # phase invariance kills unbalanced monomials outright
-    assert moment_unitary((1,), (1,), (), (), d) == 0
-    assert moment_unitary((1,), (1,), (2,), (2,), d) == 0
+    assert exact_moment(MomentSpec("u", (1,), (1,), (), (), d)) == 0
+    assert exact_moment(MomentSpec("u", (1,), (1,), (2,), (2,), d)) == 0
 
 
 def test_orthogonal_moments():
     d = 4
-    assert moment_orthogonal((1, 1), (1, 1), d) == F(1, d)
-    assert moment_orthogonal((1, 1, 1, 1), (1, 1, 1, 1), d) == F(3, d * (d + 2))
+    assert exact_moment(MomentSpec("o", (1, 1), (1, 1), d=d)) == F(1, d)
+    assert exact_moment(MomentSpec("o", (1, 1, 1, 1), (1, 1, 1, 1), d=d)) == F(3, d * (d + 2))
     q = (d + 2) * d * (d - 1)
-    assert moment_orthogonal((1, 1, 2, 2), (1, 1, 2, 2), d) == F(d + 1, q)
-    assert moment_orthogonal((1, 1, 2, 2), (1, 2, 1, 2), d) == F(-1, q)
-    assert moment_orthogonal((1,), (1,), d) == 0
-    assert moment_orthogonal((1, 1), (1, 2), d) == 0
+    assert exact_moment(MomentSpec("o", (1, 1, 2, 2), (1, 1, 2, 2), d=d)) == F(d + 1, q)
+    assert exact_moment(MomentSpec("o", (1, 1, 2, 2), (1, 2, 1, 2), d=d)) == F(-1, q)
+    assert exact_moment(MomentSpec("o", (1,), (1,), d=d)) == 0
+    assert exact_moment(MomentSpec("o", (1, 1), (1, 2), d=d)) == 0
 
 
 def test_coe_moments():
     d = 3
-    assert moment_coe((1, 1), (1, 1), d) == F(2, d + 1)
-    assert moment_coe((1, 2), (1, 2), d) == F(1, d + 1)
-    assert moment_coe((1, 1, 1, 1), (1, 1, 1, 1), d) == F(8, (d + 3) * (d + 1))
-    assert moment_coe((1, 2, 1, 2), (1, 2, 1, 2), d) == F(2, (d + 3) * d)
+    assert exact_moment(MomentSpec("coe", (1,), (1,), (1,), (1,), d)) == F(2, d + 1)
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (1,), (2,), d)) == F(1, d + 1)
+    assert exact_moment(MomentSpec("coe", (1, 1), (1, 1), (1, 1), (1, 1), d)) == F(
+        8, (d + 3) * (d + 1))
+    assert exact_moment(MomentSpec("coe", (1, 1), (2, 2), (1, 1), (2, 2), d)) == F(2, (d + 3) * d)
     # the matrix is symmetric, so swapping one factor's indices changes nothing
-    assert moment_coe((1, 2), (2, 1), d) == F(1, d + 1)
-    assert moment_coe((1, 2), (), d) == 0
-    assert moment_coe((1, 2, 1, 2), (1, 2), d) == 0
-    assert moment_coe((1, 2), (1, 3), d) == 0
-    assert moment_coe((1, 2), (3, 4), 4) == 0
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (2,), (1,), d)) == F(1, d + 1)
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (), (), d)) == 0
+    assert exact_moment(MomentSpec("coe", (1, 1), (2, 2), (1,), (2,), d)) == 0
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (1,), (3,), d)) == 0
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (3,), (4,), 4)) == 0
 
 
 def test_coe_substitution_value():
-    assert moment_coe((1, 2), (1, 2), 2) == F(1, 3)
+    assert exact_moment(MomentSpec("coe", (1,), (2,), (1,), (2,), 2)) == F(1, 3)
 
 
 def test_aiii_moments():
     d, dm = 3, 1
-    assert moment_aiii((1,), (1,), d, dm) == F(dm, d)
-    assert moment_aiii((1,), (2,), d, dm) == 0
-    assert moment_aiii((1, 2), (2, 1), d, dm) == F(d * d - dm * dm, d * (d * d - 1))
-    assert moment_aiii((1, 2), (1, 2), d, dm) == F(dm * dm - 1, d * d - 1)
-    assert moment_aiii((1, 1), (1, 1), d, dm) == F(dm * dm + d, d * (d + 1))
+    assert exact_moment(MomentSpec("aiii", (1,), (1,), d=d, dminus=dm)) == F(dm, d)
+    assert exact_moment(MomentSpec("aiii", (1,), (2,), d=d, dminus=dm)) == 0
+    assert exact_moment(MomentSpec("aiii", (1, 2), (2, 1), d=d, dminus=dm)) == F(
+        d * d - dm * dm, d * (d * d - 1))
+    assert exact_moment(MomentSpec("aiii", (1, 2), (1, 2), d=d, dminus=dm)) == F(
+        dm * dm - 1, d * d - 1)
+    assert exact_moment(MomentSpec("aiii", (1, 1), (1, 1), d=d, dminus=dm)) == F(
+        dm * dm + d, d * (d + 1))
 
 
 def test_aiii_trace_rules():
     # Tr(s) integrates to dminus and s^2 = 1 forces Tr E[s s] = d
     for d, dm in ((3, 1), (4, 2), (4, 0)):
-        total = sum(moment_aiii((i,), (i,), d, dm) for i in range(1, d + 1))
+        total = sum(exact_moment(MomentSpec("aiii", (i,), (i,), d=d, dminus=dm))
+                    for i in range(1, d + 1))
         assert total == dm
         sq = sum(
-            moment_aiii((i, j), (j, i), d, dm)
+            exact_moment(MomentSpec("aiii", (i, j), (j, i), d=d, dminus=dm))
             for i in range(1, d + 1)
             for j in range(1, d + 1)
         )
@@ -111,17 +118,17 @@ def test_unitarity_sum_rules():
     # summing the last column index over 1..d turns a k-factor moment into
     # the (k-1)-factor moment it contracts to
     d = 3
-    total = sum(moment_unitary((1,), (t,), (1,), (t,), d) for t in range(1, d + 1))
+    total = sum(exact_moment(MomentSpec("u", (1,), (t,), (1,), (t,), d)) for t in range(1, d + 1))
     assert total == 1
-    total = sum(moment_unitary((1,), (t,), (2,), (t,), d) for t in range(1, d + 1))
+    total = sum(exact_moment(MomentSpec("u", (1,), (t,), (2,), (t,), d)) for t in range(1, d + 1))
     assert total == 0
-    lower = moment_unitary((1,), (1,), (1,), (1,), d)
+    lower = exact_moment(MomentSpec("u", (1,), (1,), (1,), (1,), d))
     total = sum(
-        moment_unitary((1, 2), (1, t), (1, 2), (1, t), d) for t in range(1, d + 1)
+        exact_moment(MomentSpec("u", (1, 2), (1, t), (1, 2), (1, t), d)) for t in range(1, d + 1)
     )
     assert total == lower
     # orthogonal rows are unit vectors as well
-    total = sum(moment_orthogonal((1, 1), (t, t), d) for t in range(1, d + 1))
+    total = sum(exact_moment(MomentSpec("o", (1, 1), (t, t), d=d)) for t in range(1, d + 1))
     assert total == 1
 
 
@@ -135,40 +142,43 @@ def test_relabeling_invariance():
         cols = tuple(rng.randint(1, 3) for _ in range(k))
         crows = tuple(rng.randint(1, 3) for _ in range(k))
         ccols = tuple(rng.randint(1, 3) for _ in range(k))
-        before = moment_unitary(rows, cols, crows, ccols, d)
+        before = exact_moment(MomentSpec("u", rows, cols, crows, ccols, d))
         row_map = dict(zip(names, rng.sample(names, d)))
         col_map = dict(zip(names, rng.sample(names, d)))
-        after = moment_unitary(
+        after = exact_moment(MomentSpec(
+            "u",
             tuple(row_map[x] for x in rows),
             tuple(col_map[x] for x in cols),
             tuple(row_map[x] for x in crows),
             tuple(col_map[x] for x in ccols),
             d,
-        )
+        ))
         assert before == after
     for _ in range(8):
         seq_i = tuple(rng.randint(1, 3) for _ in range(4))
         seq_j = tuple(rng.randint(1, 3) for _ in range(4))
-        before = moment_orthogonal(seq_i, seq_j, d)
+        before = exact_moment(MomentSpec("o", seq_i, seq_j, d=d))
         row_map = dict(zip(names, rng.sample(names, d)))
         col_map = dict(zip(names, rng.sample(names, d)))
-        after = moment_orthogonal(
+        after = exact_moment(MomentSpec(
+            "o",
             tuple(row_map[x] for x in seq_i),
             tuple(col_map[x] for x in seq_j),
-            d,
-        )
+            d=d,
+        ))
         assert before == after
 
 
 def test_index_range_checks():
-    with pytest.raises(ValueError):
-        moment_unitary((1,), (6,), (1,), (1,), 5)
-    with pytest.raises(ValueError):
-        moment_orthogonal((0, 1), (1, 1), 4)
-    with pytest.raises(ValueError):
-        moment_aiii((1, 4), (1, 1), 3, 1)
-    with pytest.raises(ValueError):
-        moment_coe((1, 2), (5, 1), 4)
+    # MomentSpec is the one validator: a bad index fails at construction
+    with pytest.raises(IndexRangeError, match=r"^cols index 6 outside 1\.\.5$"):
+        exact_moment(MomentSpec("u", (1,), (6,), (1,), (1,), 5))
+    with pytest.raises(IndexRangeError, match=r"^rows index 0 outside 1\.\.4$"):
+        exact_moment(MomentSpec("o", (0, 1), (1, 1), d=4))
+    with pytest.raises(IndexRangeError, match=r"^rows index 4 outside 1\.\.3$"):
+        exact_moment(MomentSpec("aiii", (1, 4), (1, 1), d=3, dminus=1))
+    with pytest.raises(IndexRangeError, match=r"^crows index 5 outside 1\.\.4$"):
+        exact_moment(MomentSpec("coe", (1,), (2,), (5,), (1,), 4))
 
 
 def test_moment_spec_dispatch():
@@ -198,8 +208,96 @@ def test_moments_below_level_are_refused():
     for k, d in [(2, 1), (3, 2), (3, 1), (4, 2), (4, 3), (4, 1)]:
         ones = (1,) * k
         with pytest.raises(ValueError, match="below level"):
-            moment_unitary(ones, ones, ones, ones, d)
+            exact_moment(MomentSpec("u", ones, ones, ones, ones, d))
     for k, d in [(2, 1), (3, 1), (3, 2)]:
         ones = (1,) * (2 * k)
         with pytest.raises(SingularSystemError):
-            moment_orthogonal(ones, ones, d)
+            exact_moment(MomentSpec("o", ones, ones, d=d))
+
+
+def _orthogonal_pair(m, n, d):
+    """W_o(m, n): reduce by the permutation carrying the trivial pairing
+    to ``m``, then look up the one-argument function."""
+    return wg("o", act(m.as_permutation().inverse(), n), d)
+
+
+def _per_term_oracle(spec):
+    """The moment's Weingarten sum with one ``wg`` lookup per term, its
+    terms found by filtering the whole group or every pairing."""
+    d, rows, cols = spec.d, spec.rows, spec.cols
+    if spec.family == "u":
+        if len(rows) != len(spec.crows):
+            return F(0)
+        perms = list(all_permutations(len(rows)))
+        sigmas = [s for s in perms if delta_sigma(s, rows, spec.crows)]
+        taus = [t for t in perms if delta_sigma(t, cols, spec.ccols)]
+        return sum((wg("u", s * t.inverse(), d) for s in sigmas for t in taus), F(0))
+    if spec.family == "o":
+        if len(rows) % 2:
+            return F(0)
+        pairings = list(all_pair_partitions(len(rows) // 2))
+        ms = [m for m in pairings if delta_admissible(m, rows)]
+        ns = [n for n in pairings if delta_admissible(n, cols)]
+        return sum((_orthogonal_pair(m, n, d) for m in ms for n in ns), F(0))
+    if spec.family == "coe":
+        i = tuple(x for pair in zip(rows, cols) for x in pair)
+        j = tuple(x for pair in zip(spec.crows, spec.ccols) for x in pair)
+        if len(i) != len(j):
+            return F(0)
+        trivial = PairPartition.trivial(len(i) // 2)
+        return sum((wg("coe", act(s, trivial), d) for s in all_permutations(len(i))
+                    if delta_sigma(s, i, j)), F(0))
+    return sum((wg("aiii", s, d, spec.dminus) for s in all_permutations(len(rows))
+                if delta_sigma(s, rows, cols)), F(0))
+
+
+def _outcome(route, spec):
+    try:
+        return route(spec)
+    except (ValueError, SingularSystemError) as exc:
+        return type(exc), str(exc)
+
+
+def test_exact_moment_matches_per_term_oracle():
+    m = parse_pair_partition("1,3|2,4")
+    assert _orthogonal_pair(m, m, 5) == wg_class("o", (1, 1), 5)
+    assert _orthogonal_pair(PairPartition.trivial(2), m, 4) == F(-1, 72)
+
+    rng = random.Random(80211)
+
+    def draw(n, d):
+        return tuple(rng.randint(1, min(d, 3)) for _ in range(n))
+
+    def match(seq, d):
+        # most draws permute seq so that terms exist; the rest are free
+        return tuple(rng.sample(seq, len(seq))) if rng.random() < 0.75 else draw(len(seq), d)
+
+    specs = []
+    for _ in range(40):
+        d, k = rng.randint(1, 5), rng.randint(1, 4)
+        rows, cols = draw(k, d), draw(k, d)
+        specs.append(MomentSpec("u", rows, cols, match(rows, d), match(cols, d), d))
+        d, k = rng.randint(1, 5), rng.randint(1, 4)
+        rows, cols = match(draw(k, d) * 2, d), match(draw(k, d) * 2, d)
+        specs.append(MomentSpec("o", rows, cols, d=d))
+        d, k = rng.randint(1, 5), rng.randint(1, 3)
+        i = draw(2 * k, d)
+        j = match(i, d)
+        specs.append(MomentSpec("coe", i[0::2], i[1::2], j[0::2], j[1::2], d))
+    for d in range(1, 6):
+        for dminus in range(-d, d + 1, 2):
+            for k in range(1, 5):
+                rows = draw(k, d)
+                specs.append(MomentSpec("aiii", rows, match(rows, d), d=d, dminus=dminus))
+    # the unitary guard at d < k and the singular orthogonal system at d=1
+    # raise the same error through both routes
+    specs.append(MomentSpec("u", (1, 1), (1, 1), (1, 1), (1, 1), 1))
+    specs.append(MomentSpec("o", (1, 1, 1, 1), (1, 1, 1, 1), d=1))
+    outcomes = [(_outcome(exact_moment, s), _outcome(_per_term_oracle, s)) for s in specs]
+    for spec, (got, want) in zip(specs, outcomes):
+        assert got == want, spec
+    assert outcomes[-2][0] == (ValueError,
+                               "dimension 1 below level 2; pass force=True to try anyway")
+    assert outcomes[-1][0] == (SingularSystemError, "singular o system at level 2, d=1")
+    nonzero = {s.family for s, (got, _) in zip(specs, outcomes) if isinstance(got, F) and got}
+    assert nonzero == {"u", "o", "coe", "aiii"}
