@@ -22,6 +22,7 @@ from .symcore import format_partition, parse_partition, partitions
 _TAGS = {fam: fam.upper() for fam in exact.FAMILIES}
 _FAMILIES = {tag: fam for fam, tag in _TAGS.items()}
 _VALUE_RE = re.compile(r"-?\d+/\d+$")
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
 
 
 class CacheCorruptionError(Exception):
@@ -61,9 +62,13 @@ def _key_text(key: tuple) -> str:
 
 def _parse_file(path: str) -> dict[tuple, tuple[Fraction, int]]:
     entries: dict[tuple, tuple[Fraction, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the line that holds them
+    # can be named
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if _UNDECODED_RE.search(line):
+                raise CacheCorruptionError(f"line {lineno}: not UTF-8 text")
             if not line:
                 continue
             fields = line.split("\t")

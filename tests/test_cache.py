@@ -84,6 +84,9 @@ def test_load_reports_malformed_lines(tmp_path):
     path.write_text("U\t2\t2\td=5\t0.5\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*p/q"):
         cache.load(str(path))
+    path.write_bytes(b"U\t1\t1\td=5\t1/5\nU\t2\t2\td=5\t-1/120\n\xe9\n")
+    with pytest.raises(CacheCorruptionError, match="^line 3: not UTF-8 text$"):
+        cache.load(str(path))
 
 
 def test_conflicting_duplicate_is_corruption(tmp_path):

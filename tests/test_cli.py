@@ -207,6 +207,19 @@ def test_moment_and_mc_name_the_flag_of_an_out_of_range_index(capsys):
         assert (code, out, err) == (1, "", "error: --cols: index 5 outside 1..3\n")
 
 
+def test_moment_and_mc_messages_for_a_stray_dminus_and_a_nonpositive_dim(capsys):
+    # the CLI refuses these before the spec's own dimension and dminus checks
+    code, out, err = run_capture(capsys, ["moment", "--family", "u", "--dim", "3", "--dminus", "1",
+                                          "--rows", "1", "--cols", "1", "--crows", "1",
+                                          "--ccols", "1"])
+    assert (code, out, err) == (1, "", "error: --dminus does not apply to family u\n")
+    for argv, d in ((["moment", "--family", "o", "--dim", "0"], 0),
+                    (["mc", "--family", "u", "--dim", "-1"], -1),
+                    (["mc", "--family", "aiii", "--sig", "0,0"], 0)):
+        code, out, err = run_capture(capsys, [*argv, "--rows", "1", "--cols", "1"])
+        assert (code, out, err) == (1, "", f"error: --rows: index 1 outside 1..{d}\n")
+
+
 def test_bounds_refuse_a_negative_range(capsys):
     for argv in (["--check", "counts", "--k", "3", "--gmax", "-1"],
                  ["--check", "injection", "--k", "3", "--extra", "-1"]):
@@ -229,3 +242,12 @@ def test_cache_io_errors_name_the_path_flag(capsys, tmp_path):
     code, _, err = run_capture(capsys, ["cache", "export", "--family", "u", "--k", "2",
                                         "--dim", "3", "--out", str(tmp_path)])
     assert (code, err) == (1, f"error: --out: Is a directory: {str(tmp_path)!r}\n")
+
+
+def test_cache_that_is_not_utf8_is_corrupt(capsys, tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_bytes(b"\xff\xfe\x00U\t1\t1\td=5\t1/5\n")
+    for argv in (["cache", "verify", "--path", str(path)],
+                 ["cache", "export", "--family", "u", "--k", "2", "--dim", "5", "--out", str(path)]):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out, err) == (3, "", "cache corruption: line 1: not UTF-8 text\n")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb, prod
 
 import pytest
 
@@ -198,6 +199,31 @@ def test_moment_spec_dispatch():
         MomentSpec("aiii", (1,), (1,), d=3)
     with pytest.raises(ValueError):
         MomentSpec("u", (1, 2), (1,))
+    # a nonpositive dimension and a stray dminus are refused, after the index
+    # range check, which refuses any index at d < 1 first
+    with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
+        MomentSpec("o", (), (), d=0)
+    with pytest.raises(ValueError, match=r"^dimension must be positive, got -3$"):
+        MomentSpec("u", (), (), d=-3)
+    with pytest.raises(IndexRangeError, match=r"^rows index 1 outside 1\.\.0$"):
+        MomentSpec("u", (1,), (1,), (1,), (1,), d=0)
+    with pytest.raises(ValueError, match=r"^family 'u' takes no dminus$"):
+        MomentSpec("u", (1,), (1,), (1,), (1,), d=3, dminus=7)
+    with pytest.raises(ValueError, match=r"^family 'o' takes no dminus$"):
+        MomentSpec("o", (1, 1), (1, 1), d=3, dminus=0)
+
+
+def test_single_entry_moments_match_closed_forms_at_d8():
+    # E|u11|^2k = 1/C(d+k-1, k) and E[o11^2k] = (2k-1)!!/prod_{j<k} (d+2j);
+    # a per-term enumeration needs (k!)^2 and ((2k-1)!!)^2 terms here
+    d = 8
+    for k in range(1, 8):
+        ones = (1,) * k
+        assert exact_moment(MomentSpec("u", ones, ones, ones, ones, d)) == F(1, comb(d + k - 1, k))
+    for k in range(1, 7):
+        ones = (1,) * (2 * k)
+        want = F(prod(range(1, 2 * k, 2)), prod(d + 2 * j for j in range(k)))
+        assert exact_moment(MomentSpec("o", ones, ones, d=d)) == want
 
 
 def test_moments_below_level_are_refused():
@@ -289,6 +315,12 @@ def test_exact_moment_matches_per_term_oracle():
             for k in range(1, 5):
                 rows = draw(k, d)
                 specs.append(MomentSpec("aiii", rows, match(rows, d), d=d, dminus=dminus))
+    # larger mixed labels: each outer set falls into several keys that hold
+    # several terms each
+    specs.append(MomentSpec("u", (1, 2, 1, 1, 2), (2, 1, 2, 1, 2), (1, 1, 1, 2, 2),
+                            (1, 1, 2, 2, 2), 5))
+    specs.append(MomentSpec("o", (1, 1, 1, 1, 2, 2, 2, 2), (1, 2, 1, 2, 3, 3, 2, 2), d=4))
+    specs.append(MomentSpec("coe", (1, 1, 2), (1, 2, 1), (1, 2, 1), (1, 1, 2), 3))
     # the unitary guard at d < k and the singular orthogonal system at d=1
     # raise the same error through both routes
     specs.append(MomentSpec("u", (1, 1), (1, 1), (1, 1), (1, 1), 1))
