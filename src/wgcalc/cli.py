@@ -109,6 +109,8 @@ def cmd_value(args) -> int:
     elem = _parse_element(args, family)
     dminus = _need_dminus(args, family)
     if args.symbolic:
+        if args.dim is not None:
+            raise UsageError("--dim does not apply with --symbolic")
         rep = exact.reconstruct_rational(family, elem, dminus=dminus)
         text = rep.text()
         record = {"family": family, "element": symcore.format_element(elem),

@@ -42,6 +42,7 @@ from .symcore import (
     Permutation,
     all_pair_partitions,
     partitions,
+    validate_partition,
 )
 
 FAMILIES = ("u", "o", "coe", "sp", "aiii")
@@ -143,10 +144,8 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     if family != "aiii" and dminus is not None:
         raise ValueError(f"family {family!r} takes no dminus")
     _check_dim(d)
-    mu = tuple(mu)
+    mu = validate_partition(mu)
     k = sum(mu)
-    if k < 0:
-        raise ValueError("level must be nonnegative")
     kind, dim = GraphKind.ORTHOGONAL, d
     if family == "u":
         if d < k and not force:

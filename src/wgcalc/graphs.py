@@ -19,14 +19,19 @@ factorizations; both directions are implemented below.
 
 Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level and filled
-lazily: :func:`class_node` reads a class's solid targets with
-multiplicities, dashed target and squiggled target off its representative.
-One counter, :func:`count_paths`, recurses over ``(class, solid, dashed)``
-for every kind, and :mod:`wgcalc.exact` builds its rows from the same
-nodes.  Class constancy is assumed, not derived; ``tests/test_graphs.py``
-checks the class-level counts against element-level walks and
-:func:`enumerate_paths` on every element of small levels, and
-``exact.wg_coe_direct`` checks the solver.
+lazily: :func:`class_node` computes a class's solid targets with
+multiplicities, dashed target and squiggled target from the partition
+alone.  A transposition moving the top point joins its cycle to another
+cycle or cuts it in two (Goulden-Jackson, *Transitive factorizations into
+transpositions*, PAMS 1997); on pairings the same join/cut acts on coset
+types, with the cuts that restore the block as self-loops.  No element is
+built.  One counter, :func:`count_paths`, recurses over
+``(class, solid, dashed)`` for every kind, and :mod:`wgcalc.exact` builds
+its rows from the same nodes.  Class constancy is assumed, not derived;
+``tests/test_graphs.py`` checks every node of small levels against the
+one read off a representative element, the class-level counts against
+element-level walks and :func:`enumerate_paths` on every element of small
+levels, and ``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
@@ -35,13 +40,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .symcore import (
-    PairPartition,
-    Permutation,
-    class_representative,
-    coset_representative,
-    format_element,
-)
+from .symcore import PairPartition, Permutation, format_element, validate_partition
 
 Element = Union[Permutation, PairPartition]
 
@@ -140,22 +139,38 @@ def _element_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
 
 
 def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
-    """The node of class ``mu``, read off its representative on first use."""
+    """The node of class ``mu``, computed from ``mu`` on first use.
+
+    The top point lies in the last, smallest part ``c = mu[-1]``, as in the
+    class representatives of :mod:`wgcalc.symcore`; the other parts are
+    ``rest``.  A solid step cuts that cycle into ``(a, c-a)`` for each
+    ``a`` in ``1..c-1`` or joins it to a part ``m`` of ``rest``, ``m`` ways
+    (``2m`` ways for pairings, which also take ``c-1`` self-loops).  The
+    dashed step drops a top fixed point (``c == 1``), the squiggled step a
+    top 2-cycle (``c == 2``); both land on ``rest``.
+
+    >>> class_node(GraphKind.UNITARY, (2, 1))
+    ClassNode(solid=(((3,), 2),), dashed=(2,), squiggled=None)
+    >>> class_node(GraphKind.ORTHOGONAL, (2, 1))
+    ClassNode(solid=(((3,), 4),), dashed=(2,), squiggled=None)
+    """
     graph = _CLASS_GRAPHS.setdefault(kind, {})
     node = graph.get(mu)
     if node is None:
+        mu = validate_partition(mu)
+        rest, c = mu[:-1], (mu[-1] if mu else 0)
         ortho = kind is GraphKind.ORTHOGONAL
-        rep = coset_representative(mu) if ortho else class_representative(mu)
-        type_of = PairPartition.coset_type if ortho else Permutation.cycle_type
-        solid: dict[tuple[int, ...], int] = {}
-        for target in map(type_of, _solid_targets(kind, rep)):
-            solid[target] = solid.get(target, 0) + 1
-        down = dashed_target(kind, rep)
-        flat = squiggled_target(kind, rep) if kind is GraphKind.AIII else None
+        solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
+        targets = [(rest + (a, c - a), 1) for a in range(1, c)]
+        targets += [(rest[:j] + rest[j + 1:] + (m + c,), 2 * m if ortho else m)
+                    for j, m in enumerate(rest)]
+        for parts, mult in targets:
+            target = tuple(sorted(parts, reverse=True))
+            solid[target] = solid.get(target, 0) + mult
         node = graph[mu] = ClassNode(
             tuple(solid.items()),
-            None if down is None else type_of(down),
-            None if flat is None else type_of(flat),
+            rest if c == 1 else None,
+            rest if kind is GraphKind.AIII and c == 2 else None,
         )
     return node
 

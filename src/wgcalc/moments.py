@@ -181,13 +181,15 @@ def _term_classes(spec: MomentSpec) -> Iterator[tuple[tuple[int, ...], int]]:
             for tau_inverse in tau_inverses:
                 yield (sigma * tau_inverse).cycle_type(), n
     elif spec.family == "o":
+        rows, cols = spec.rows, spec.cols
         # an odd number of factors has no pairings, so it integrates to zero
-        col_pairings = list(pair_partitions(spec.cols))
+        col_pairings = list(pair_partitions(cols))
         if not col_pairings:
             return
-        cols = spec.cols
+        # labels with one equality pattern have the same pairings, in order
+        same_pattern = [cols.index(c) for c in cols] == [rows.index(r) for r in rows]
         for m, n in _representatives(
-                pair_partitions(spec.rows),
+                col_pairings if same_pattern else pair_partitions(rows),
                 lambda m: tuple(sorted(tuple(sorted((cols[a - 1], cols[b - 1])))
                                        for a, b in m.blocks))):
             m_inverse = m.as_permutation().inverse()

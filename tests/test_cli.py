@@ -47,6 +47,9 @@ def test_python_dash_m_runs_the_command(module):
 def test_value_symbolic(capsys):
     code, out, _ = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic"])
     assert (code, out) == (0, "-1/(d^3 - d)\n")
+    code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic",
+                                          "--dim", "3"])
+    assert (code, out, err) == (1, "", "error: --dim does not apply with --symbolic\n")
 
 
 def test_series_frozen_example(capsys):

@@ -180,6 +180,14 @@ def test_dimension_guards():
     assert wg_class("u", (1, 1), 2, force=True) == F(1, 3)
 
 
+@pytest.mark.parametrize("mu", [(1, 2), (2, 0), (3, -1)])
+def test_malformed_class_is_refused_before_any_solve(mu):
+    clear_caches()
+    with pytest.raises(ValueError, match="partition parts must be"):
+        wg_class("u", mu, 5)
+    assert exact._STATES == {}
+
+
 def test_orthogonal_singular_dimension():
     with pytest.raises(SingularSystemError) as info:
         wg_class("o", (1, 1), 1)

@@ -29,6 +29,8 @@ from wgcalc.symcore import (
     Permutation,
     all_pair_partitions,
     all_permutations,
+    class_representative,
+    coset_representative,
     partitions,
 )
 
@@ -164,6 +166,32 @@ def test_class_nodes_are_well_formed():
                 assert node.dashed is None or node.squiggled is None
                 if kind is not A3:
                     assert node.squiggled is None
+
+
+def _representative_node(kind, mu):
+    """The node of ``mu`` read off its representative element by element:
+    the classes of its solid targets with multiplicities, dashed, squiggled."""
+    ortho = kind is O
+    rep = coset_representative(mu) if ortho else class_representative(mu)
+    type_of = PairPartition.coset_type if ortho else Permutation.cycle_type
+    solid = Counter(type_of(step.target) for step in solid_neighbors(kind, rep))
+    down = dashed_target(kind, rep)
+    flat = squiggled_target(kind, rep) if kind is A3 else None
+    return solid, None if down is None else type_of(down), None if flat is None else type_of(flat)
+
+
+def test_class_nodes_match_representative_oracle():
+    for kind, top in ((U, 8), (A3, 8), (O, 7)):
+        for k in range(top + 1):
+            for mu in partitions(k):
+                node = class_node(kind, mu)
+                solid, dashed, squiggled = _representative_node(kind, mu)
+                assert len(node.solid) == len(solid) and Counter(dict(node.solid)) == solid
+                assert (node.dashed, node.squiggled) == (dashed, squiggled)
+    for kind in (U, A3, O):
+        assert class_node(kind, ()) == ((), None, None)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        class_node(U, (1, 2))
 
 
 def test_count_memo_is_bounded_by_classes():
