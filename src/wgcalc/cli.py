@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import cache as cache_mod
-from . import exact, graphs, mc, symcore
+from . import exact, graphs, symcore
 from .moments import INDEX_FIELDS, IndexRangeError, MomentSpec, exact_moment
 from .ratfunc import poly_text
 
@@ -318,6 +318,7 @@ def _mc_dims(args, family: str) -> tuple[int, int | None]:
         raise UsageError("--dim is required")
     if args.samples < 1000:
         raise UsageError(f"--samples: need at least 1000, got {args.samples}")
+    from . import mc  # numpy is imported for Monte Carlo only
     try:
         mc.check_seed(args.seed)
     except ValueError as exc:
@@ -333,6 +334,7 @@ def cmd_mc(args) -> int:
             "values are defined only up to sign, so there is no oracle target"
         )
     spec = _moment_spec(args, family, lambda: _mc_dims(args, family))
+    from . import mc
     report = mc.compare_with_exact(spec, args.samples, args.seed)
     est = report.estimate
     verdict = "PASS" if report.passed else "FAIL"

@@ -27,13 +27,23 @@ guards); :func:`wg_coe_direct` (COE element by element, an independent
 check of the class reduction); :func:`series` (large-``d`` expansions from
 the path counts of :mod:`wgcalc.graphs`) and :func:`reconstruct_rational`
 (closed forms in ``d``).
+
+Closed forms interpolate ``Q*Wg`` against a known denominator
+(:func:`wg_denominator`): ``Q_u = lcm_{lambda |- k} prod_{(i,j)} (d + j - i)``
+for ``u`` (Collins–Śniady, CMP 264, 2006), ``Q_o``, the same with
+``d + 2j - i``, for ``o`` (zonal ``Z_{2 lambda}(1^d)``, Collins–Matsumoto),
+``Q_o(d+1)`` for ``coe``, ``Q_o(-2d)`` for ``sp``.  For ``aiii``, ``Q_u`` is
+observed (``k <= 6``, ``dminus`` -1..3), not proven; a held-out check guards
+it and raises :class:`wgcalc.ratfunc.DenominatorMismatchError`.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import ratfunc
 from .graphs import GraphKind, class_node, count_paths
@@ -182,6 +192,24 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     return abs(value) if family == "sp" else value
 
 
+def wg_denominator(family: str, k: int) -> ratfunc.Poly:
+    """The level-``k`` denominator of ``family`` (see the module docstring),
+    cells ``(i, j)`` 0-based.
+
+    >>> [str(c) for c in wg_denominator("u", 2)]
+    ['0', '-1', '0', '1']
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    step = 1 if family in ("u", "aiii") else 2
+    contents: Counter = Counter()
+    for lam in partitions(k):  # the lcm keeps each factor at its top multiplicity
+        contents |= Counter(step * j - i for i, row in enumerate(lam) for j in range(row))
+    scale, shift = {"coe": (1, 1), "sp": (-2, 0)}.get(family, (1, 0))
+    return reduce(ratfunc.poly_mul, ((Fraction(shift + c), Fraction(scale))
+                                     for c in contents.elements()), (Fraction(1),))
+
+
 def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False) -> Fraction:
     """Weingarten value of one element: a permutation for ``u`` and
     ``aiii``, a pair partition for ``o``, ``coe`` and ``sp``.  See
@@ -318,24 +346,21 @@ def series(family: str, element, order: int) -> SeriesTruncation:
     raise ValueError(f"no series for family {family!r}")
 
 
-def reconstruct_rational(
-    family: str,
-    element,
-    dminus: int | None = None,
-    degree_cap: int = 40,
-) -> ratfunc.RationalFunctionRep:
+def reconstruct_rational(family: str, element, dminus: int | None = None
+                         ) -> ratfunc.RationalFunctionRep:
     """Closed form in ``d`` for one element's Weingarten value.
 
-    Evaluations start at ``2k+1`` and climb; singular dimensions are
-    skipped.  For ``sp`` the recovered function is the absolute value, for
-    ``aiii`` it is the slice at a fixed ``dminus``.
+    Interpolates ``Q*Wg`` with ``Q`` from :func:`wg_denominator`:
+    Collins–Śniady ``Q_u`` for ``u`` and, as an observation, ``aiii``;
+    Collins–Matsumoto ``Q_o`` for ``o``, shifted for ``coe`` and ``sp``.
+    Evaluations start at ``2k+1``; singular dimensions are skipped.  A
+    held-out mismatch raises :class:`wgcalc.ratfunc.DenominatorMismatchError`.
+    For ``sp`` this is the absolute value, for ``aiii`` the slice at ``dminus``.
     """
-    return ratfunc.reconstruct(
-        lambda d: wg(family, element, d, dminus),
-        start=2 * element.level + 1,
-        degree_cap=degree_cap,
-        skip_exceptions=(SingularSystemError,),
-    )
+    k = element.level
+    return ratfunc.reconstruct(lambda d: wg(family, element, d, dminus), start=2 * k + 1,
+                               den=wg_denominator(family, k),
+                               skip_exceptions=(SingularSystemError,))
 
 
 def clear_caches() -> None:

@@ -5,6 +5,12 @@ sparse integer rows (fraction-free) and only back-substitutes over
 Fraction; polynomials and rational functions work over Fraction
 throughout.  Polynomials are coefficient tuples, lowest degree first; the
 zero polynomial is ``()``.
+
+:func:`reconstruct` is given the denominator: Collins–Śniady content
+products for ``u`` (and ``aiii``, where it is only observed), Collins–Matsumoto
+zonal factors for ``o``, shifted for ``coe`` and ``sp``
+(:func:`wgcalc.exact.wg_denominator`).  A held-out mismatch raises
+:class:`DenominatorMismatchError`.
 """
 
 from __future__ import annotations
@@ -15,6 +21,12 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 Poly = tuple[Fraction, ...]
+
+HELD_OUT = 3  # evaluations past the interpolation points that must agree
+
+
+class DenominatorMismatchError(ValueError):
+    """Held-out evaluations are not ``P/den`` for one polynomial ``P``."""
 
 
 def _integer_row(row, b) -> tuple[dict[int, int], int]:
@@ -143,17 +155,13 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 
 
 def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    q = poly_trim(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    while len(rem) >= len(q) and poly_trim(rem):
-        rem = list(poly_trim(rem))
-        if len(rem) < len(q):
-            break
-        c = rem[-1] / q[-1]
-        d = len(rem) - len(q)
-        quo[d] = c
+    for d in range(len(quo) - 1, -1, -1):
+        c = quo[d] = rem[d + len(q) - 1] / q[-1]
         for i, b in enumerate(q):
             rem[d + i] -= c * b
     return poly_trim(quo), poly_trim(rem)
@@ -210,16 +218,10 @@ def poly_text(p: Poly, var: str = "d") -> str:
 
 @dataclass(frozen=True)
 class RationalFunctionRep:
-    """A reduced rational function with a record of how it was certified.
-
-    ``degree_bounds`` is the (numerator, denominator) degree hypothesis that
-    fit; ``validated_points`` counts every evaluation the candidate matched.
-    """
+    """A reduced rational function ``num/den``."""
 
     num: Poly
     den: Poly
-    degree_bounds: tuple[int, int]
-    validated_points: int
 
     def evaluate(self, x) -> Fraction:
         denv = poly_eval(self.den, x)
@@ -267,74 +269,45 @@ class RationalFunctionRep:
 
 
 def from_integer_polys(num: Sequence[int], den: Sequence[int]) -> RationalFunctionRep:
-    n, d = _normalize_pair(poly_trim([Fraction(c) for c in num]),
-                           poly_trim([Fraction(c) for c in den]))
-    return RationalFunctionRep(n, d, (poly_deg(n), poly_deg(d)), 0)
+    return RationalFunctionRep(*_normalize_pair(poly_trim([Fraction(c) for c in num]),
+                                                poly_trim([Fraction(c) for c in den])))
 
 
-def _fit(points: list[tuple[int, Fraction]], p: int, q: int):
-    # num_0..num_p and den_0..den_{q-1} unknown, den monic of degree q
-    rows, rhs = [], []
-    for x, y in points:
-        xp = [x**i for i in range(max(p, q) + 1)]
-        row = {i: xp[i] for i in range(p + 1)}
-        row.update((p + 1 + j, -y * xp[j]) for j in range(q))
-        rows.append(row)
-        rhs.append(y * xp[q])
-    sol = solve_linear_exact(rows, rhs)
-    if sol is None:
-        return None
-    num = poly_trim(sol[: p + 1])
-    den = poly_trim(list(sol[p + 1:]) + [Fraction(1)])
-    return num, den
+def _interpolate(points: list[tuple[int, Fraction]]) -> Poly:
+    """The polynomial of degree below ``len(points)`` through ``points`` (Newton form)."""
+    xs, coef = [x for x, _ in points], [y for _, y in points]
+    for j in range(1, len(coef)):
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [Fraction(0)] * len(coef)
+    for c, x in zip(reversed(coef), reversed(xs)):  # poly = poly*(X - x) + c
+        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:])]
+    return poly_trim(poly)
 
 
-def reconstruct(
-    evaluate: Callable[[int], Fraction],
-    start: int,
-    degree_cap: int = 40,
-    skip_exceptions: tuple = (),
-) -> RationalFunctionRep:
-    """Recover the rational function behind an exact evaluator.
+def reconstruct(evaluate: Callable[[int], Fraction], start: int, den: Sequence[Fraction],
+                skip_exceptions: tuple = ()) -> RationalFunctionRep:
+    """Recover ``f = P/den`` with ``deg P <= deg den`` from exact evaluations.
 
-    Samples at ``start, start+1, ...`` (points where ``evaluate`` raises one
-    of ``skip_exceptions`` are skipped).  Degree hypotheses are tried in
-    order of total degree; a candidate must reproduce ``p+q+3`` held-out
-    evaluations beyond the ``p+q+1`` it was fitted on before it is accepted,
-    after which it is gcd-reduced and integer-normalized.
+    ``den*f`` is sampled at ``start, start+1, ...``, skipping points where
+    ``evaluate`` raises one of ``skip_exceptions``, interpolated through
+    ``deg den + 1`` of them and checked on the next :data:`HELD_OUT`; a
+    mismatch raises :class:`DenominatorMismatchError`.  The result is reduced
+    by ``gcd(P, den)`` and integer-normalized.
     """
+    den = poly_trim(den)
     points: list[tuple[int, Fraction]] = []
-    cursor = start
-
-    def ensure(n: int) -> None:
-        nonlocal cursor
-        while len(points) < n:
-            try:
-                y = evaluate(cursor)
-            except skip_exceptions:
-                cursor += 1
-                continue
-            points.append((cursor, y))
-            cursor += 1
-
-    for total in range(degree_cap + 1):
-        for q in range(total, -1, -1):
-            p = total - q
-            fit_n = p + q + 1
-            check_n = p + q + 3
-            ensure(fit_n + check_n)
-            fitted = _fit(points[:fit_n], p, q)
-            if fitted is None:
-                continue
-            num, den = fitted
-            held_out = points[fit_n: fit_n + check_n]
-            if all(poly_eval(num, x) == y * poly_eval(den, x) for x, y in held_out):
-                g = poly_gcd(num, den)
-                if poly_deg(g) > 0:
-                    num = poly_divmod(num, g)[0]
-                    den = poly_divmod(den, g)[0]
-                num, den = _normalize_pair(num, den)
-                return RationalFunctionRep(
-                    num, den, (p, q), fit_n + check_n
-                )
-    raise ValueError(f"no rational function of total degree <= {degree_cap} fits")
+    x = start
+    while len(points) < len(den) + HELD_OUT:
+        try:
+            points.append((x, evaluate(x) * poly_eval(den, x)))
+        except skip_exceptions:
+            pass
+        x += 1
+    num = _interpolate(points[:len(den)])
+    for x, y in points[len(den):]:
+        if poly_eval(num, x) != y:
+            raise DenominatorMismatchError(
+                f"held-out value at d={x} is not P(d)/({poly_text(den)}): wrong denominator")
+    g = poly_gcd(num, den)
+    return RationalFunctionRep(*_normalize_pair(poly_divmod(num, g)[0], poly_divmod(den, g)[0]))

@@ -100,9 +100,6 @@ class Permutation:
             inv[s - 1] = r
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(s == r for r, s in enumerate(self.images, start=1))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its smallest point."""
         seen = [False] * self.level

@@ -52,6 +52,40 @@ def test_value_symbolic(capsys):
     assert (code, out, err) == (1, "", "error: --dim does not apply with --symbolic\n")
 
 
+def test_value_symbolic_refuses_a_wrong_denominator(capsys, monkeypatch):
+    from fractions import Fraction
+    from wgcalc import exact
+    # d alone, where -1/(d^3 - d) needs d^3 - d
+    monkeypatch.setattr(exact, "wg_denominator", lambda family, k: (Fraction(0), Fraction(1)))
+    code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_only_mc_imports_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = """
+import sys
+from wgcalc import cli
+for argv in (
+    ["value", "--family", "u", "--perm", "2,1", "--dim", "5"],
+    ["value", "--family", "o", "--pairing", "1,2|3,4", "--symbolic"],
+    ["series", "--family", "u", "--perm", "2,1", "--order", "3"],
+    ["moment", "--family", "u", "--rows", "1,2", "--cols", "1,2", "--crows", "1,2",
+     "--ccols", "2,1", "--dim", "2"],
+    ["bounds", "--check", "counts", "--k", "4"],
+):
+    assert cli.run(argv) == 0, argv
+assert "numpy" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_series_frozen_example(capsys):
     code, out, _ = run_capture(capsys, ["series", "--family", "u", "--perm", "2,1", "--order", "3"])
     assert code == 0

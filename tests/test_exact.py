@@ -20,8 +20,11 @@ from wgcalc.symcore import (
     Permutation,
     all_pair_partitions,
     all_permutations,
+    class_representative,
+    coset_representative,
     parse_pair_partition,
     parse_permutation,
+    partitions,
 )
 
 
@@ -351,6 +354,36 @@ def test_reconstruct_closed_forms():
         reconstruct_rational("aiii", parse_permutation("2,1"))
     with pytest.raises(ValueError):
         reconstruct_rational("x", parse_permutation("2,1"))
+
+
+def _closed_form_cases():
+    for k in range(1, 6):
+        for mu in partitions(k):
+            yield "u", class_representative(mu), None
+            if k <= 4:
+                yield "o", coset_representative(mu), None
+                yield from (("aiii", class_representative(mu), dm) for dm in (-1, 0, 1, 2))
+            if k <= 3:
+                yield "coe", coset_representative(mu), None
+                yield "sp", coset_representative(mu), None
+
+
+@pytest.mark.filterwarnings("ignore:.*exceeds d")
+def test_closed_forms_agree_with_wg_outside_the_fit_window():
+    # the fit samples d >= 2k+1 only: check the smallest dimension below it
+    # that wg accepts, and one far above
+    for family, elem, dminus in _closed_form_cases():
+        rep = reconstruct_rational(family, elem, dminus)
+        value = None
+        for d in range(1, 2 * elem.level + 1):
+            try:
+                value = wg(family, elem, d, dminus)
+            except (ValueError, SingularSystemError):
+                continue
+            assert rep.evaluate(d) == value, (family, elem, dminus, d)
+            break
+        assert value is not None, (family, elem, dminus)
+        assert rep.evaluate(97) == wg(family, elem, 97, dminus), (family, elem, dminus)
 
 
 def test_series_matches_exact_at_large_dimension():

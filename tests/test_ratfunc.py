@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from wgcalc.ratfunc import (
+    DenominatorMismatchError,
     RationalFunctionRep,
     from_integer_polys,
     poly_divmod,
@@ -128,15 +129,16 @@ def test_poly_text():
 
 
 def test_reconstruct_simple():
-    rep = reconstruct(lambda d: F(-1, d**3 - d), start=3)
+    rep = reconstruct(lambda d: F(-1, d**3 - d), start=3, den=(F(0), F(-1), F(0), F(1)))
     assert rep.equivalent([-1], [0, -1, 0, 1])
     assert rep.text() == "-1/(d^3 - d)"
-    rep = reconstruct(lambda d: F(d + 1, d**3 + d**2 - 2 * d), start=3)
+    # a multiple of the true denominator: the common factor d+1 is divided out
+    rep = reconstruct(lambda d: F(d + 1, d**3 + d**2 - 2 * d), start=3,
+                      den=poly_mul((F(0), F(-2), F(1), F(1)), (F(1), F(1))))
     assert rep.equivalent([1, 1], [0, -2, 1, 1])
-    rep = reconstruct(lambda d: F(1, d + 1), start=2)
+    assert rep.text() == "(d + 1)/(d^3 + d^2 - 2*d)"
+    rep = reconstruct(lambda d: F(1, d + 1), start=2, den=(F(1), F(1)))
     assert rep.equivalent([1], [1, 1])
-    assert rep.degree_bounds == (0, 1)
-    assert rep.validated_points >= 4
 
 
 def test_reconstruct_skips_bad_points():
@@ -145,13 +147,13 @@ def test_reconstruct_skips_bad_points():
             raise ZeroDivisionError
         return F(3, d - 4)
 
-    rep = reconstruct(f, start=5, skip_exceptions=(ZeroDivisionError,))
+    rep = reconstruct(f, start=5, den=(F(-4), F(1)), skip_exceptions=(ZeroDivisionError,))
     assert rep.equivalent([3], [-4, 1])
 
 
-def test_reconstruct_degree_cap():
-    with pytest.raises(ValueError):
-        reconstruct(lambda d: F(2) ** d, start=1, degree_cap=4)
+def test_reconstruct_refuses_a_wrong_denominator():
+    with pytest.raises(DenominatorMismatchError):
+        reconstruct(lambda d: F(1, d + 1), start=2, den=(F(0), F(1)))
 
 
 def test_laurent_expansion():
@@ -161,7 +163,7 @@ def test_laurent_expansion():
     rep = from_integer_polys([1, 1], [0, -2, 1, 1])  # (d+1)/(d^3+d^2-2d)
     lead = rep.laurent_at_infinity(2, 2)[0]
     assert lead == 1
-    zero = RationalFunctionRep((), (F(1),), (0, 0), 0)
+    zero = RationalFunctionRep((), (F(1),))
     assert zero.laurent_at_infinity(0, 3) == [F(0)] * 4
 
 
