@@ -31,16 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import wg_class
-from .graphs import GraphKind, count_paths
-from .symcore import (
-    PairPartition,
-    Permutation,
-    all_permutations,
-    class_representative,
-    coset_representative,
-    format_partition,
-    partitions,
-)
+from .graphs import GraphKind, count_class_paths
+from .symcore import Permutation, format_partition, partitions
 
 
 def catalan(n: int) -> int:
@@ -49,23 +41,23 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _minimal_count(mu: tuple[int, ...]) -> int:
+    """Number of minimal paths from class ``mu``: the Catalan product over its parts."""
+    return math.prod(catalan(part - 1) for part in mu)
+
+
 def shortest_count(kind: GraphKind, element) -> int:
-    """Number of minimal paths, via the Catalan product over the class."""
+    """Number of minimal paths from ``element``, via the Catalan product over its class."""
     if kind is GraphKind.UNITARY:
-        mu = element.cycle_type()
-    elif kind is GraphKind.ORTHOGONAL:
-        mu = element.coset_type()
-    else:
-        raise ValueError(f"no closed form for {kind}")
-    out = 1
-    for part in mu:
-        out *= catalan(part - 1)
-    return out
+        return _minimal_count(element.cycle_type())
+    if kind is GraphKind.ORTHOGONAL:
+        return _minimal_count(element.coset_type())
+    raise ValueError(f"no closed form for {kind}")
 
 
 def moebius(sigma: Permutation) -> int:
     """Leading coefficient of the large-d expansion, with its sign."""
-    return (-1) ** sigma.absolute_length() * shortest_count(GraphKind.UNITARY, sigma)
+    return (-1) ** sigma.absolute_length() * _minimal_count(sigma.cycle_type())
 
 
 @dataclass(frozen=True)
@@ -117,15 +109,14 @@ def _finish(family, check, k, d, gmax, rows) -> BoundReport:
 
 def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
     """Exhaustive check of the two-sided path-count growth bound on S_k."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if k < 1 or gmax < 0:
+        raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
     for mu in partitions(k):
-        sigma = class_representative(mu)
-        n = sigma.absolute_length()
-        base = count_paths(GraphKind.UNITARY, sigma, n)
+        n = k - len(mu)
+        base = count_class_paths(GraphKind.UNITARY, mu, n)
         for g in range(gmax + 1):
-            cnt = count_paths(GraphKind.UNITARY, sigma, n + 2 * g)
+            cnt = count_class_paths(GraphKind.UNITARY, mu, n + 2 * g)
             low_bound = (k - 1) ** g * base
             ok_low = low_bound <= cnt
             low = Fraction(low_bound, cnt) if cnt else None
@@ -142,9 +133,8 @@ def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
     upper_applies = d**4 > 36 * k**7
     rows = []
     for mu in partitions(k):
-        n = sum(mu) - len(mu)
-        base = shortest_count(GraphKind.UNITARY, class_representative(mu))
-        ratio = (-1) ** n * Fraction(d) ** (k + n) * wg_class("u", mu, d) / base
+        n = k - len(mu)
+        ratio = (-1) ** n * Fraction(d) ** (k + n) * wg_class("u", mu, d) / _minimal_count(mu)
         lower_bound = Fraction(d * d, d * d - (k - 1))
         ok_low = lower_bound <= ratio
         low = lower_bound / ratio
@@ -164,19 +154,18 @@ def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
 
 def certify_orthogonal_bounds(k: int, gmax: int) -> BoundReport:
     """Pairing path-count growth: lower bound on +2g steps, upper on +g."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if k < 1 or gmax < 0:
+        raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
     for mu in partitions(k):
-        m = coset_representative(mu)
-        n = m.absolute_length()
-        base = count_paths(GraphKind.ORTHOGONAL, m, n)
+        n = k - len(mu)
+        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
         for g in range(gmax + 1):
-            even_cnt = count_paths(GraphKind.ORTHOGONAL, m, n + 2 * g)
+            even_cnt = count_class_paths(GraphKind.ORTHOGONAL, mu, n + 2 * g)
             low_bound = (2 * k - 2) ** g * base
             ok_low = low_bound <= even_cnt
             low = Fraction(low_bound, even_cnt) if even_cnt else None
-            cnt = count_paths(GraphKind.ORTHOGONAL, m, n + g)
+            cnt = count_class_paths(GraphKind.ORTHOGONAL, mu, n + g)
             ok_up = cnt * cnt <= 144**g * k ** (7 * g) * base * base
             up = Fraction(cnt * cnt, 144**g * k ** (7 * g) * base * base)
             rows.append(BoundRow(format_partition(mu), g, low, up, ok_low and ok_up))
@@ -189,9 +178,8 @@ def certify_sp_ratio(k: int, d: int) -> BoundReport:
         raise ValueError(f"symplectic ratio bound needs d > 6 k^(7/2); d={d}, k={k}")
     rows = []
     for mu in partitions(k):
-        m = coset_representative(mu)
-        n = m.absolute_length()
-        base = count_paths(GraphKind.ORTHOGONAL, m, n)
+        n = k - len(mu)
+        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
         value = Fraction(2 * d) ** (n + k) * wg_class("sp", mu, d)
         lower_bound = base * Fraction(2 * d * d, 2 * d * d - (k - 1))
         ok_low = lower_bound <= value
@@ -214,9 +202,8 @@ def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
         raise ValueError(f"orthogonal ratio bound needs d > 12 k^(7/2); d={d}, k={k}")
     rows = []
     for mu in partitions(k):
-        m = coset_representative(mu)
-        n = m.absolute_length()
-        base = count_paths(GraphKind.ORTHOGONAL, m, n)
+        n = k - len(mu)
+        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
         value = (-1) ** n * Fraction(d) ** (n + k) * wg_class("o", mu, d)
         scaled = value * (d * d - 144 * k**7)
         ok_up = scaled <= base * d * d
@@ -233,50 +220,61 @@ def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
     return _finish("o", "value ratio", k, d, None, rows)
 
 
+def _first_of_class(mu: tuple[int, ...]) -> Permutation:
+    """The lexicographically first permutation of cycle type ``mu``: consecutive
+    cycles ``(p p+1 ... p+L-1)``, smallest part first.  Mapping back to the open
+    cycle's start ``p`` is the smallest free value, feasible exactly when a part
+    of the open cycle's length is left.
+
+    >>> _first_of_class((2, 1))
+    Permutation(images=(1, 3, 2))
+    """
+    images: list[int] = []
+    for part in reversed(mu):
+        p = len(images) + 1
+        images += range(p + 1, p + part)
+        images.append(p)
+    return Permutation(tuple(images))
+
+
 def neighborhood_certify(k: int) -> BoundReport:
     """Multiplying by any transposition grows the minimal path count by at
     most 6 k^{3/2}, checked over all of S_k.
 
     Conjugation preserves cycle type, so every permutation of one class
-    reaches the same target classes; the first permutation of each class
-    (in lexicographic order) yields all of that class's rows.
+    reaches the same target classes.  Each class's lexicographically first
+    permutation is built directly (:func:`_first_of_class`) and the classes
+    are visited in the order of those permutations, the order in which a
+    lexicographic walk over S_k meets them; the cost is p(k) k(k-1)/2 swaps.
     """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     rows = []
-    seen = set()
-    done = set()
-    classes = sum(1 for _ in partitions(k))
-    for sigma in all_permutations(k):
-        mu = sigma.cycle_type()
-        if mu in done:
-            continue
-        done.add(mu)
+    for sigma in sorted(map(_first_of_class, partitions(k)), key=lambda s: s.images):
+        mu, seen = sigma.cycle_type(), set()
+        before = _minimal_count(mu)
         for a in range(1, k + 1):
             for b in range(a + 1, k + 1):
-                tau_sigma = sigma.swap_values(a, b)
-                pair = (mu, tau_sigma.cycle_type())
-                if pair in seen:
+                nu = sigma.swap_values(a, b).cycle_type()
+                if nu in seen:
                     continue
-                seen.add(pair)
-                before = shortest_count(GraphKind.UNITARY, sigma)
-                after = shortest_count(GraphKind.UNITARY, tau_sigma)
-                ok = after * after <= 36 * k**3 * before * before
-                margin = Fraction(after * after, 36 * k**3 * before * before)
-                label = f"{format_partition(pair[0])}->{format_partition(pair[1])}"
-                rows.append(BoundRow(label, None, None, margin, ok))
-        if len(done) == classes:
-            break
+                seen.add(nu)
+                margin = Fraction(_minimal_count(nu) ** 2, 36 * k**3 * before * before)
+                label = f"{format_partition(mu)}->{format_partition(nu)}"
+                rows.append(BoundRow(label, None, None, margin, margin <= 1))
     return _finish("u", "neighborhood", k, None, None, rows)
 
 
 def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
     """(k-1) #P(s,l) <= #P(s,l+2) for every class and l up to |s|+extra."""
+    if extra < 0:
+        raise ValueError(f"extra must be nonnegative, got {extra}")
     rows = []
     for mu in partitions(k):
-        sigma = class_representative(mu)
-        n = sigma.absolute_length()
+        n = k - len(mu)
         for l in range(n, n + extra + 1):
-            here = count_paths(GraphKind.UNITARY, sigma, l)
-            above = count_paths(GraphKind.UNITARY, sigma, l + 2)
+            here = count_class_paths(GraphKind.UNITARY, mu, l)
+            above = count_class_paths(GraphKind.UNITARY, mu, l + 2)
             ok = (k - 1) * here <= above
             margin = Fraction((k - 1) * here, above) if above else None
             rows.append(BoundRow(format_partition(mu), l, margin, None, ok))
@@ -329,6 +327,5 @@ def dyck_report(mu: tuple[int, ...]) -> tuple[int, int, bool]:
     of :func:`dyck_area_sum` is the reading that matches the enumeration.
     """
     area = dyck_area_sum(mu)
-    m = coset_representative(mu)
-    direct = count_paths(GraphKind.ORTHOGONAL, m, m.absolute_length() + 1)
+    direct = count_class_paths(GraphKind.ORTHOGONAL, mu, sum(mu) - len(mu) + 1)
     return area, direct, area == direct

@@ -353,12 +353,13 @@ def reconstruct_rational(family: str, element, dminus: int | None = None
     Interpolates ``Q*Wg`` with ``Q`` from :func:`wg_denominator`:
     Collins–Śniady ``Q_u`` for ``u`` and, as an observation, ``aiii``;
     Collins–Matsumoto ``Q_o`` for ``o``, shifted for ``coe`` and ``sp``.
-    Evaluations start at ``2k+1``; singular dimensions are skipped.  A
-    held-out mismatch raises :class:`wgcalc.ratfunc.DenominatorMismatchError`.
+    Evaluations start at ``max(2k+1, |dminus|)``; singular dimensions are skipped.
+    A held-out mismatch raises :class:`wgcalc.ratfunc.DenominatorMismatchError`.
     For ``sp`` this is the absolute value, for ``aiii`` the slice at ``dminus``.
     """
     k = element.level
-    return ratfunc.reconstruct(lambda d: wg(family, element, d, dminus), start=2 * k + 1,
+    start = max(2 * k + 1, abs(dminus or 0))
+    return ratfunc.reconstruct(lambda d: wg(family, element, d, dminus), start=start,
                                den=wg_denominator(family, k),
                                skip_exceptions=(SingularSystemError,))
 

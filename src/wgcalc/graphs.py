@@ -25,7 +25,7 @@ alone.  A transposition moving the top point joins its cycle to another
 cycle or cuts it in two (Goulden-Jackson, *Transitive factorizations into
 transpositions*, PAMS 1997); on pairings the same join/cut acts on coset
 types, with the cuts that restore the block as self-loops.  No element is
-built.  One counter, :func:`count_paths`, recurses over
+built.  One counter, :func:`count_class_paths`, recurses over
 ``(class, solid, dashed)`` for every kind, and :mod:`wgcalc.exact` builds
 its rows from the same nodes.  Class constancy is assumed, not derived;
 ``tests/test_graphs.py`` checks every node of small levels against the
@@ -132,12 +132,6 @@ _CLASS_GRAPHS: dict[GraphKind, dict[tuple[int, ...], ClassNode]] = {}
 _COUNTS: dict[tuple, int] = {}
 
 
-def _element_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
-    """The class of a vertex: coset type of a pairing, cycle type of a permutation."""
-    _check_element(kind, elem)
-    return elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
-
-
 def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     """The node of class ``mu``, computed from ``mu`` on first use.
 
@@ -197,21 +191,28 @@ def _count(kind: GraphKind, mu: tuple[int, ...], solid: int, dashed: int) -> int
     return total
 
 
-def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
-    """Number of paths from ``elem`` to the empty object with ``solid`` solid
-    steps and, if given, ``dashed`` dashed steps.
+def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
+                      dashed: int | None = None) -> int:
+    """Number of paths from a vertex of class ``mu`` to the empty object with
+    ``solid`` solid steps and, if given, ``dashed`` dashed steps.
 
-    Unitary and orthogonal paths take exactly ``level`` dashed steps.  An A
-    III path takes ``dashed + 2*squiggled == level``; without ``dashed`` the
+    Unitary and orthogonal paths take exactly ``k = sum(mu)`` dashed steps.
+    An A III path takes ``dashed + 2*squiggled == k``; without ``dashed`` the
     count aggregates over every such split.
     """
-    mu = _element_class(kind, elem)
     if solid < 0 or (dashed is not None and dashed < 0):
         return 0
-    k = elem.level
+    k = sum(mu)
     if dashed is None and kind is GraphKind.AIII:
         return sum(_count(kind, mu, solid, l1) for l1 in range(k, -1, -2))
     return _count(kind, mu, solid, k if dashed is None else dashed)
+
+
+def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
+    """:func:`count_class_paths` from ``elem``'s coset type or cycle type."""
+    _check_element(kind, elem)
+    mu = elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
+    return count_class_paths(kind, mu, solid, dashed)
 
 
 @dataclass(frozen=True)

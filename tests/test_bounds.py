@@ -4,6 +4,7 @@ import pytest
 
 from wgcalc.bounds import (
     BoundReport,
+    _first_of_class,
     catalan,
     certify_orthogonal_bounds,
     certify_orthogonal_ratio,
@@ -114,6 +115,8 @@ def test_neighborhood_bound():
     for k in range(1, 6):
         report = neighborhood_certify(k)
         assert report.all_pass, k
+    report = neighborhood_certify(10)
+    assert report.all_pass and len(report.rows) == 228
 
 
 def _neighborhood_rows_full_walk(k):
@@ -141,6 +144,22 @@ def test_neighborhood_one_permutation_per_class_matches_full_walk():
         report = neighborhood_certify(k)
         got = [(r.class_key, r.upper_margin, r.ok) for r in report.rows]
         assert got == _neighborhood_rows_full_walk(k), k
+
+
+def test_first_of_class_is_the_first_of_its_class_in_the_full_walk():
+    for k in range(1, 9):
+        first = {}
+        for sigma in all_permutations(k):
+            first.setdefault(sigma.cycle_type(), sigma)
+        assert first == {mu: _first_of_class(mu) for mu in partitions(k)}, k
+
+
+def test_empty_ranges_are_refused():
+    for call in (lambda: certify_unitary_bounds(4, -1), lambda: certify_orthogonal_bounds(3, -2),
+                 lambda: easy_injection_check(4, extra=-1), lambda: neighborhood_certify(0)):
+        with pytest.raises(ValueError):
+            call()
+    assert neighborhood_certify(1).rows == ()
 
 
 def test_easy_injection():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,17 @@ def test_value_symbolic(capsys):
     code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic",
                                           "--dim", "3"])
     assert (code, out, err) == (1, "", "error: --dim does not apply with --symbolic\n")
+
+
+@pytest.mark.parametrize("dminus, text", [("9", "(d^2 - 81)/(d^3 - d)"),
+                                           ("-9", "(d^2 - 81)/(d^3 - d)"),
+                                           ("12", "(d^2 - 144)/(d^3 - d)")])
+def test_value_symbolic_aiii_samples_no_dimension_below_dminus(capsys, dminus, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_capture(capsys, ["value", "--family", "aiii", "--perm", "2,1",
+                                              "--dminus", dminus, "--symbolic"])
+    assert (code, out, err) == (0, text + "\n", "")
 
 
 def test_value_symbolic_refuses_a_wrong_denominator(capsys, monkeypatch):
