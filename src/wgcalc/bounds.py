@@ -128,6 +128,8 @@ def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
 
 def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
     """Value-versus-leading-term ratio bound for every class of S_k at one d."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if d < k:
         raise ValueError(f"ratio bound needs d >= k, got d={d}, k={k}")
     upper_applies = d**4 > 36 * k**7
@@ -174,6 +176,8 @@ def certify_orthogonal_bounds(k: int, gmax: int) -> BoundReport:
 
 def certify_sp_ratio(k: int, d: int) -> BoundReport:
     """Two-sided ratio bound for the absolute symplectic values at one d."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if d * d <= 36 * k**7:
         raise ValueError(f"symplectic ratio bound needs d > 6 k^(7/2); d={d}, k={k}")
     rows = []
@@ -198,6 +202,8 @@ def certify_sp_ratio(k: int, d: int) -> BoundReport:
 
 def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
     """Two-sided ratio bound for the signed orthogonal values at one d."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if d * d <= 144 * k**7:
         raise ValueError(f"orthogonal ratio bound needs d > 12 k^(7/2); d={d}, k={k}")
     rows = []
@@ -267,6 +273,8 @@ def neighborhood_certify(k: int) -> BoundReport:
 
 def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
     """(k-1) #P(s,l) <= #P(s,l+2) for every class and l up to |s|+extra."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if extra < 0:
         raise ValueError(f"extra must be nonnegative, got {extra}")
     rows = []

@@ -172,6 +172,8 @@ def cmd_paths(args) -> int:
         raise UsageError(f"--solid: must be nonnegative, got {args.solid}")
     if args.dashed is not None and family != "aiii":
         raise UsageError("--dashed applies only to family aiii")
+    if args.dashed is not None and args.dashed < 0:
+        raise UsageError(f"--dashed: must be nonnegative, got {args.dashed}")
     count = graphs.count_paths(kind, elem, args.solid, args.dashed)
     lines = [f"count: {count}"]
     listed = None
@@ -289,6 +291,8 @@ def cmd_bounds(args) -> int:
                 report = bounds_mod.certify_orthogonal_ratio(args.k, args.dim)
             else:
                 report = bounds_mod.certify_sp_ratio(args.k, args.dim)
+        elif args.family != "u":
+            raise UsageError(f"--family: the {check} check covers family u only")
         elif check == "neighborhood":
             report = bounds_mod.neighborhood_certify(args.k)
         else:

@@ -17,9 +17,11 @@ linear system with one unknown per class, by sparse fraction-free
 elimination (:func:`wgcalc.ratfunc.solve_linear_exact`).  One row builder
 serves every family: it reads each class's solid, dashed and squiggled
 targets from the class graph of :mod:`wgcalc.graphs` and writes each row as
-a ``{column: integer}`` dict.  Results are cached per dimension argument
-and extended level by level on demand.  Singular systems are detected
-exactly and reported, never patched.
+a ``{column: integer}`` dict.  The cached unit is one solved level, keyed by
+family graph, dimension argument and level and kept in a bounded
+``functools.lru_cache`` (``LEVEL_CAP`` levels); level ``k`` reads only the
+cached levels ``k-1`` and ``k-2``.  Singular systems are detected exactly
+and reported, never patched.
 
 Public API: :func:`wg` (one element) and :func:`wg_class` (one class, and
 the one place each family is mapped to its memo, shifted dimension and
@@ -43,7 +45,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import ratfunc
 from .graphs import GraphKind, class_node, count_paths
@@ -70,48 +72,39 @@ class SingularSystemError(ArithmeticError):
         super().__init__(f"singular {family} system at level {level}, {dims}")
 
 
-class _TableState:
-    """Solved values keyed by class (or by pairing for ``wg_coe_direct``),
-    complete for every level up to ``level``; the empty key is worth 1."""
-
-    __slots__ = ("values", "level")
-
-    def __init__(self, empty=()):
-        self.values: dict = {empty: Fraction(1)}
-        self.level = 0
+LEVEL_CAP = 512  # solved levels kept; one benchmark job holds at most 60
 
 
-_STATES: dict[tuple, _TableState] = {}
-_COE_FULL: dict[int, _TableState] = {}
-
-
-def _extend(st: _TableState, kind: GraphKind, k: int, d: int, dminus=None) -> int | None:
-    """Solve levels ``st.level+1 .. k`` from class-graph rows; return the
-    first level whose system is singular, or None once all are solved."""
-    for j in range(st.level + 1, k + 1):
-        classes = list(partitions(j))
-        index = {mu: i for i, mu in enumerate(classes)}
-        rows, rhs = [], []
-        for mu in classes:
-            node = class_node(kind, mu)
-            row = {index[mu]: d}
-            for target, mult in node.solid:
-                col = index[target]
-                row[col] = row.get(col, 0) + mult
-            rows.append(row)
-            if node.dashed is not None:
-                down = st.values[node.dashed]
-                rhs.append(down if dminus is None else dminus * down)
-            elif node.squiggled is not None:
-                rhs.append(st.values[node.squiggled])
-            else:
-                rhs.append(0)
-        sol = ratfunc.solve_linear_exact(rows, rhs)
-        if sol is None:
-            return j
-        st.values.update(zip(classes, sol))
-        st.level = j
-    return None
+@lru_cache(maxsize=LEVEL_CAP)
+def _level(kind: GraphKind, d: int, dminus: int | None, j: int) -> dict:
+    """Values of every level-``j`` class of the ``kind`` system at ``d``,
+    solved from class-graph rows over level ``j-1`` (dashed) and ``j-2``
+    (squiggled); raises :class:`SingularSystemError` at the first singular
+    level."""
+    if j == 0:
+        return {(): Fraction(1)}
+    below = _level(kind, d, dminus, j - 1)
+    classes = list(partitions(j))
+    index = {mu: i for i, mu in enumerate(classes)}
+    rows, rhs = [], []
+    for mu in classes:
+        node = class_node(kind, mu)
+        row = {index[mu]: d}
+        for target, mult in node.solid:
+            col = index[target]
+            row[col] = row.get(col, 0) + mult
+        rows.append(row)
+        if node.dashed is not None:
+            down = below[node.dashed]
+            rhs.append(down if dminus is None else dminus * down)
+        elif node.squiggled is not None:
+            rhs.append(_level(kind, d, dminus, j - 2)[node.squiggled])
+        else:
+            rhs.append(0)
+    sol = ratfunc.solve_linear_exact(rows, rhs)
+    if sol is None:
+        raise SingularSystemError(kind.value, j, d, dminus)
+    return dict(zip(classes, sol))
 
 
 def _check_dim(d) -> int:
@@ -145,9 +138,10 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
       ``|dminus| > d`` has no matching ensemble, so it is still computed
       but flagged with a warning.
 
-    Each system is solved level by level and memoized per dimension
-    argument.  A singular level raises :class:`SingularSystemError` naming
-    ``family`` and ``d`` as given, also on the shifted routes.
+    The value is looked up in the cached solved level ``sum(mu)``, solved
+    on demand from the levels below.  A singular level raises
+    :class:`SingularSystemError` naming ``family`` and ``d`` as given, also
+    on the shifted routes.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -180,15 +174,10 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
                 stacklevel=2,
             )
         kind = GraphKind.AIII
-    key = (kind, dim, dminus)
-    st = _STATES.get(key)
-    if st is None:
-        st = _STATES[key] = _TableState()
-    if st.level < k:
-        level = _extend(st, kind, k, dim, dminus)
-        if level is not None:
-            raise SingularSystemError(family, level, d, dminus)
-    value = st.values[mu]
+    try:
+        value = _level(kind, dim, dminus, k)[mu]
+    except SingularSystemError as exc:
+        raise SingularSystemError(family, exc.level, d, dminus) from None
     return abs(value) if family == "sp" else value
 
 
@@ -233,27 +222,29 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     doubles as a check of the class constancy it assumes.
     """
     _check_coe_dim(_check_dim(d))
-    k = m.level
-    st = _COE_FULL.get(d)
-    if st is None:
-        st = _COE_FULL[d] = _TableState(PairPartition(()))
-    for j in range(st.level + 1, k + 1):
-        elems = list(all_pair_partitions(j))
-        index = {e: i for i, e in enumerate(elems)}
-        rows, rhs = [], []
-        for e in elems:
-            row = {index[e]: d + 1}
-            for i in range(1, 2 * j - 1):
-                col = index[e.swap_points(i, 2 * j - 1)]
-                row[col] = row.get(col, 0) + 1
-            rows.append(row)
-            rhs.append(st.values[e.pairing_down()] if e.has_top_block() else 0)
-        sol = ratfunc.solve_linear_exact(rows, rhs)
-        if sol is None:
-            raise SingularSystemError("coe", j, d)
-        st.values.update(zip(elems, sol))
-        st.level = j
-    return st.values[m]
+    return _coe_level(d, m.level)[m]
+
+
+@lru_cache(maxsize=LEVEL_CAP)
+def _coe_level(d: int, j: int) -> dict:
+    """Values of every level-``j`` pairing of the element-level COE system at ``d``."""
+    if j == 0:
+        return {PairPartition(()): Fraction(1)}
+    below = _coe_level(d, j - 1)
+    elems = list(all_pair_partitions(j))
+    index = {e: i for i, e in enumerate(elems)}
+    rows, rhs = [], []
+    for e in elems:
+        row = {index[e]: d + 1}
+        for i in range(1, 2 * j - 1):
+            col = index[e.swap_points(i, 2 * j - 1)]
+            row[col] = row.get(col, 0) + 1
+        rows.append(row)
+        rhs.append(below[e.pairing_down()] if e.has_top_block() else 0)
+    sol = ratfunc.solve_linear_exact(rows, rhs)
+    if sol is None:
+        raise SingularSystemError("coe", j, d)
+    return dict(zip(elems, sol))
 
 
 @dataclass(frozen=True)
@@ -365,5 +356,5 @@ def reconstruct_rational(family: str, element, dminus: int | None = None
 
 
 def clear_caches() -> None:
-    _STATES.clear()
-    _COE_FULL.clear()
+    _level.cache_clear()
+    _coe_level.cache_clear()

@@ -18,26 +18,28 @@ their solid-step annotations biject with monotone transposition
 factorizations; both directions are implemented below.
 
 Path counts are class functions of the start vertex (cycle type, coset
-type), so each kind is also described once at class level and filled
-lazily: :func:`class_node` computes a class's solid targets with
-multiplicities, dashed target and squiggled target from the partition
+type), so each kind is also described once at class level, kept in
+``functools`` caches: :func:`class_node` computes a class's solid targets
+with multiplicities, dashed target and squiggled target from the partition
 alone.  A transposition moving the top point joins its cycle to another
 cycle or cuts it in two (Goulden-Jackson, *Transitive factorizations into
 transpositions*, PAMS 1997); on pairings the same join/cut acts on coset
 types, with the cuts that restore the block as self-loops.  No element is
 built.  One counter, :func:`count_class_paths`, recurses over
-``(class, solid, dashed)`` for every kind, and :mod:`wgcalc.exact` builds
-its rows from the same nodes.  Class constancy is assumed, not derived;
-``tests/test_graphs.py`` checks every node of small levels against the
-one read off a representative element, the class-level counts against
-element-level walks and :func:`enumerate_paths` on every element of small
-levels, and ``exact.wg_coe_direct`` checks the solver.
+``(class, solid, dashed)`` for every kind and keeps at most ``COUNT_CAP``
+counts, and :mod:`wgcalc.exact` builds its rows from the same nodes.  Class
+constancy is assumed, not derived; ``tests/test_graphs.py`` checks every
+node of small levels against the one read off a representative element,
+the class-level counts against element-level walks and
+:func:`enumerate_paths` on every element of small levels, and
+``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .symcore import PairPartition, Permutation, format_element, validate_partition
@@ -128,10 +130,10 @@ class ClassNode(NamedTuple):
     squiggled: tuple[int, ...] | None
 
 
-_CLASS_GRAPHS: dict[GraphKind, dict[tuple[int, ...], ClassNode]] = {}
-_COUNTS: dict[tuple, int] = {}
+COUNT_CAP = 1 << 16  # path counts kept; one benchmark job holds at most 1249
 
 
+@cache
 def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     """The node of class ``mu``, computed from ``mu`` on first use.
 
@@ -148,46 +150,37 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     >>> class_node(GraphKind.ORTHOGONAL, (2, 1))
     ClassNode(solid=(((3,), 4),), dashed=(2,), squiggled=None)
     """
-    graph = _CLASS_GRAPHS.setdefault(kind, {})
-    node = graph.get(mu)
-    if node is None:
-        mu = validate_partition(mu)
-        rest, c = mu[:-1], (mu[-1] if mu else 0)
-        ortho = kind is GraphKind.ORTHOGONAL
-        solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
-        targets = [(rest + (a, c - a), 1) for a in range(1, c)]
-        targets += [(rest[:j] + rest[j + 1:] + (m + c,), 2 * m if ortho else m)
-                    for j, m in enumerate(rest)]
-        for parts, mult in targets:
-            target = tuple(sorted(parts, reverse=True))
-            solid[target] = solid.get(target, 0) + mult
-        node = graph[mu] = ClassNode(
-            tuple(solid.items()),
-            rest if c == 1 else None,
-            rest if kind is GraphKind.AIII and c == 2 else None,
-        )
-    return node
+    mu = validate_partition(mu)
+    rest, c = mu[:-1], (mu[-1] if mu else 0)
+    ortho = kind is GraphKind.ORTHOGONAL
+    solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
+    targets = [(rest + (a, c - a), 1) for a in range(1, c)]
+    targets += [(rest[:j] + rest[j + 1:] + (m + c,), 2 * m if ortho else m)
+                for j, m in enumerate(rest)]
+    for parts, mult in targets:
+        target = tuple(sorted(parts, reverse=True))
+        solid[target] = solid.get(target, 0) + mult
+    return ClassNode(
+        tuple(solid.items()),
+        rest if c == 1 else None,
+        rest if kind is GraphKind.AIII and c == 2 else None,
+    )
 
 
+@lru_cache(maxsize=COUNT_CAP)
 def _count(kind: GraphKind, mu: tuple[int, ...], solid: int, dashed: int) -> int:
-    key = (kind, mu, solid, dashed)
-    cached = _COUNTS.get(key)
-    if cached is not None:
-        return cached
     if not mu:
-        total = 1 if solid == 0 and dashed == 0 else 0
-    else:
-        node = class_node(kind, mu)
-        total = 0
-        if solid > 0:
-            for target, mult in node.solid:
-                total += mult * _count(kind, target, solid - 1, dashed)
-        if node.dashed is not None:
-            if dashed > 0:
-                total += _count(kind, node.dashed, solid, dashed - 1)
-        elif node.squiggled is not None:
-            total += _count(kind, node.squiggled, solid, dashed)
-    _COUNTS[key] = total
+        return 1 if solid == 0 and dashed == 0 else 0
+    node = class_node(kind, mu)
+    total = 0
+    if solid > 0:
+        for target, mult in node.solid:
+            total += mult * _count(kind, target, solid - 1, dashed)
+    if node.dashed is not None:
+        if dashed > 0:
+            total += _count(kind, node.dashed, solid, dashed - 1)
+    elif node.squiggled is not None:
+        total += _count(kind, node.squiggled, solid, dashed)
     return total
 
 
@@ -393,5 +386,5 @@ def enumerate_monotone_factorizations(
 
 
 def clear_caches() -> None:
-    _CLASS_GRAPHS.clear()
-    _COUNTS.clear()
+    class_node.cache_clear()
+    _count.cache_clear()

@@ -159,6 +159,11 @@ def test_empty_ranges_are_refused():
                  lambda: easy_injection_check(4, extra=-1), lambda: neighborhood_certify(0)):
         with pytest.raises(ValueError):
             call()
+    for call in (lambda: certify_wg_ratio_unitary(0, 5), lambda: certify_wg_ratio_unitary(-2, 5),
+                 lambda: certify_sp_ratio(0, 1), lambda: certify_orthogonal_ratio(0, 1),
+                 lambda: easy_injection_check(0)):
+        with pytest.raises(ValueError, match="^k must be positive, got "):
+            call()
     assert neighborhood_certify(1).rows == ()
 
 

@@ -277,6 +277,22 @@ def test_bounds_refuse_a_negative_range(capsys):
         assert (code, out, err) == (1, "", f"error: {flag}: must be nonnegative, got -1\n")
 
 
+def test_paths_refuse_a_negative_dashed_count(capsys):
+    code, out, err = run_capture(capsys, ["paths", "--family", "aiii", "--perm", "2,1",
+                                          "--solid", "0", "--dashed", "-1"])
+    assert (code, out, err) == (1, "", "error: --dashed: must be nonnegative, got -1\n")
+
+
+def test_unitary_only_bounds_refuse_other_families(capsys):
+    for check, family in (("neighborhood", "o"), ("neighborhood", "sp"),
+                          ("injection", "o"), ("injection", "sp")):
+        code, out, err = run_capture(capsys, ["bounds", "--check", check, "--family", family,
+                                              "--k", "3"])
+        assert (code, out, err) == (1, "", f"error: --family: the {check} check covers family u only\n")
+    code, out, _ = run_capture(capsys, ["bounds", "--check", "injection", "--k", "3", "--json"])
+    assert code == 0 and json.loads(out)["family"] == "u"
+
+
 def test_cache_io_errors_name_the_path_flag(capsys, tmp_path):
     missing = tmp_path / "missing.tsv"
     code, out, err = run_capture(capsys, ["cache", "verify", "--path", str(missing)])

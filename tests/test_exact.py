@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wgcalc import exact
+from wgcalc import exact, graphs
 from wgcalc.exact import (
     SingularSystemError,
     clear_caches,
@@ -14,7 +14,7 @@ from wgcalc.exact import (
     wg_class,
     wg_coe_direct,
 )
-from wgcalc.graphs import GraphKind
+from wgcalc.graphs import GraphKind, count_class_paths
 from wgcalc.symcore import (
     PairPartition,
     Permutation,
@@ -188,7 +188,7 @@ def test_malformed_class_is_refused_before_any_solve(mu):
     clear_caches()
     with pytest.raises(ValueError, match="partition parts must be"):
         wg_class("u", mu, 5)
-    assert exact._STATES == {}
+    assert exact._level.cache_info().currsize == 0
 
 
 def test_orthogonal_singular_dimension():
@@ -268,19 +268,17 @@ def test_aiii_signature_warning():
 
 
 def test_table_lookup():
-    # one element lookup fills the unitary memo at d=5 with every class of
-    # levels <= 3, and nothing else
+    # one element lookup caches the unitary levels 0..3 at d=5, each holding
+    # every class of its level, and nothing else
     clear_caches()
     value = wg("u", parse_permutation("2,3,1"), 5)
-    assert set(exact._STATES[(GraphKind.UNITARY, 5, None)].values) == {
-        (),
-        (1,),
-        (1, 1),
-        (2,),
-        (1, 1, 1),
-        (2, 1),
-        (3,),
-    }
+    assert exact._level.cache_info().currsize == 4
+    assert [set(exact._level(GraphKind.UNITARY, 5, None, j)) for j in range(4)] == [
+        {()},
+        {(1,)},
+        {(1, 1), (2,)},
+        {(1, 1, 1), (2, 1), (3,)},
+    ]
     assert value == wg_class("u", (3,), 5)
     assert wg("u", Permutation.identity(3), 5) == wg_class("u", (1, 1, 1), 5)
 
@@ -414,3 +412,29 @@ def test_clear_caches_roundtrip():
     v = wg_class("u", (2, 1), 6)
     clear_caches()
     assert wg_class("u", (2, 1), 6) == v
+
+
+def _assert_bounded(memo, cap, probe, flood):
+    """Flooding ``memo`` past ``cap`` entries keeps it at ``cap`` and evicts
+    ``probe``'s entries; the recomputed ``probe`` equals its fresh value."""
+    memo.cache_clear()
+    fresh = probe()
+    flood()
+    assert memo.cache_info().currsize == cap
+    misses = memo.cache_info().misses
+    assert probe() == fresh
+    assert memo.cache_info().misses > misses
+
+
+def test_memos_stay_bounded_over_many_dimensions():
+    dims = range(11, 11 + exact.LEVEL_CAP + 50)
+    _assert_bounded(exact._level, exact.LEVEL_CAP,
+                    lambda: (wg_class("u", (2, 1), 10), wg_class("aiii", (2, 1), 10, 3)),
+                    lambda: [wg_class("u", (1,), d) for d in dims])
+    pairing = parse_pair_partition("1,3|2,4")
+    _assert_bounded(exact._coe_level, exact.LEVEL_CAP, lambda: wg_coe_direct(pairing, 10),
+                    lambda: [wg_coe_direct(PairPartition.trivial(1), d) for d in dims])
+    _assert_bounded(graphs._count, graphs.COUNT_CAP,
+                    lambda: count_class_paths(GraphKind.UNITARY, (3, 1), 6),
+                    lambda: [count_class_paths(GraphKind.UNITARY, (1,), n)
+                             for n in range(graphs.COUNT_CAP)])

@@ -194,19 +194,23 @@ def test_class_nodes_match_representative_oracle():
         class_node(U, (1, 2))
 
 
+def _cached_sizes():
+    return graphs.class_node.cache_info().currsize, graphs._count.cache_info().currsize
+
+
 def test_count_memo_is_bounded_by_classes():
     graphs.clear_caches()
     cycle = Permutation((2, 3, 4, 5, 6, 7, 8, 1))
     exact.series("u", cycle, 3)
     classes = sum(1 for j in range(9) for _ in partitions(j))
     solid_range = cycle.absolute_length() + 2 * 3 + 1
-    assert 0 < len(graphs._COUNTS) <= classes * solid_range
+    assert 0 < graphs._count.cache_info().currsize <= classes * solid_range
     graphs.clear_caches()
-    assert (graphs._CLASS_GRAPHS, graphs._COUNTS) == ({}, {})
+    assert _cached_sizes() == (0, 0)
     count_paths(A3, cycle, 7, 0)
-    assert graphs._CLASS_GRAPHS and graphs._COUNTS
+    assert all(_cached_sizes())
     graphs.clear_caches()
-    assert (graphs._CLASS_GRAPHS, graphs._COUNTS) == ({}, {})
+    assert _cached_sizes() == (0, 0)
 
 
 def test_single_path_identity_level_one():
