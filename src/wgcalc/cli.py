@@ -14,6 +14,7 @@ import configparser
 import json
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -108,15 +109,14 @@ def cmd_value(args) -> int:
     family = args.family
     elem = _parse_element(args, family)
     dminus = _need_dminus(args, family)
+    record = {"family": family, "element": symcore.format_element(elem)}
+    if dminus is not None:
+        record["dminus"] = dminus
     if args.symbolic:
         if args.dim is not None:
             raise UsageError("--dim does not apply with --symbolic")
-        rep = exact.reconstruct_rational(family, elem, dminus=dminus)
-        text = rep.text()
-        record = {"family": family, "element": symcore.format_element(elem),
-                  "rational_function": text}
-        if dminus is not None:
-            record["dminus"] = dminus
+        text = exact.reconstruct_rational(family, elem, dminus=dminus).text()
+        record["rational_function"] = text
         _emit(args, record, [text])
         return 0
     if args.dim is None:
@@ -125,10 +125,7 @@ def cmd_value(args) -> int:
         value = exact.wg(family, elem, args.dim, dminus)
     except (ValueError, exact.SingularSystemError) as exc:
         raise UsageError(f"--dim: {exc}") from None
-    record = {"family": family, "element": symcore.format_element(elem),
-              "dim": args.dim, "value": str(value)}
-    if dminus is not None:
-        record["dminus"] = dminus
+    record.update(dim=args.dim, value=str(value))
     _emit(args, record, [str(value)])
     return 0
 
@@ -138,10 +135,7 @@ def _series_coeff_text(family: str, coeff) -> str:
         return str(coeff)
     if not coeff:
         return "0"
-    poly = [0] * (max(coeff) + 1)
-    for power, c in coeff.items():
-        poly[power] = c
-    return poly_text(tuple(Fraction(c) for c in poly), var="dm")
+    return poly_text(tuple(Fraction(coeff.get(p, 0)) for p in range(max(coeff) + 1)), var="dm")
 
 
 def cmd_series(args) -> int:
@@ -270,16 +264,22 @@ def _report_output(args, report) -> int:
 def cmd_bounds(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k: must be positive, got {args.k}")
-    for flag, value in (("--gmax", args.gmax), ("--extra", args.extra)):
-        if value < 0:
-            raise UsageError(f"{flag}: must be nonnegative, got {value}")
     check = args.check
+    for flag, value, owner in (("--dim", args.dim, "ratio"), ("--gmax", args.gmax, "counts"),
+                               ("--extra", args.extra, "injection")):
+        if value is not None and check != owner:
+            raise UsageError(f"{flag} does not apply to --check {check}")
+    for flag, value in (("--gmax", args.gmax), ("--extra", args.extra)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag}: must be nonnegative, got {value}")
+    gmax = 3 if args.gmax is None else args.gmax
+    extra = 4 if args.extra is None else args.extra
     try:
         if check == "counts":
             if args.family == "u":
-                report = bounds_mod.certify_unitary_bounds(args.k, args.gmax)
+                report = bounds_mod.certify_unitary_bounds(args.k, gmax)
             elif args.family == "o":
-                report = bounds_mod.certify_orthogonal_bounds(args.k, args.gmax)
+                report = bounds_mod.certify_orthogonal_bounds(args.k, gmax)
             else:
                 raise UsageError("--family: count bounds cover families u and o")
         elif check == "ratio":
@@ -296,7 +296,7 @@ def cmd_bounds(args) -> int:
         elif check == "neighborhood":
             report = bounds_mod.neighborhood_certify(args.k)
         else:
-            report = bounds_mod.easy_injection_check(args.k, extra=args.extra)
+            report = bounds_mod.easy_injection_check(args.k, extra=extra)
     except ValueError as exc:
         raise UsageError(f"--dim: {exc}") from None
     return _report_output(args, report)
@@ -454,10 +454,9 @@ def build_parser() -> _Parser:
                      default="counts")
     sub.add_argument("--family", choices=["u", "o", "sp"], default="u")
     sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--gmax", type=int, default=3)
+    sub.add_argument("--gmax", type=int)
     sub.add_argument("--dim", type=int)
-    sub.add_argument("--extra", type=int, default=4,
-                     help="extra exponent steps for the injection check")
+    sub.add_argument("--extra", type=int, help="extra exponent steps for the injection check")
     _common(sub)
     sub.set_defaults(handler=cmd_bounds)
 
@@ -497,23 +496,26 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        _check_threads(args)
-        return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except cache_mod.CacheCorruptionError as exc:
-        print(f"cache corruption: {exc}", file=sys.stderr)
-        return 3
-    except exact.SingularSystemError as exc:
-        print(f"error: --dim: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Run one command; return its exit code.  Each distinct warning the
+    engine raised is printed once on stderr as ``warning: <message>``,
+    before the error line if the command failed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            _check_threads(args)
+            return args.handler(args)
+        except cache_mod.CacheCorruptionError as exc:
+            code, error = 3, f"cache corruption: {exc}"
+        except exact.SingularSystemError as exc:
+            code, error = 1, f"error: --dim: {exc}"
+        except (UsageError, ValueError, TypeError) as exc:
+            code, error = 1, f"error: {exc}"
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
+    print(error, file=sys.stderr)
+    return code
 
 
 def entry() -> None:

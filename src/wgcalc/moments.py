@@ -15,15 +15,14 @@ sums of Weingarten values:
 
 ``delta_sigma(i,j) = 1`` iff ``i[sigma(r)] == j[r]`` for every slot,
 ``Delta_m(i) = 1`` iff every block of ``m`` joins equal indices, and
-``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  The sums are pruned by matching
-equal-value position groups instead of enumerating the full symmetric
-group.  Outer matchings that meet the same classes are walked once and
-share one representative, kept per key: a unitary sigma by the word
-``ccols . sigma^-1``, an orthogonal row pairing by the multiset of
-column-label pairs over its blocks, a COE sigma by the pairing
-``sigma . e_k``.  Wg is a class function, so :func:`exact_moment` counts
-the terms of each class and looks each class up once.  :class:`MomentSpec`
-is the one validator of a moment request.
+``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  Every term is a pair of perfect
+matchings, outer and inner, held as plain mate tuples; one classifier,
+:func:`~wgcalc.symcore.union_type`, serves all four families (see
+:func:`_term_classes`).  Matchings are built from equal-value position
+groups, and outer matchings with one multiset of inner-label pairs over
+their blocks share one representative.  Wg is a class function, so
+:func:`exact_moment` counts the terms of each class and looks each class up
+once.  :class:`MomentSpec` is the one validator of a moment request.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exact import wg_class
-from .symcore import PairPartition, Permutation, act, pair_partitions
+from .symcore import PairPartition, Permutation, pairing_mates, trivial_mates, union_type
 
 Indices = tuple[int, ...]
 INDEX_FIELDS = ("rows", "cols", "crows", "ccols")
@@ -65,37 +64,26 @@ def strongly_admissible(m: PairPartition, i: Sequence[int]) -> int:
 
 
 def _matchings(source: Sequence[int], target: Sequence[int]) -> Iterator[Indices]:
-    """The one-line images of all sigma with source[sigma(r)] == target[r],
-    as products of per-value bijections between position groups."""
-    k = len(source)
-    if k != len(target):
+    """Mates of every sigma with ``source[sigma(r)] == target[r]`` as the
+    bipartite matching of source slot ``sigma(r)`` with point ``k + r``,
+    0-based: products of per-value bijections between position groups."""
+    if sorted(source) != sorted(target):
         return
+    k = len(source)
     src_groups: dict[int, list[int]] = {}
     tgt_groups: dict[int, list[int]] = {}
-    for pos, v in enumerate(source, 1):
+    for pos, v in enumerate(source):
         src_groups.setdefault(v, []).append(pos)
-    for pos, v in enumerate(target, 1):
+    for pos, v in enumerate(target, k):
         tgt_groups.setdefault(v, []).append(pos)
-    if set(src_groups) != set(tgt_groups):
-        return
     values = sorted(src_groups)
-    if any(len(src_groups[v]) != len(tgt_groups[v]) for v in values):
-        return
     choices = [itertools.permutations(src_groups[v]) for v in values]
     for combo in itertools.product(*choices):
-        images = [0] * k
+        mate = [0] * (2 * k)
         for v, assigned in zip(values, combo):
             for r, s in zip(tgt_groups[v], assigned):
-                images[r - 1] = s
-        yield tuple(images)
-
-
-def _representatives(items: Iterable, key: Callable) -> Iterable[list]:
-    """One ``[first item, number of items]`` pair per key of ``items``."""
-    reps: dict = {}
-    for item in items:
-        reps.setdefault(key(item), [item, 0])[1] += 1
-    return reps.values()
+                mate[r], mate[s] = s, r
+        yield tuple(mate)
 
 
 class IndexRangeError(ValueError):
@@ -146,66 +134,68 @@ class MomentSpec:
             raise ValueError("aiii moments need dminus")
 
 
+def _pairing(sigma: Indices) -> Indices:
+    """Mates of the pairing ``sigma . e_k`` of a bipartite matching ``sigma``:
+    point ``sigma(x)`` is matched with ``sigma(x^1)``, listed in point order."""
+    images = sigma[len(sigma) // 2:]
+    return tuple(images[x ^ 1] for x in sorted(range(len(images)), key=images.__getitem__))
+
+
 def _term_classes(spec: MomentSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(class, number of terms)`` pairs that cover the nonzero terms of the
     spec's Weingarten sum; a class may recur.
 
-    Unitary terms pair the row matchings sigma with the column matchings
-    tau and fall in the cycle type of ``sigma tau^-1``.  For ``h`` in
-    Stab(ccols), ``h tau^-1`` runs over the ``tau^-1`` again, so every sigma
-    of one coset ``sigma Stab(ccols)``, named by the word
-    ``ccols . sigma^-1``, meets the same classes: one representative per
-    word pairs with the taus.  Orthogonal terms pair row with column
-    pairings ``m, n`` and fall in the coset type of ``m^-1 . n``.  Row
-    pairings with one multiset of column-label pairs ``{cols[a], cols[b]}``
-    over their blocks differ by an ``h`` in Stab(cols), which permutes the
-    column pairings, so one representative per multiset pairs with them.
-    COE terms are the matchings sigma of the interleaved index pairs, in
-    the coset type of the pairing ``sigma . e_k``, classified once per
-    distinct pairing.  A III terms are the matchings sigma themselves.
+    Each term is an outer and an inner perfect matching, in the class of
+    their :func:`~wgcalc.symcore.union_type`.  The families name them:
+
+    * u: outer ``_matchings(rows, crows)``, inner ``_matchings(cols, ccols)``;
+    * o: outer the pairings that join equal ``rows``, inner equal ``cols``;
+    * coe: outer the pairing ``sigma . e_k`` of each matching sigma of the
+      interleaved indices, inner the trivial pairing;
+    * aiii: outer ``_matchings(rows, cols)``, inner the identity matching.
+
+    A permutation ``h`` of the points that keeps the inner labels (for u,
+    ``cols`` and ``ccols`` kept apart) permutes the inner set, and
+    ``union_type(h m, q) = union_type(m, h^-1 q)``, so outer matchings with
+    one multiset of inner-label pairs over their blocks meet the same
+    classes; with a single inner matching the key is the matching itself.
 
     >>> list(_term_classes(MomentSpec("u", (1, 1), (1, 1), (1, 1), (1, 1), d=3)))
     [((1, 1), 2), ((2,), 2)]
     """
+    labels = None
     if spec.family == "u":
-        # an unbalanced monomial (zero by phase invariance) has no tau either,
-        # so no sigma is enumerated
-        tau_inverses = [Permutation(t).inverse() for t in _matchings(spec.cols, spec.ccols)]
-        if not tau_inverses:
-            return
-        ccols = spec.ccols
-        for sigma, n in _representatives(
-                _matchings(spec.rows, spec.crows),
-                lambda s: tuple(ccols[r] for r in sorted(range(len(s)), key=s.__getitem__))):
-            sigma = Permutation(sigma)
-            for tau_inverse in tau_inverses:
-                yield (sigma * tau_inverse).cycle_type(), n
+        outer = _matchings(spec.rows, spec.crows)
+        inner = list(_matchings(spec.cols, spec.ccols))
+        labels = [(0, c) for c in spec.cols] + [(1, c) for c in spec.ccols]
     elif spec.family == "o":
-        rows, cols = spec.rows, spec.cols
-        # an odd number of factors has no pairings, so it integrates to zero
-        col_pairings = list(pair_partitions(cols))
-        if not col_pairings:
-            return
+        rows, labels = spec.rows, spec.cols
+        inner = list(pairing_mates(labels))
         # labels with one equality pattern have the same pairings, in order
-        same_pattern = [cols.index(c) for c in cols] == [rows.index(r) for r in rows]
-        for m, n in _representatives(
-                col_pairings if same_pattern else pair_partitions(rows),
-                lambda m: tuple(sorted(tuple(sorted((cols[a - 1], cols[b - 1])))
-                                       for a, b in m.blocks))):
-            m_inverse = m.as_permutation().inverse()
-            for col_pairing in col_pairings:
-                yield act(m_inverse, col_pairing).coset_type(), n
+        same_pattern = [labels.index(c) for c in labels] == [rows.index(r) for r in rows]
+        outer = inner if same_pattern else pairing_mates(rows)
     elif spec.family == "coe":
         i = tuple(x for pair in zip(spec.rows, spec.cols) for x in pair)
         j = tuple(x for pair in zip(spec.crows, spec.ccols) for x in pair)
-        trivial = PairPartition.trivial(len(i) // 2)
-        for sigma, n in _representatives(
-                _matchings(i, j),
-                lambda s: tuple(sorted(tuple(sorted(p)) for p in zip(s[0::2], s[1::2])))):
-            yield act(Permutation(sigma), trivial).coset_type(), n
+        outer = map(_pairing, _matchings(i, j))
+        inner = [trivial_mates(len(i) // 2)]
     else:
-        for sigma in _matchings(spec.rows, spec.cols):
-            yield Permutation(sigma).cycle_type(), 1
+        k = len(spec.rows)
+        outer = _matchings(spec.rows, spec.cols)
+        inner = [tuple(range(k, 2 * k)) + tuple(range(k))]
+    if labels is not None:
+        label_pair = [[tuple(sorted((x, y))) for y in labels] for x in labels]
+    # one [representative, number of outer matchings] per key; with no inner
+    # matching (an unbalanced or odd monomial, zero by symmetry) the outer
+    # set is not enumerated
+    reps: dict = {}
+    for m in outer if inner else ():
+        key = m if labels is None else tuple(
+            sorted([label_pair[a][b] for a, b in enumerate(m) if a < b]))
+        reps.setdefault(key, [m, 0])[1] += 1
+    for m, n in reps.values():
+        for q in inner:
+            yield union_type(m, q), n
 
 
 def exact_moment(spec: MomentSpec) -> Fraction:
@@ -214,12 +204,10 @@ def exact_moment(spec: MomentSpec) -> Fraction:
     Wg is a class function, so the Weingarten sum is, over the classes of
     :func:`_term_classes`, the number of terms in each class times one
     :func:`wgcalc.exact.wg_class` lookup.  The terms are counted, not
-    visited: only one representative per key of the outer set pairs with
-    the inner set (unitary sigma keyed by ``ccols . sigma^-1``, orthogonal
-    row pairings by their multiset of column-label pairs, COE matchings by
-    the pairing ``sigma . e_k``), and its classes count once per outer
-    member of that key.  Lookup errors (a unitary ``d`` below the level, a
-    singular system) propagate unchanged.
+    visited: one representative per key of the outer set pairs with the
+    inner set, and its classes count once per outer member of that key.
+    Lookup errors (a unitary ``d`` below the level, a singular system)
+    propagate unchanged.
 
     >>> exact_moment(MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3))
     Fraction(1, 3)

@@ -9,11 +9,16 @@ Conventions used throughout the package:
 * A pair partition splits ``{1, ..., 2k}`` into ``k`` unordered pairs.
   Blocks are stored canonically: each pair sorted, pairs sorted by their
   first entry.  ``trivial(k)`` is ``{1,2}{3,4}...{2k-1,2k}``.
+* A perfect matching given as a *mate tuple* lives on the points
+  ``0, ..., n-1``: ``mates[x]`` is the point matched with ``x``.
 
 The two combinatorial statistics that drive everything else live here:
 ``cycle_type`` / ``absolute_length`` for permutations, and ``coset_type`` /
-``absolute_length`` for pair partitions (cycle lengths of the union
-multigraph against the trivial pairing, halved).
+``absolute_length`` for pair partitions.  Both are cases of
+:func:`union_type`, the halved cycle lengths of the union of two perfect
+matchings: the coset type against the trivial pairing, the cycle type of
+``sigma tau^-1`` on the matchings that join slot ``sigma(r)``, respectively
+``tau(r)``, to a second copy of slot ``r``.
 """
 
 from __future__ import annotations
@@ -41,6 +46,38 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]
     for first in range(max_part, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def union_type(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Halved cycle lengths of the union of the perfect matchings with mate
+    tuples ``p`` and ``q``, as a decreasing partition.
+
+    Every point has one edge from each matching, so the union splits into
+    alternating even cycles ``2 mu_1 >= 2 mu_2 >= ...``; the result is ``mu``.
+
+    >>> union_type((1, 0, 3, 2, 5, 4), (1, 0, 4, 5, 2, 3))
+    (2, 1)
+    """
+    seen = [False] * len(p)
+    parts = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        size = 0
+        x = start
+        while not seen[x]:
+            y = p[x]
+            seen[x] = seen[y] = True
+            x = q[y]
+            size += 1
+        parts.append(size)
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def trivial_mates(k: int) -> tuple[int, ...]:
+    """Mate tuple of the trivial pairing ``{0,1}{2,3}...{2k-2,2k-1}``."""
+    return tuple(x ^ 1 for x in range(2 * k))
 
 
 def validate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -102,19 +139,16 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycle decomposition; each cycle starts at its smallest point."""
-        seen = [False] * self.level
+        imgs = self.images
+        seen: set[int] = set()
         out = []
-        for start in range(1, self.level + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            out.append(tuple(cyc))
+        for start in range(1, len(imgs) + 1):
+            if start not in seen:
+                cyc = [start]
+                while (x := imgs[cyc[-1] - 1]) != start:
+                    cyc.append(x)
+                seen.update(cyc)
+                out.append(tuple(cyc))
         return tuple(out)
 
     def cycle_type(self) -> tuple[int, ...]:
@@ -201,13 +235,13 @@ class PairPartition:
     def level(self) -> int:
         return len(self.blocks)
 
-    def partner(self, x: int) -> int:
+    @property
+    def mates(self) -> tuple[int, ...]:
+        """Mate tuple on the points ``0..2k-1``; block ``{a, b}`` joins ``a-1, b-1``."""
+        mate = [0] * (2 * self.level)
         for a, b in self.blocks:
-            if a == x:
-                return b
-            if b == x:
-                return a
-        raise ValueError(f"point {x} out of range")
+            mate[a - 1], mate[b - 1] = b - 1, a - 1
+        return tuple(mate)
 
     def apply(self, zeta: Permutation) -> "PairPartition":
         """Push every point through ``zeta``; blocks ``{a,b}`` become ``{zeta(a),zeta(b)}``."""
@@ -226,35 +260,8 @@ class PairPartition:
         return PairPartition(tuple((sub.get(x, x), sub.get(y, y)) for x, y in self.blocks))
 
     def coset_type(self) -> tuple[int, ...]:
-        """Halved cycle lengths of the union multigraph with the trivial pairing.
-
-        Each point has one edge from this pairing and one from the trivial
-        one; components are even cycles ``2 mu_1 >= 2 mu_2 >= ...`` and the
-        result is ``mu``.
-        """
-        n = 2 * self.level
-        mate = {}
-        for a, b in self.blocks:
-            mate[a] = b
-            mate[b] = a
-        trivial_mate = lambda x: x + 1 if x % 2 == 1 else x - 1
-        seen = set()
-        parts = []
-        for start in range(1, n + 1):
-            if start in seen:
-                continue
-            size = 0
-            x = start
-            use_trivial = True
-            while True:
-                seen.add(x)
-                size += 1
-                x = trivial_mate(x) if use_trivial else mate[x]
-                use_trivial = not use_trivial
-                if x == start and use_trivial:
-                    break
-            parts.append(size // 2)
-        return tuple(sorted(parts, reverse=True))
+        """:func:`union_type` of this pairing and the trivial one."""
+        return union_type(self.mates, trivial_mates(self.level))
 
     def absolute_length(self) -> int:
         return self.level - len(self.coset_type())
@@ -288,28 +295,37 @@ def all_permutations(k: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def pairing_mates(labels: Sequence) -> Iterator[tuple[int, ...]]:
+    """Mate tuples of the pairings of the positions ``0..len(labels)-1``
+    whose blocks join equal labels, in a fixed order: the first free
+    position is paired with each later one in turn.
+
+    >>> list(pairing_mates("abab"))
+    [(2, 3, 0, 1)]
+    """
+
+    def rec(mate: list[int]):
+        if -1 not in mate:
+            yield tuple(mate)
+            return
+        first = mate.index(-1)
+        for x in range(first + 1, len(mate)):
+            if mate[x] < 0 and labels[x] == labels[first]:
+                mate[first], mate[x] = x, first
+                yield from rec(mate)
+                mate[first] = mate[x] = -1
+
+    return rec([-1] * len(labels))
+
+
 def pair_partitions(labels: Sequence) -> Iterator[PairPartition]:
-    """Pair partitions of the positions ``1..len(labels)`` whose blocks join
-    equal labels, in a fixed order: the first free position is paired with
-    each later one in turn.
+    """The pairings of :func:`pairing_mates`, in its order, on ``1..len(labels)``.
 
     >>> [m.blocks for m in pair_partitions("abab")]
     [((1, 3), (2, 4))]
     """
-
-    def rec(points: tuple[int, ...]):
-        if not points:
-            yield ()
-            return
-        first = points[0]
-        for i in range(1, len(points)):
-            if labels[first - 1] == labels[points[i] - 1]:
-                rest = points[1:i] + points[i + 1:]
-                for tail in rec(rest):
-                    yield ((first, points[i]),) + tail
-
-    for blocks in rec(tuple(range(1, len(labels) + 1))):
-        yield PairPartition(blocks)
+    for mate in pairing_mates(labels):
+        yield PairPartition(tuple((a + 1, b + 1) for a, b in enumerate(mate) if a < b))
 
 
 def all_pair_partitions(k: int) -> Iterator[PairPartition]:
@@ -357,17 +373,9 @@ def strong_admissible_sequence(m: PairPartition) -> tuple[int, ...]:
     >>> strong_admissible_sequence(PairPartition(((1, 3), (2, 6), (4, 5))))
     (1, 2, 1, 3, 3, 2)
     """
-    labels = {}
-    nxt = 1
-    out = []
-    for x in range(1, 2 * m.level + 1):
-        p = m.partner(x)
-        if p < x:
-            out.append(labels[p])
-        else:
-            labels[x] = nxt
-            out.append(nxt)
-            nxt += 1
+    out: list[int] = []
+    for x, mate in enumerate(m.mates):
+        out.append(out[mate] if mate < x else max(out, default=0) + 1)
     return tuple(out)
 
 

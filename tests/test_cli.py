@@ -293,6 +293,34 @@ def test_unitary_only_bounds_refuse_other_families(capsys):
     assert code == 0 and json.loads(out)["family"] == "u"
 
 
+def test_engine_warnings_print_once_as_warning_lines(capsys):
+    message = "warning: |dminus|=5 exceeds d=2: no signature (a,b) realizes this\n"
+    code, out, err = run_capture(capsys, ["moment", "--family", "aiii", "--rows", "1,2",
+                                          "--cols", "2,1", "--dim", "2", "--dminus", "5"])
+    assert (code, out, err) == (0, "-7/2\n", message)
+    code, out, err = run_capture(capsys, ["value", "--family", "aiii", "--perm", "2,1",
+                                          "--dim", "2", "--dminus", "5"])
+    assert (code, out, err) == (0, "-7/2\n", message)
+
+
+def test_bounds_refuse_a_flag_their_check_ignores(capsys):
+    for check, flag, value in (("counts", "--dim", "3"), ("neighborhood", "--dim", "3"),
+                               ("injection", "--dim", "3"), ("ratio", "--gmax", "1"),
+                               ("neighborhood", "--gmax", "1"), ("injection", "--gmax", "0"),
+                               ("counts", "--extra", "2"), ("ratio", "--extra", "2"),
+                               ("neighborhood", "--extra", "4")):
+        argv = ["bounds", "--check", check, "--k", "2", flag, value]
+        if check == "ratio" and flag != "--dim":
+            argv += ["--dim", "5"]
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {flag} does not apply to --check {check}\n")
+    # the defaults --gmax 3 and --extra 4 still apply where they are used
+    for check, flag, value in (("counts", "--gmax", "3"), ("injection", "--extra", "4")):
+        plain = run_capture(capsys, ["bounds", "--check", check, "--k", "2"])
+        assert plain[0] == 0
+        assert run_capture(capsys, ["bounds", "--check", check, "--k", "2", flag, value]) == plain
+
+
 def test_cache_io_errors_name_the_path_flag(capsys, tmp_path):
     missing = tmp_path / "missing.tsv"
     code, out, err = run_capture(capsys, ["cache", "verify", "--path", str(missing)])

@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from wgcalc.exact import SingularSystemError, wg, wg_class
 from wgcalc.moments import (
     IndexRangeError,
     MomentSpec,
+    _term_classes,
     delta_admissible,
     delta_sigma,
     exact_moment,
@@ -21,6 +23,7 @@ from wgcalc.symcore import (
     all_permutations,
     parse_pair_partition,
     parse_permutation,
+    partitions,
     strong_admissible_sequence,
 )
 
@@ -224,6 +227,35 @@ def test_single_entry_moments_match_closed_forms_at_d8():
         ones = (1,) * (2 * k)
         want = F(prod(range(1, 2 * k, 2)), prod(d + 2 * j for j in range(k)))
         assert exact_moment(MomentSpec("o", ones, ones, d=d)) == want
+
+
+def _centralizer(mu, scale=1):
+    # z_mu = prod i^{m_i} m_i!; scale=2 gives z_{2 mu} = prod (2i)^{m_i} m_i!
+    return prod((scale * i) ** m * factorial(m) for i, m in Counter(mu).items())
+
+
+def test_all_equal_class_counts_match_closed_forms():
+    # with every label equal, each class holds a fixed share of the terms:
+    # k!/z_mu permutations per cycle type, 2^k k!/z_{2 mu} pairings per coset
+    # type, (2k-1)!! row pairings and 2^k k! matchings per COE pairing
+    def counts(spec):
+        totals = Counter()
+        for mu, n in _term_classes(spec):
+            totals[mu] += n
+        return totals
+
+    ones = (1,) * 5
+    assert counts(MomentSpec("u", ones, ones, ones, ones, d=5)) == {
+        mu: factorial(5) ** 2 // _centralizer(mu) for mu in partitions(5)}
+    ones = (1,) * 8
+    assert counts(MomentSpec("o", ones, ones, d=8)) == {
+        mu: 105 * 2 ** 4 * factorial(4) // _centralizer(mu, 2) for mu in partitions(4)}
+    ones = (1,) * 3
+    assert counts(MomentSpec("coe", ones, ones, ones, ones, d=3)) == {
+        mu: (2 ** 3 * factorial(3)) ** 2 // _centralizer(mu, 2) for mu in partitions(3)}
+    ones = (1,) * 6
+    assert counts(MomentSpec("aiii", ones, ones, d=6, dminus=0)) == {
+        mu: factorial(6) // _centralizer(mu) for mu in partitions(6)}
 
 
 def test_moments_below_level_are_refused():

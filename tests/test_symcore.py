@@ -7,6 +7,7 @@ from wgcalc.symcore import (
     Permutation,
     act,
     all_pair_partitions,
+    all_permutations,
     class_representative,
     coset_representative,
     format_pair_partition,
@@ -17,6 +18,7 @@ from wgcalc.symcore import (
     parse_permutation,
     partitions,
     strong_admissible_sequence,
+    union_type,
 )
 
 
@@ -216,6 +218,34 @@ def test_coset_type_against_bruteforce_multigraph():
             rng.shuffle(a)
             m = act(Permutation(tuple(a)), e)
             assert m.coset_type() == _coset_type_bruteforce(m)
+
+
+def test_union_type_is_the_coset_type_of_the_reduced_pairing():
+    # W_o(m, n) is read at the coset type of m^-1 . n; the union of m and n
+    # has the same halved cycle lengths
+    for k in range(4):
+        pairings = list(all_pair_partitions(k))
+        for m in pairings:
+            m_inverse = m.as_permutation().inverse()
+            for n in pairings:
+                assert act(m_inverse, n).coset_type() == union_type(m.mates, n.mates)
+
+
+def _bipartite(sigma: Permutation) -> tuple[int, ...]:
+    # point sigma(r) - 1 of the first k joined to point k + r - 1 of the last k
+    k = sigma.level
+    mate = [0] * (2 * k)
+    for r in range(1, k + 1):
+        mate[sigma(r) - 1], mate[k + r - 1] = k + r - 1, sigma(r) - 1
+    return tuple(mate)
+
+
+def test_union_type_of_bipartite_matchings_is_a_cycle_type():
+    perms = list(all_permutations(4))
+    for sigma in perms:
+        for tau in perms:
+            assert (sigma * tau.inverse()).cycle_type() == union_type(_bipartite(sigma),
+                                                                      _bipartite(tau))
 
 
 def test_stat_preserving_drops():
