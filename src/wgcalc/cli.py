@@ -168,21 +168,21 @@ def cmd_paths(args) -> int:
         raise UsageError("--dashed applies only to family aiii")
     if args.dashed is not None and args.dashed < 0:
         raise UsageError(f"--dashed: must be nonnegative, got {args.dashed}")
-    count = graphs.count_paths(kind, elem, args.solid, args.dashed)
+    try:
+        count = graphs.count_paths(kind, elem, args.solid, args.dashed)
+        paths = graphs.enumerate_paths(kind, elem, args.solid) if args.list else None
+    except RecursionError:
+        raise UsageError(f"--solid: {args.solid} steps exceed the recursion limit") from None
     lines = [f"count: {count}"]
-    listed = None
-    if args.list:
-        paths = graphs.enumerate_paths(kind, elem, args.solid)
-        if args.dashed is not None:
-            paths = [p for p in paths if p.count(graphs.DASHED) == args.dashed]
-        listed = [graphs.format_path(p) for p in paths]
-        lines.extend(listed)
     record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid,
               "count": count}
     if args.dashed is not None:
         record["dashed"] = args.dashed
-    if listed is not None:
-        record["paths"] = listed
+    if paths is not None:
+        if args.dashed is not None:
+            paths = [p for p in paths if p.count(graphs.DASHED) == args.dashed]
+        record["paths"] = [graphs.format_path(p) for p in paths]
+        lines.extend(record["paths"])
     _emit(args, record, lines)
     return 0
 
@@ -193,12 +193,18 @@ def cmd_factorizations(args) -> int:
     elem = _parse_element(args, family)
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
-    hits = [f for f in graphs.enumerate_monotone_factorizations(kind, elem.level, args.length)
-            if f.target() == elem]
-    texts = ["".join(f"({s},{t})" for s, t in f.transpositions) or "e" for f in hits]
-    lines = [f"count: {len(hits)}"]
+    try:
+        count = graphs.count_paths(kind, elem, args.length)
+        paths = graphs.enumerate_paths(kind, elem, args.length) if args.list else []
+    except RecursionError:
+        raise UsageError(f"--length: {args.length} steps exceed the recursion limit") from None
+    # one factorization per path; the (t, s) key lists them in monotone-sequence order
+    factors = sorted((graphs.path_to_factorization(p).transpositions for p in paths),
+                     key=lambda ts: [(t, s) for s, t in ts])
+    texts = ["".join(f"({s},{t})" for s, t in ts) or "e" for ts in factors]
+    lines = [f"count: {count}"]
     record = {"family": family, "element": symcore.format_element(elem),
-              "length": args.length, "count": len(hits)}
+              "length": args.length, "count": count}
     if args.list:
         lines.extend(texts)
         record["factorizations"] = texts
@@ -310,8 +316,8 @@ def _mc_dims(args, family: str) -> tuple[int, int | None]:
         if args.sig is None:
             raise UsageError("--sig A,B is required for family aiii")
         sig = _int_list(args.sig, "--sig")
-        if len(sig) != 2:
-            raise UsageError(f"--sig: expected two integers, got {args.sig!r}")
+        if len(sig) != 2 or sig[1] < 0 or sig[0] < sig[1]:
+            raise UsageError(f"--sig: expected two integers A >= B >= 0, got {args.sig!r}")
         a, b = sig
         if dim is not None and dim != a + b:
             raise UsageError(f"--dim: {dim} does not match signature {a}+{b}")

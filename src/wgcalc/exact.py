@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import ratfunc
-from .graphs import GraphKind, class_node, count_paths
+from .graphs import GraphKind, class_node, count_paths, dashed_target, solid_targets
 from .symcore import (
     PairPartition,
     Permutation,
@@ -217,9 +217,10 @@ def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False
 def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     """COE value solved element by element from its own recurrence.
 
-    No class reduction: one unknown per pair partition of each level, so
-    this route is structurally independent of ``wg("coe", ...)`` and
-    doubles as a check of the class constancy it assumes.
+    No class reduction: one unknown per pair partition of each level, its
+    edges read element by element from :mod:`wgcalc.graphs`, so this route
+    is structurally independent of ``wg("coe", ...)`` and doubles as a
+    check of the class constancy it assumes.
     """
     _check_coe_dim(_check_dim(d))
     return _coe_level(d, m.level)[m]
@@ -236,11 +237,11 @@ def _coe_level(d: int, j: int) -> dict:
     rows, rhs = [], []
     for e in elems:
         row = {index[e]: d + 1}
-        for i in range(1, 2 * j - 1):
-            col = index[e.swap_points(i, 2 * j - 1)]
+        for target in solid_targets(GraphKind.ORTHOGONAL, e):
+            col = index[target]
             row[col] = row.get(col, 0) + 1
         rows.append(row)
-        rhs.append(below[e.pairing_down()] if e.has_top_block() else 0)
+        rhs.append(below.get(dashed_target(GraphKind.ORTHOGONAL, e), 0))
     sol = ratfunc.solve_linear_exact(rows, rhs)
     if sol is None:
         raise SingularSystemError("coe", j, d)

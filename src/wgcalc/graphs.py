@@ -13,9 +13,11 @@ of ``{1..k}`` (unitary, A III) or pair partitions of ``{1..2k}``
 * squiggled (A III only), dropping two levels: remove the 2-cycle through
   the top point.
 
-A path runs from its start vertex down to the empty object.  Paths with
-their solid-step annotations biject with monotone transposition
-factorizations; both directions are implemented below.
+No other module decides an element's edges (:func:`solid_targets`,
+:func:`dashed_target`, :func:`squiggled_target`).  A path runs from its
+start vertex down to the empty object; paths with their solid-step
+annotations biject with monotone transposition factorizations
+(Matsumoto-Novak), both directions implemented below.
 
 Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level, kept in
@@ -87,38 +89,47 @@ def _top(kind: GraphKind, level: int) -> int:
     return 2 * level - 1 if kind is GraphKind.ORTHOGONAL else level
 
 
-def _swapper(kind: GraphKind, elem: Element):
-    """``elem``'s action by a transposition: on points, or on values."""
-    return elem.swap_points if kind is GraphKind.ORTHOGONAL else elem.swap_values
-
-
-def _solid_targets(kind: GraphKind, elem: Element) -> list[Element]:
+def solid_targets(kind: GraphKind, elem: Element) -> list[Element]:
     """Targets of the solid steps leaving ``elem``; index ``i`` sits at position ``i-1``."""
-    top, swap = _top(kind, elem.level), _swapper(kind, elem)
+    _check_element(kind, elem)
+    top = _top(kind, elem.level)
+    swap = elem.swap_points if kind is GraphKind.ORTHOGONAL else elem.swap_values
     return [swap(i, top) for i in range(1, top)]
 
 
 def solid_neighbors(kind: GraphKind, elem: Element) -> tuple[EdgeStep, ...]:
     """All solid steps leaving ``elem``, in index order.  Empty at low levels."""
-    _check_element(kind, elem)
+    targets = solid_targets(kind, elem)
     top = _top(kind, elem.level)
-    return tuple(EdgeStep(SOLID, i, t, top) for i, t in enumerate(_solid_targets(kind, elem), 1))
+    return tuple(EdgeStep(SOLID, i, t, top) for i, t in enumerate(targets, 1))
 
 
 def dashed_target(kind: GraphKind, elem: Element) -> Element | None:
+    """``elem`` without its fixed top point ``k``, respectively its top block
+    ``{2k-1, 2k}`` (last in canonical block order); None if there is none."""
     _check_element(kind, elem)
-    if elem.level == 0:
-        return None
+    k = elem.level
     if kind is GraphKind.ORTHOGONAL:
-        return elem.pairing_down() if elem.has_top_block() else None
-    return elem.restrict_down() if elem.fixes_top() else None
+        has_top = elem.blocks[-1:] == ((2 * k - 1, 2 * k),)
+        return PairPartition(elem.blocks[:-1]) if has_top else None
+    return Permutation(elem.images[:-1]) if elem.images[-1:] == (k,) else None
 
 
 def squiggled_target(kind: GraphKind, elem: Element) -> Permutation | None:
+    """``elem`` without the 2-cycle ``(r k)`` through its top point, squeezed
+    onto ``{1..k-2}`` in order; None if the top is in no 2-cycle.
+
+    >>> squiggled_target(GraphKind.AIII, Permutation((4, 5, 1, 3, 2)))
+    Permutation(images=(3, 1, 2))
+    """
     if kind is not GraphKind.AIII:
         raise ValueError(f"squiggled edges exist only in the A III graph, not {kind.value}")
     _check_element(kind, elem)
-    return elem.flat() if elem.top_in_two_cycle() else None
+    imgs, k = elem.images, elem.level
+    r = imgs[-1] if k else 0
+    if r == k or imgs[r - 1] != k:
+        return None
+    return Permutation(tuple(y - (y > r) for x, y in enumerate(imgs[:-1], 1) if x != r))
 
 
 class ClassNode(NamedTuple):
@@ -351,7 +362,7 @@ def factorization_to_path(f: MonotoneFactorization) -> Path:
             descend_once()
         if cur.level != want_level:
             raise ValueError(f"factor ({s},{t}) sits above the current level {cur.level}")
-        nxt = _swapper(kind, cur)(s, t)
+        nxt = solid_targets(kind, cur)[s - 1]
         steps.append(EdgeStep(SOLID, s, nxt, t))
         cur = nxt
     while cur.level > 0:
@@ -364,8 +375,8 @@ def enumerate_monotone_factorizations(
 ) -> Iterator[MonotoneFactorization]:
     """Brute-force generator of every monotone sequence of given length.
 
-    Deliberately independent of the path machinery so the two can be played
-    against each other; intended for small levels only.
+    Deliberately independent of the path machinery: the tests' oracle for
+    the bijection, in the order ``wg factorizations`` lists.  Small levels only.
     """
     if kind is GraphKind.ORTHOGONAL:
         choices = [

@@ -1,4 +1,5 @@
-"""Permutations, integer partitions and pair partitions.
+"""Permutations, integer partitions, pair partitions and the transpositions
+acting on them; :mod:`wgcalc.graphs` decides which actions are graph edges.
 
 Conventions used throughout the package:
 
@@ -158,43 +159,6 @@ class Permutation:
         """Minimal number of transpositions whose product is this permutation."""
         return self.level - len(self.cycles())
 
-    def fixes_top(self) -> bool:
-        return self.level > 0 and self.images[-1] == self.level
-
-    def restrict_down(self) -> "Permutation":
-        """Drop the fixed top point ``k``; requires ``sigma(k) == k``."""
-        if self.level == 0:
-            raise ValueError("cannot restrict the empty permutation")
-        if not self.fixes_top():
-            raise ValueError(f"top point is not fixed: {self.images}")
-        return Permutation(self.images[:-1])
-
-    def top_in_two_cycle(self) -> bool:
-        k = self.level
-        return k >= 2 and self(k) != k and self(self(k)) == k
-
-    def flat(self) -> "Permutation":
-        """Remove the 2-cycle through the top point and relabel.
-
-        With ``r = sigma(k)`` and ``sigma(r) = k``, the restriction to
-        ``{1..k-1} minus {r}`` is squeezed onto ``{1..k-2}`` by the
-        order-preserving relabeling.
-
-        >>> Permutation((4, 5, 1, 3, 2)).flat()
-        Permutation(images=(3, 1, 2))
-        """
-        if not self.top_in_two_cycle():
-            raise ValueError(f"top point is not in a 2-cycle: {self.images}")
-        k = self.level
-        r = self(k)
-        squeeze = lambda y: y if y < r else y - 1
-        imgs = [0] * (k - 2)
-        for x in range(1, k):
-            if x == r:
-                continue
-            imgs[squeeze(x) - 1] = squeeze(self(x))
-        return Permutation(tuple(imgs))
-
     def swap_values(self, a: int, b: int) -> "Permutation":
         """Left-multiply by the transposition ``(a b)``."""
         if not (1 <= a <= self.level and 1 <= b <= self.level) or a == b:
@@ -265,18 +229,6 @@ class PairPartition:
 
     def absolute_length(self) -> int:
         return self.level - len(self.coset_type())
-
-    def has_top_block(self) -> bool:
-        k = self.level
-        return k > 0 and (2 * k - 1, 2 * k) in self.blocks
-
-    def pairing_down(self) -> "PairPartition":
-        """Drop the block ``{2k-1, 2k}``; requires that block to be present."""
-        if self.level == 0:
-            raise ValueError("cannot drop a block from the empty pairing")
-        if not self.has_top_block():
-            raise ValueError(f"top block missing: {self.blocks}")
-        return PairPartition(self.blocks[:-1])
 
     def as_permutation(self) -> Permutation:
         """The permutation sending the trivial pairing to this one, block order."""

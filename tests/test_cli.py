@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from wgcalc import cli
+from wgcalc import cli, graphs, symcore
 from wgcalc.bounds import BoundReport, BoundRow
+from wgcalc.graphs import GraphKind
+from wgcalc.symcore import all_pair_partitions, all_permutations
 
 
 def run_capture(capsys, argv):
@@ -136,6 +138,36 @@ def test_paths_and_factorizations_agree(capsys):
     assert json.loads(out)["count"] == count
 
 
+def test_factorization_listing_follows_the_brute_force_order(capsys):
+    # the listing comes from the paths; the brute-force generator, filtered
+    # by target, fixes the order it must print
+    cases = [(GraphKind.UNITARY, "--perm", k, p) for k in range(5) for p in all_permutations(k)]
+    cases += [(GraphKind.ORTHOGONAL, "--pairing", k, m)
+              for k in range(4) for m in all_pair_partitions(k)]
+    brute = {}
+    for kind, flag, k, elem in cases:
+        for length in range(elem.absolute_length() + 3):
+            if (kind, k, length) not in brute:
+                hits = brute[kind, k, length] = {}
+                for f in graphs.enumerate_monotone_factorizations(kind, k, length):
+                    text = "".join(f"({s},{t})" for s, t in f.transpositions) or "e"
+                    hits.setdefault(f.target(), []).append(text)
+            texts = brute[kind, k, length].get(elem, [])
+            argv = ["factorizations", "--family", kind.value, flag,
+                    symcore.format_element(elem), "--length", str(length), "--list"]
+            code, out, _ = run_capture(capsys, argv)
+            assert (code, out) == (0, f"count: {len(texts)}\n" + "".join(t + "\n" for t in texts))
+
+
+def test_path_walks_refuse_a_step_count_past_the_recursion_limit(capsys):
+    for flag, argv in (("--solid", ["paths", "--family", "u", "--perm", "2,1"]),
+                       ("--solid", ["paths", "--family", "u", "--perm", "2,3,4,1", "--list"]),
+                       ("--length", ["factorizations", "--family", "u", "--perm", "2,1"])):
+        code, out, err = run_capture(capsys, [*argv, flag, "5000"])
+        message = f"error: {flag}: 5000 steps exceed the recursion limit\n"
+        assert (code, out, err) == (1, "", message)
+
+
 def test_bounds_pass_and_failure_exit_codes(capsys, monkeypatch):
     code, out, _ = run_capture(capsys, ["bounds", "--family", "u", "--k", "2", "--gmax", "1"])
     assert code == 0
@@ -230,6 +262,11 @@ def test_errors_name_the_offending_argument(capsys):
                                         "--dim", "5", "--rows", "1", "--cols", "1"])
     assert code == 1
     assert "--dim" in err
+    for sig in ("2,-1", "1,2"):
+        code, out, err = run_capture(capsys, ["mc", "--family", "aiii", "--sig", sig,
+                                              "--rows", "1", "--cols", "1"])
+        message = f"error: --sig: expected two integers A >= B >= 0, got '{sig}'\n"
+        assert (code, out, err) == (1, "", message)
     for seed in ("-1", str(2**64)):
         code, _, err = run_capture(capsys, ["mc", "--family", "u", "--dim", "1", "--rows", "1",
                                             "--cols", "1", "--seed", seed])

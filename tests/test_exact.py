@@ -14,7 +14,13 @@ from wgcalc.exact import (
     wg_class,
     wg_coe_direct,
 )
-from wgcalc.graphs import GraphKind, count_class_paths
+from wgcalc.graphs import (
+    GraphKind,
+    count_class_paths,
+    dashed_target,
+    solid_neighbors,
+    squiggled_target,
+)
 from wgcalc.symcore import (
     PairPartition,
     Permutation,
@@ -79,47 +85,44 @@ def test_unitary_recurrence_residual_elementwise():
     # just the class representatives it was assembled from
     d = 7
     lookup = functools.partial(wg, "u", d=d)
+    kind = GraphKind.UNITARY
     for k in range(1, 5):
         for sigma in all_permutations(k):
             lhs = d * lookup(sigma)
-            acc = F(0)
-            for i in range(1, k):
-                acc += lookup(sigma.swap_values(i, k))
-            rhs = -acc
-            if sigma.fixes_top():
-                rhs += lookup(sigma.restrict_down())
+            rhs = -sum(lookup(step.target) for step in solid_neighbors(kind, sigma))
+            down = dashed_target(kind, sigma)
+            if down is not None:
+                rhs += lookup(down)
             assert lhs == rhs, sigma
 
 
 def test_orthogonal_recurrence_residual_elementwise():
     d = 5
     lookup = functools.partial(wg, "o", d=d)
+    kind = GraphKind.ORTHOGONAL
     for k in range(1, 4):
         for m in all_pair_partitions(k):
             lhs = d * lookup(m)
-            acc = F(0)
-            for i in range(1, 2 * k - 1):
-                acc += lookup(m.swap_points(i, 2 * k - 1))
-            rhs = -acc
-            if m.has_top_block():
-                rhs += lookup(m.pairing_down())
+            rhs = -sum(lookup(step.target) for step in solid_neighbors(kind, m))
+            down = dashed_target(kind, m)
+            if down is not None:
+                rhs += lookup(down)
             assert lhs == rhs, m
 
 
 def test_aiii_recurrence_residual_elementwise():
     d, dm = 5, 2
     lookup = functools.partial(wg, "aiii", d=d, dminus=dm)
+    kind = GraphKind.AIII
     for k in range(1, 5):
         for sigma in all_permutations(k):
             lhs = d * lookup(sigma)
-            acc = F(0)
-            for i in range(1, k):
-                acc += lookup(sigma.swap_values(i, k))
-            rhs = -acc
-            if sigma.fixes_top():
-                rhs += dm * lookup(sigma.restrict_down())
-            elif sigma.top_in_two_cycle():
-                rhs += lookup(sigma.flat())
+            rhs = -sum(lookup(step.target) for step in solid_neighbors(kind, sigma))
+            down, flat = dashed_target(kind, sigma), squiggled_target(kind, sigma)
+            if down is not None:
+                rhs += dm * lookup(down)
+            elif flat is not None:
+                rhs += lookup(flat)
             assert lhs == rhs, sigma
 
 

@@ -48,27 +48,6 @@ def test_absolute_length_examples():
     assert Permutation((4, 1, 5, 3, 2)).absolute_length() == 4
 
 
-def test_restrict_down():
-    assert Permutation((1, 3, 2, 4)).restrict_down() == Permutation((1, 3, 2))
-    assert Permutation((1,)).restrict_down() == Permutation(())
-    assert Permutation((2, 1, 3)).restrict_down() == Permutation((2, 1))
-    with pytest.raises(ValueError):
-        Permutation((2, 3, 1)).restrict_down()
-    with pytest.raises(ValueError):
-        Permutation(()).restrict_down()
-
-
-def test_flat_examples():
-    assert Permutation((4, 5, 1, 3, 2)).flat() == Permutation((3, 1, 2))
-    assert Permutation((2, 1)).flat() == Permutation(())
-    assert Permutation((1, 3, 2)).flat() == Permutation((1,))
-    # top fixed, or in a longer cycle: no 2-cycle through the top point
-    with pytest.raises(ValueError):
-        Permutation((2, 1, 3)).flat()
-    with pytest.raises(ValueError):
-        Permutation((2, 3, 1)).flat()
-
-
 def test_act_examples():
     e2 = PairPartition.trivial(2)
     z = Permutation.transposition(4, 2, 3)
@@ -86,13 +65,6 @@ def test_coset_type_examples():
     assert PairPartition(((1, 3), (2, 6), (4, 5))).coset_type() == (3,)
     assert PairPartition(((1, 3), (2, 4))).absolute_length() == 1
     assert PairPartition.trivial(4).absolute_length() == 0
-
-
-def test_pairing_down():
-    m = PairPartition(((1, 2), (3, 4)))
-    assert m.pairing_down() == PairPartition(((1, 2),))
-    with pytest.raises(ValueError):
-        PairPartition(((1, 3), (2, 4))).pairing_down()
 
 
 def test_class_representative():
@@ -246,17 +218,6 @@ def test_union_type_of_bipartite_matchings_is_a_cycle_type():
         for tau in perms:
             assert (sigma * tau.inverse()).cycle_type() == union_type(_bipartite(sigma),
                                                                       _bipartite(tau))
-
-
-def test_stat_preserving_drops():
-    # restriction keeps cycle structure minus the fixed point; the dropped
-    # top block never changes the pairing length
-    assert Permutation((2, 1, 3)).restrict_down().cycle_type() == (2,)
-    for k in range(1, 4):
-        for m in all_pair_partitions(k):
-            if m.has_top_block():
-                down = m.pairing_down()
-                assert down.absolute_length() == m.absolute_length()
 
 
 def test_as_permutation_recovers_pairing():
