@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wgcalc.graphs import GraphKind, dashed_target, squiggled_target
 from wgcalc.symcore import (
     PairPartition,
     Permutation,
@@ -48,6 +49,26 @@ def test_absolute_length_examples():
     assert Permutation((4, 1, 5, 3, 2)).absolute_length() == 4
 
 
+def test_restrict_down():
+    # the dashed edge of the unitary graph drops a fixed top point
+    u = GraphKind.UNITARY
+    assert dashed_target(u, Permutation((1, 3, 2, 4))) == Permutation((1, 3, 2))
+    assert dashed_target(u, Permutation((1,))) == Permutation(())
+    assert dashed_target(u, Permutation((2, 1, 3))) == Permutation((2, 1))
+    assert dashed_target(u, Permutation((2, 3, 1))) is None
+    assert dashed_target(u, Permutation(())) is None
+
+
+def test_flat_examples():
+    a3 = GraphKind.AIII
+    assert squiggled_target(a3, Permutation((4, 5, 1, 3, 2))) == Permutation((3, 1, 2))
+    assert squiggled_target(a3, Permutation((2, 1))) == Permutation(())
+    assert squiggled_target(a3, Permutation((1, 3, 2))) == Permutation((1,))
+    # top fixed, or in a longer cycle: no 2-cycle through the top point
+    assert squiggled_target(a3, Permutation((2, 1, 3))) is None
+    assert squiggled_target(a3, Permutation((2, 3, 1))) is None
+
+
 def test_act_examples():
     e2 = PairPartition.trivial(2)
     z = Permutation.transposition(4, 2, 3)
@@ -65,6 +86,15 @@ def test_coset_type_examples():
     assert PairPartition(((1, 3), (2, 6), (4, 5))).coset_type() == (3,)
     assert PairPartition(((1, 3), (2, 4))).absolute_length() == 1
     assert PairPartition.trivial(4).absolute_length() == 0
+
+
+def test_pairing_down():
+    # the dashed edge of the orthogonal graph drops a top block {2k-1, 2k}
+    o = GraphKind.ORTHOGONAL
+    m = PairPartition(((1, 2), (3, 4)))
+    assert dashed_target(o, m) == PairPartition(((1, 2),))
+    assert dashed_target(o, PairPartition(((1, 3), (2, 4)))) is None
+    assert dashed_target(o, PairPartition(())) is None
 
 
 def test_class_representative():
@@ -218,6 +248,17 @@ def test_union_type_of_bipartite_matchings_is_a_cycle_type():
         for tau in perms:
             assert (sigma * tau.inverse()).cycle_type() == union_type(_bipartite(sigma),
                                                                       _bipartite(tau))
+
+
+def test_stat_preserving_drops():
+    # restriction keeps cycle structure minus the fixed point; the dropped
+    # top block never changes the pairing length
+    assert dashed_target(GraphKind.UNITARY, Permutation((2, 1, 3))).cycle_type() == (2,)
+    for k in range(1, 4):
+        for m in all_pair_partitions(k):
+            down = dashed_target(GraphKind.ORTHOGONAL, m)
+            if down is not None:
+                assert down.absolute_length() == m.absolute_length()
 
 
 def test_as_permutation_recovers_pairing():
