@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import wg_class
-from .graphs import GraphKind, count_class_paths
+from .graphs import GraphKind, count_class_paths, count_table
 from .symcore import Permutation, format_partition, partitions
 
 
@@ -112,11 +112,12 @@ def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
     if k < 1 or gmax < 0:
         raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
+    table = count_table(GraphKind.UNITARY, k, k - 1 + 2 * gmax)
     for mu in partitions(k):
-        n = k - len(mu)
-        base = count_class_paths(GraphKind.UNITARY, mu, n)
+        row = table[mu][0][k - len(mu):]  # counts from the minimal length on
+        base = row[0]
         for g in range(gmax + 1):
-            cnt = count_class_paths(GraphKind.UNITARY, mu, n + 2 * g)
+            cnt = row[2 * g]
             low_bound = (k - 1) ** g * base
             ok_low = low_bound <= cnt
             low = Fraction(low_bound, cnt) if cnt else None
@@ -159,15 +160,16 @@ def certify_orthogonal_bounds(k: int, gmax: int) -> BoundReport:
     if k < 1 or gmax < 0:
         raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
+    table = count_table(GraphKind.ORTHOGONAL, k, k - 1 + 2 * gmax)
     for mu in partitions(k):
-        n = k - len(mu)
-        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
+        row = table[mu][0][k - len(mu):]  # counts from the minimal length on
+        base = row[0]
         for g in range(gmax + 1):
-            even_cnt = count_class_paths(GraphKind.ORTHOGONAL, mu, n + 2 * g)
+            even_cnt = row[2 * g]
             low_bound = (2 * k - 2) ** g * base
             ok_low = low_bound <= even_cnt
             low = Fraction(low_bound, even_cnt) if even_cnt else None
-            cnt = count_class_paths(GraphKind.ORTHOGONAL, mu, n + g)
+            cnt = row[g]
             ok_up = cnt * cnt <= 144**g * k ** (7 * g) * base * base
             up = Fraction(cnt * cnt, 144**g * k ** (7 * g) * base * base)
             rows.append(BoundRow(format_partition(mu), g, low, up, ok_low and ok_up))
@@ -183,7 +185,7 @@ def certify_sp_ratio(k: int, d: int) -> BoundReport:
     rows = []
     for mu in partitions(k):
         n = k - len(mu)
-        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
+        base = _minimal_count(mu)
         value = Fraction(2 * d) ** (n + k) * wg_class("sp", mu, d)
         lower_bound = base * Fraction(2 * d * d, 2 * d * d - (k - 1))
         ok_low = lower_bound <= value
@@ -209,7 +211,7 @@ def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
     rows = []
     for mu in partitions(k):
         n = k - len(mu)
-        base = count_class_paths(GraphKind.ORTHOGONAL, mu, n)
+        base = _minimal_count(mu)
         value = (-1) ** n * Fraction(d) ** (n + k) * wg_class("o", mu, d)
         scaled = value * (d * d - 144 * k**7)
         ok_up = scaled <= base * d * d
@@ -278,11 +280,12 @@ def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
     if extra < 0:
         raise ValueError(f"extra must be nonnegative, got {extra}")
     rows = []
+    table = count_table(GraphKind.UNITARY, k, k + 1 + extra)
     for mu in partitions(k):
         n = k - len(mu)
+        row = table[mu][0]
         for l in range(n, n + extra + 1):
-            here = count_class_paths(GraphKind.UNITARY, mu, l)
-            above = count_class_paths(GraphKind.UNITARY, mu, l + 2)
+            here, above = row[l], row[l + 2]
             ok = (k - 1) * here <= above
             margin = Fraction((k - 1) * here, above) if above else None
             rows.append(BoundRow(format_partition(mu), l, margin, None, ok))

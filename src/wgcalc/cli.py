@@ -168,11 +168,8 @@ def cmd_paths(args) -> int:
         raise UsageError("--dashed applies only to family aiii")
     if args.dashed is not None and args.dashed < 0:
         raise UsageError(f"--dashed: must be nonnegative, got {args.dashed}")
-    try:
-        count = graphs.count_paths(kind, elem, args.solid, args.dashed)
-        paths = graphs.enumerate_paths(kind, elem, args.solid) if args.list else None
-    except RecursionError:
-        raise UsageError(f"--solid: {args.solid} steps exceed the recursion limit") from None
+    count = graphs.count_paths(kind, elem, args.solid, args.dashed)
+    paths = graphs.enumerate_paths(kind, elem, args.solid) if args.list else None
     lines = [f"count: {count}"]
     record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid,
               "count": count}
@@ -193,11 +190,8 @@ def cmd_factorizations(args) -> int:
     elem = _parse_element(args, family)
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
-    try:
-        count = graphs.count_paths(kind, elem, args.length)
-        paths = graphs.enumerate_paths(kind, elem, args.length) if args.list else []
-    except RecursionError:
-        raise UsageError(f"--length: {args.length} steps exceed the recursion limit") from None
+    count = graphs.count_paths(kind, elem, args.length)
+    paths = graphs.enumerate_paths(kind, elem, args.length) if args.list else []
     # one factorization per path; the (t, s) key lists them in monotone-sequence order
     factors = sorted((graphs.path_to_factorization(p).transpositions for p in paths),
                      key=lambda ts: [(t, s) for s, t in ts])
@@ -229,7 +223,10 @@ def _moment_spec(args, family: str, dims) -> MomentSpec:
 def cmd_moment(args) -> int:
     family = args.family
     spec = _moment_spec(args, family, lambda: (args.dim, _need_dminus(args, family)))
-    value = exact_moment(spec)
+    try:
+        value = exact_moment(spec)
+    except ValueError as exc:
+        raise UsageError(f"--dim: {exc}") from None
     record = {"family": family, "dim": spec.d, "rows": list(spec.rows),
               "cols": list(spec.cols), "value": str(value)}
     if spec.crows:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import ratfunc
-from .graphs import GraphKind, class_node, count_paths, dashed_target, solid_targets
+from .graphs import GraphKind, class_node, count_table, dashed_target, solid_targets
 from .symcore import (
     PairPartition,
     Permutation,
@@ -305,28 +305,26 @@ def series(family: str, element, order: int) -> SeriesTruncation:
         if not isinstance(element, Permutation):
             raise TypeError("unitary series expects a permutation")
         n = element.absolute_length()
-        coeffs = tuple(count_paths(GraphKind.UNITARY, element, n + 2 * g) for g in range(order + 1))
-        return SeriesTruncation("u", element, -(k + n), coeffs, order)
+        row = count_table(GraphKind.UNITARY, k, n + 2 * order)[element.cycle_type()][0]
+        return SeriesTruncation("u", element, -(k + n), tuple(row[n::2]), order)
     if family in ("o", "sp"):
         if not isinstance(element, PairPartition):
             raise TypeError("orthogonal and symplectic series expect a pair partition")
         n = element.absolute_length()
-        coeffs = tuple(count_paths(GraphKind.ORTHOGONAL, element, n + g) for g in range(order + 1))
-        return SeriesTruncation(family, element, -(k + n), coeffs, order)
+        row = count_table(GraphKind.ORTHOGONAL, k, n + order)[element.coset_type()][0]
+        return SeriesTruncation(family, element, -(k + n), tuple(row[n:]), order)
     if family == "aiii":
         if not isinstance(element, Permutation):
             raise TypeError("aiii series expects a permutation")
         by_exponent: dict[int, dict[int, int]] = {}
-        # exponent budget: l0 solid steps, l1 dashed, (k-l1)/2 squiggled
+        # exponent budget: l0 solid steps, l1 dashed, q = (k-l1)/2 squiggled
         max_n = 2 * k + 2 * order + 2
-        for l1 in range(k % 2, k + 1, 2):
-            base = (k + l1) // 2
-            for l0 in range(0, max_n - base + 1):
-                cnt = count_paths(GraphKind.AIII, element, l0, l1)
-                if cnt:
-                    n = l0 + base
-                    by_exponent.setdefault(n, {}).setdefault(l1, 0)
-                    by_exponent[n][l1] += (-1) ** l0 * cnt
+        rows = count_table(GraphKind.AIII, k, max_n - k + k // 2)[element.cycle_type()]
+        for q, row in enumerate(rows):
+            l1, base = k - 2 * q, k - q
+            for l0, cnt in enumerate(row[:max_n - base + 1]):
+                if cnt:  # the one term of exponent l0 + base with l1 dashed steps
+                    by_exponent.setdefault(l0 + base, {})[l1] = (-1) ** l0 * cnt
         nonzero = sorted(n for n, poly in by_exponent.items() if any(poly.values()))
         if not nonzero:
             raise AssertionError("every permutation admits at least one path")

@@ -20,16 +20,17 @@ annotations biject with monotone transposition factorizations
 (Matsumoto-Novak), both directions implemented below.
 
 Path counts are class functions of the start vertex (cycle type, coset
-type), so each kind is also described once at class level, kept in
-``functools`` caches: :func:`class_node` computes a class's solid targets
+type), so each kind is also described once at class level, kept in a
+``functools`` cache: :func:`class_node` computes a class's solid targets
 with multiplicities, dashed target and squiggled target from the partition
 alone.  A transposition moving the top point joins its cycle to another
 cycle or cuts it in two (Goulden-Jackson, *Transitive factorizations into
 transpositions*, PAMS 1997); on pairings the same join/cut acts on coset
 types, with the cuts that restore the block as self-loops.  No element is
-built.  One counter, :func:`count_class_paths`, recurses over
-``(class, solid, dashed)`` for every kind and keeps at most ``COUNT_CAP``
-counts, and :mod:`wgcalc.exact` builds its rows from the same nodes.  Class
+built.  One table, :func:`count_table`, sweeps the nodes bottom-up for
+every kind and depth, with no recursion and no count memo; series, bounds,
+:func:`count_class_paths` and :func:`enumerate_paths` read it, and
+:mod:`wgcalc.exact` builds its rows from the same nodes.  Class
 constancy is assumed, not derived; ``tests/test_graphs.py`` checks every
 node of small levels against the one read off a representative element,
 the class-level counts against element-level walks and
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import Iterator, NamedTuple, Union
 
-from .symcore import PairPartition, Permutation, format_element, validate_partition
+from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
 
 Element = Union[Permutation, PairPartition]
 
@@ -141,9 +142,6 @@ class ClassNode(NamedTuple):
     squiggled: tuple[int, ...] | None
 
 
-COUNT_CAP = 1 << 16  # path counts kept; one benchmark job holds at most 1249
-
-
 @cache
 def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     """The node of class ``mu``, computed from ``mu`` on first use.
@@ -178,21 +176,29 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     )
 
 
-@lru_cache(maxsize=COUNT_CAP)
-def _count(kind: GraphKind, mu: tuple[int, ...], solid: int, dashed: int) -> int:
-    if not mu:
-        return 1 if solid == 0 and dashed == 0 else 0
-    node = class_node(kind, mu)
-    total = 0
-    if solid > 0:
-        for target, mult in node.solid:
-            total += mult * _count(kind, target, solid - 1, dashed)
-    if node.dashed is not None:
-        if dashed > 0:
-            total += _count(kind, node.dashed, solid, dashed - 1)
-    elif node.squiggled is not None:
-        total += _count(kind, node.squiggled, solid, dashed)
-    return total
+def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], list[list[int]]]:
+    """Path counts from every class of level ``<= k``, swept bottom-up:
+    ``table[mu][q][s]`` counts the paths from ``mu`` with ``s <= solid`` solid
+    and ``q`` squiggled steps (``q`` is 0 outside A III).  A row at ``s`` is its
+    dashed (or squiggled, one ``q`` lower) target's row at ``s`` plus its solid
+    targets' rows at ``s - 1`` times their multiplicities."""
+    zeros = [0] * (solid + 1)
+    table = {(): [[1] + zeros[1:]]}
+    for j in range(1, k + 1):
+        nodes = {mu: class_node(kind, mu) for mu in partitions(j)}
+        n_rows = j // 2 + 1 if kind is GraphKind.AIII else 1
+        for mu, node in nodes.items():
+            below = (table[node.dashed] if node.dashed is not None
+                     else [zeros] + table.get(node.squiggled, []))
+            table[mu] = [(below[q] if q < len(below) else zeros)[:] for q in range(n_rows)]
+        # one (row, [(multiplicity, solid target's row)]) per class and q
+        plan = [(row, [(mult, table[target][q]) for target, mult in node.solid])
+                for mu, node in nodes.items() for q, row in enumerate(table[mu])]
+        for s in range(1, solid + 1):
+            for row, steps in plan:
+                for mult, target in steps:
+                    row[s] += mult * target[s - 1]
+    return table
 
 
 def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
@@ -204,12 +210,11 @@ def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
     An A III path takes ``dashed + 2*squiggled == k``; without ``dashed`` the
     count aggregates over every such split.
     """
-    if solid < 0 or (dashed is not None and dashed < 0):
+    if solid < 0:
         return 0
-    k = sum(mu)
-    if dashed is None and kind is GraphKind.AIII:
-        return sum(_count(kind, mu, solid, l1) for l1 in range(k, -1, -2))
-    return _count(kind, mu, solid, k if dashed is None else dashed)
+    mu = validate_partition(mu)
+    rows = count_table(kind, sum(mu), solid)[mu]
+    return sum(row[solid] for q, row in enumerate(rows) if dashed in (None, sum(mu) - 2 * q))
 
 
 def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
@@ -242,39 +247,35 @@ def enumerate_paths(
     kind: GraphKind, elem: Element, solid: int, limit: int | None = None
 ) -> list[Path]:
     """All paths with ``solid`` solid steps, ordered by the choices made at each
-    vertex: solid edges by index, then dashed, then squiggled.
-
+    vertex: solid edges by index, then dashed, then squiggled.  The walk keeps
+    its own stack and enters only vertices that :func:`count_table` puts on a path.
     Raises :class:`PathLimitExceeded` when more than ``limit`` paths exist.
     """
     _check_element(kind, elem)
+    table = count_table(kind, elem.level, solid)
+    class_of = PairPartition.coset_type if kind is GraphKind.ORTHOGONAL else Permutation.cycle_type
+
+    def live(node: Element, remaining: int) -> bool:
+        return any(row[remaining] for row in table[class_of(node)])
+
     out: list[Path] = []
     acc: list[EdgeStep] = []
-
-    def rec(node: Element, remaining: int) -> None:
+    # (steps taken before, step or None at the start, vertex reached, solid steps left)
+    stack = [(0, None, elem, solid)] if live(elem, solid) else []
+    while stack:
+        depth, step, node, remaining = stack.pop()
+        acc[depth:] = [step] if step else []
         if node.level == 0:
-            if remaining == 0:
-                if limit is not None and len(out) >= limit:
-                    raise PathLimitExceeded(limit)
-                out.append(Path(kind, elem, tuple(acc)))
-            return
-        if remaining > 0:
-            for step in solid_neighbors(kind, node):
-                acc.append(step)
-                rec(step.target, remaining - 1)
-                acc.pop()
-        down = dashed_target(kind, node)
-        if down is not None:
-            acc.append(EdgeStep(DASHED, None, down))
-            rec(down, remaining)
-            acc.pop()
-        if kind is GraphKind.AIII:
-            flat = squiggled_target(kind, node)
-            if flat is not None:
-                acc.append(EdgeStep(SQUIGGLED, None, flat))
-                rec(flat, remaining)
-                acc.pop()
-
-    rec(elem, solid)
+            if limit is not None and len(out) >= limit:
+                raise PathLimitExceeded(limit)
+            out.append(Path(kind, elem, tuple(acc)))
+            continue
+        edges = [(e, remaining - 1) for e in solid_neighbors(kind, node)] if remaining else []
+        flat = squiggled_target(kind, node) if kind is GraphKind.AIII else None
+        for edge_kind, target in ((DASHED, dashed_target(kind, node)), (SQUIGGLED, flat)):
+            if target is not None:
+                edges.append((EdgeStep(edge_kind, None, target), remaining))
+        stack.extend((len(acc), e, e.target, r) for e, r in reversed(edges) if live(e.target, r))
     return out
 
 
@@ -398,4 +399,3 @@ def enumerate_monotone_factorizations(
 
 def clear_caches() -> None:
     class_node.cache_clear()
-    _count.cache_clear()

@@ -159,13 +159,17 @@ def test_factorization_listing_follows_the_brute_force_order(capsys):
             assert (code, out) == (0, f"count: {len(texts)}\n" + "".join(t + "\n" for t in texts))
 
 
-def test_path_walks_refuse_a_step_count_past_the_recursion_limit(capsys):
-    for flag, argv in (("--solid", ["paths", "--family", "u", "--perm", "2,1"]),
-                       ("--solid", ["paths", "--family", "u", "--perm", "2,3,4,1", "--list"]),
-                       ("--length", ["factorizations", "--family", "u", "--perm", "2,1"])):
-        code, out, err = run_capture(capsys, [*argv, flag, "5000"])
-        message = f"error: {flag}: 5000 steps exceed the recursion limit\n"
-        assert (code, out, err) == (1, "", message)
+def test_path_walks_answer_thousands_of_steps(capsys):
+    # the transposition 2,1 has one path at every odd length: ping-pong on
+    # level 2, then two dashed steps; the 4-cycle has none at even length
+    ping_pong = " ".join(["2,1"] + ["-(1,2)-> 1,2 -(1,2)-> 2,1"] * 2500
+                         + ["-(1,2)-> 1,2 => 1 => ∅"])
+    for argv, out in ((["paths", "--perm", "2,1", "--solid", "5001"], "count: 1\n"),
+                      (["paths", "--perm", "2,1", "--solid", "5001", "--list"],
+                       f"count: 1\n{ping_pong}\n"),
+                      (["factorizations", "--perm", "2,1", "--length", "5001"], "count: 1\n"),
+                      (["paths", "--perm", "2,3,4,1", "--solid", "5000", "--list"], "count: 0\n")):
+        assert run_capture(capsys, [argv[0], "--family", "u", *argv[1:]]) == (0, out, "")
 
 
 def test_bounds_pass_and_failure_exit_codes(capsys, monkeypatch):
@@ -246,6 +250,10 @@ def test_errors_name_the_offending_argument(capsys):
                                         "--crows", "1,2", "--ccols", "2,1", "--dim", "2"])
     assert code == 1
     assert "--rows" in err
+    code, out, err = run_capture(capsys, ["moment", "--family", "u", "--rows", "1,1", "--cols", "1,1",
+                                          "--crows", "1,1", "--ccols", "1,1", "--dim", "1"])
+    message = "error: --dim: dimension 1 below level 2; pass force=True to try anyway\n"
+    assert (code, out, err) == (1, "", message)
     code, _, err = run_capture(capsys, ["mc", "--family", "sp", "--dim", "2",
                                         "--rows", "1", "--cols", "1"])
     assert code == 1

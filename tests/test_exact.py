@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from wgcalc import exact, graphs
+from wgcalc import exact
 from wgcalc.exact import (
     SingularSystemError,
     clear_caches,
@@ -16,7 +16,6 @@ from wgcalc.exact import (
 )
 from wgcalc.graphs import (
     GraphKind,
-    count_class_paths,
     dashed_target,
     solid_neighbors,
     squiggled_target,
@@ -437,7 +436,3 @@ def test_memos_stay_bounded_over_many_dimensions():
     pairing = parse_pair_partition("1,3|2,4")
     _assert_bounded(exact._coe_level, exact.LEVEL_CAP, lambda: wg_coe_direct(pairing, 10),
                     lambda: [wg_coe_direct(PairPartition.trivial(1), d) for d in dims])
-    _assert_bounded(graphs._count, graphs.COUNT_CAP,
-                    lambda: count_class_paths(GraphKind.UNITARY, (3, 1), 6),
-                    lambda: [count_class_paths(GraphKind.UNITARY, (1,), n)
-                             for n in range(graphs.COUNT_CAP)])

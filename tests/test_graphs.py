@@ -14,7 +14,9 @@ from wgcalc.graphs import (
     Path,
     PathLimitExceeded,
     class_node,
+    count_class_paths,
     count_paths,
+    count_table,
     dashed_target,
     enumerate_monotone_factorizations,
     enumerate_paths,
@@ -143,15 +145,17 @@ def _walk_counts(kind, elem, solid, memo):
 )
 def test_class_counts_match_element_level_counts_on_every_element(kind, elements, top):
     # the element walk is checked against full enumeration one level lower,
-    # where enumerating every path stays cheap
+    # where enumerating every path stays cheap; a table row q holds the
+    # paths with k - 2q dashed steps
+    type_of = PairPartition.coset_type if kind is O else Permutation.cycle_type
     memo = {}
     for k in range(top + 1):
+        table = count_table(kind, k, k + 4)
         for e in elements(k):
+            rows = table[type_of(e)]
             for l in range(e.absolute_length() + 5):
                 walked = _walk_counts(kind, e, l, memo)
-                assert count_paths(kind, e, l) == sum(walked.values())
-                for l1 in range(k + 1):
-                    assert count_paths(kind, e, l, l1) == walked[l1]
+                assert Counter({k - 2 * q: row[l] for q, row in enumerate(rows)}) == walked
                 if k < top:
                     assert Counter(p.count(DASHED) for p in enumerate_paths(kind, e, l)) == walked
 
@@ -194,23 +198,33 @@ def test_class_nodes_match_representative_oracle():
         class_node(U, (1, 2))
 
 
-def _cached_sizes():
-    return graphs.class_node.cache_info().currsize, graphs._count.cache_info().currsize
-
-
 def test_count_memo_is_bounded_by_classes():
     graphs.clear_caches()
     cycle = Permutation((2, 3, 4, 5, 6, 7, 8, 1))
     exact.series("u", cycle, 3)
     classes = sum(1 for j in range(9) for _ in partitions(j))
-    solid_range = cycle.absolute_length() + 2 * 3 + 1
-    assert 0 < graphs._count.cache_info().currsize <= classes * solid_range
+    assert 0 < graphs.class_node.cache_info().currsize <= classes
     graphs.clear_caches()
-    assert _cached_sizes() == (0, 0)
+    assert graphs.class_node.cache_info().currsize == 0
     count_paths(A3, cycle, 7, 0)
-    assert all(_cached_sizes())
+    assert graphs.class_node.cache_info().currsize
     graphs.clear_caches()
-    assert _cached_sizes() == (0, 0)
+    assert graphs.class_node.cache_info().currsize == 0
+
+
+def test_deep_counts_need_no_recursion():
+    # orthogonal (2,) has a self-loop and an edge to (1, 1), which has two
+    # edges back, so its counts are the Jacobsthal numbers; a unitary or
+    # A III transposition ping-pongs on level 2 and leaves by two dashed
+    # steps (odd length) or one squiggled step (even length)
+    for s in [*range(60), 5001]:
+        assert count_class_paths(O, (2,), s) == (2**s - (-1) ** s) // 3
+    assert count_class_paths(U, (2,), 1999) == 1
+    assert [count_class_paths(U, (2,), 1999, l1) for l1 in range(4)] == [0, 0, 1, 0]
+    for s in [*range(60), 5000, 5001]:
+        assert count_class_paths(A3, (2,), s) == 1
+        dashed = (count_class_paths(A3, (2,), s, 0), count_class_paths(A3, (2,), s, 2))
+        assert dashed == ((0, 1) if s % 2 else (1, 0))
 
 
 def test_single_path_identity_level_one():
