@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -168,19 +169,18 @@ def cmd_paths(args) -> int:
         raise UsageError("--dashed applies only to family aiii")
     if args.dashed is not None and args.dashed < 0:
         raise UsageError(f"--dashed: must be nonnegative, got {args.dashed}")
-    count = graphs.count_paths(kind, elem, args.solid, args.dashed)
-    paths = graphs.enumerate_paths(kind, elem, args.solid) if args.list else None
-    lines = [f"count: {count}"]
-    record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid,
-              "count": count}
+    record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid}
     if args.dashed is not None:
         record["dashed"] = args.dashed
-    if paths is not None:
+    if args.list:
+        paths = graphs.enumerate_paths(kind, elem, args.solid)
         if args.dashed is not None:
             paths = [p for p in paths if p.count(graphs.DASHED) == args.dashed]
+        record["count"] = len(paths)
         record["paths"] = [graphs.format_path(p) for p in paths]
-        lines.extend(record["paths"])
-    _emit(args, record, lines)
+    else:
+        record["count"] = graphs.count_paths(kind, elem, args.solid, args.dashed)
+    _emit(args, record, [f"count: {record['count']}"] + record.get("paths", []))
     return 0
 
 
@@ -190,19 +190,18 @@ def cmd_factorizations(args) -> int:
     elem = _parse_element(args, family)
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
-    count = graphs.count_paths(kind, elem, args.length)
-    paths = graphs.enumerate_paths(kind, elem, args.length) if args.list else []
-    # one factorization per path; the (t, s) key lists them in monotone-sequence order
-    factors = sorted((graphs.path_to_factorization(p).transpositions for p in paths),
-                     key=lambda ts: [(t, s) for s, t in ts])
-    texts = ["".join(f"({s},{t})" for s, t in ts) or "e" for ts in factors]
-    lines = [f"count: {count}"]
-    record = {"family": family, "element": symcore.format_element(elem),
-              "length": args.length, "count": count}
+    record = {"family": family, "element": symcore.format_element(elem), "length": args.length}
     if args.list:
-        lines.extend(texts)
-        record["factorizations"] = texts
-    _emit(args, record, lines)
+        paths = graphs.enumerate_paths(kind, elem, args.length)
+        # one factorization per path; the (t, s) key lists them in monotone-sequence order
+        factors = sorted((graphs.path_to_factorization(p).transpositions for p in paths),
+                         key=lambda ts: [(t, s) for s, t in ts])
+        record["count"] = len(paths)
+        record["factorizations"] = ["".join(f"({s},{t})" for s, t in ts) or "e"
+                                    for ts in factors]
+    else:
+        record["count"] = graphs.count_paths(kind, elem, args.length)
+    _emit(args, record, [f"count: {record['count']}"] + record.get("factorizations", []))
     return 0
 
 
@@ -399,7 +398,11 @@ def cmd_cache_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``wg`` parser, built on the first call and reused for the rest
+    of the process.  Parsing keeps no state in it: ``parse_args`` returns a
+    fresh namespace and every parse error raises :class:`UsageError`."""
     parser = _Parser(prog="wg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -501,7 +504,9 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     """Run one command; return its exit code.  Each distinct warning the
     engine raised is printed once on stderr as ``warning: <message>``,
-    before the error line if the command failed."""
+    before the error line if the command failed.  Safe to call repeatedly in
+    one process: every call parses with the one parser :func:`build_parser`
+    keeps."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

@@ -172,6 +172,56 @@ def test_path_walks_answer_thousands_of_steps(capsys):
         assert run_capture(capsys, [argv[0], "--family", "u", *argv[1:]]) == (0, out, "")
 
 
+def test_count_line_is_the_same_with_and_without_list(capsys):
+    # with --list the count is the length of the (filtered) listing, without
+    # it the count table's; both forms must print the same count line
+    cases = []
+    for k in range(5):
+        for p in all_permutations(k):
+            cases += [(command, "u", "--perm", p, []) for command in ("paths", "factorizations")]
+            cases += [("paths", "aiii", "--perm", p, dashed)
+                      for dashed in [[], *(["--dashed", str(l)] for l in range(k + 1))]]
+    for k in range(4):
+        for m in all_pair_partitions(k):
+            cases += [(command, "o", "--pairing", m, []) for command in ("paths", "factorizations")]
+    for command, family, flag, elem, extra in cases:
+        steps = "--length" if command == "factorizations" else "--solid"
+        for length in range(elem.absolute_length() + 3):
+            argv = [command, "--family", family, flag, symcore.format_element(elem),
+                    steps, str(length), *extra]
+            code, plain, _ = run_capture(capsys, argv)
+            assert code == 0
+            code, listed, _ = run_capture(capsys, argv + ["--list"])
+            assert code == 0
+            lines = listed.splitlines()
+            assert lines[0] == plain.rstrip("\n"), argv
+            assert lines[0] == f"count: {len(lines) - 1}", argv
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; no flag, default or error of one
+    # call may leak into the next
+    cli.build_parser.cache_clear()
+    value = ["value", "--family", "u", "--perm", "2,1", "--dim", "5"]
+    code, out, err = run_capture(capsys, value + ["--json"])
+    assert (code, json.loads(out)["value"], err) == (0, "-1/120", "")
+    assert run_capture(capsys, value) == (0, "-1/120\n", "")
+    assert run_capture(capsys, value + ["--threads", "0"]) == (
+        1, "", "error: --threads: must be a positive integer, got 0\n")
+    assert run_capture(capsys, value) == (0, "-1/120\n", "")
+    assert run_capture(capsys, ["value", "--family", "u", "--dim", "5"]) == (
+        1, "", "error: --perm is required for family u\n")
+    assert run_capture(capsys, ["value", "--perm", "2,1", "--dim", "5"]) == (
+        1, "", "error: the following arguments are required: --family\n")
+    assert run_capture(capsys, value) == (0, "-1/120\n", "")
+    paths = ["paths", "--family", "aiii", "--perm", "2,1", "--solid", "2"]
+    assert run_capture(capsys, paths + ["--dashed", "0", "--list"]) == (
+        0, "count: 1\n2,1 -(1,2)-> 1,2 -(1,2)-> 2,1 ~> ∅\n", "")
+    assert run_capture(capsys, paths) == (0, "count: 1\n", "")
+    assert run_capture(capsys, paths + ["--dashed", "2"]) == (0, "count: 0\n", "")
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_bounds_pass_and_failure_exit_codes(capsys, monkeypatch):
     code, out, _ = run_capture(capsys, ["bounds", "--family", "u", "--k", "2", "--gmax", "1"])
     assert code == 0

@@ -251,6 +251,21 @@ def test_parity_unitary():
                     assert count_paths(U, s, l) == 0
 
 
+def test_count_table_rows_vanish_off_their_parity():
+    # a solid step changes the number of cycles by one, a dashed step keeps
+    # j - len(mu) and a squiggled step flips it, so a unitary row is nonzero
+    # only at s = j - len(mu) and an A III row q only at s = j - len(mu) + q,
+    # mod 2; the sweep visits only those entries
+    for kind in (U, A3):
+        for k in range(7):
+            for mu, rows in count_table(kind, k, 9).items():
+                for q, row in enumerate(rows):
+                    parity = (sum(mu) - len(mu) + q) % 2
+                    assert not any(row[1 - parity::2]), (kind, k, mu, q)
+                    if kind is U:
+                        assert row[sum(mu) - len(mu)] > 0, (k, mu)
+
+
 def test_dashed_step_budget():
     for s in [EXAMPLE_PERM, Permutation((2, 1, 3))]:
         for p in enumerate_paths(U, s, s.absolute_length() + 2):
