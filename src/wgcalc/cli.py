@@ -402,7 +402,9 @@ def cmd_cache_verify(args) -> int:
 def build_parser() -> _Parser:
     """The ``wg`` parser, built on the first call and reused for the rest
     of the process.  Parsing keeps no state in it: ``parse_args`` returns a
-    fresh namespace and every parse error raises :class:`UsageError`."""
+    fresh namespace and every parse error raises :class:`UsageError`.  This
+    saves time only for a caller that runs many commands in one process; a
+    ``wg`` process runs one and builds the parser once either way."""
     parser = _Parser(prog="wg", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

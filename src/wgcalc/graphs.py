@@ -181,13 +181,7 @@ def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], li
     ``table[mu][q][s]`` counts the paths from ``mu`` with ``s <= solid`` solid
     and ``q`` squiggled steps (``q`` is 0 outside A III).  A row at ``s`` is its
     dashed (or squiggled, one ``q`` lower) target's row at ``s`` plus its solid
-    targets' rows at ``s - 1`` times their multiplicities.
-
-    A solid step changes the number of cycles by one, a dashed step keeps
-    ``j - len(mu)`` and a squiggled step flips it, so a unitary row of class
-    ``mu`` at level ``j`` is nonzero only at ``s = j - len(mu)`` and an A III
-    row ``q`` only at ``s = j - len(mu) + q`` (mod 2); each ``s`` sweeps only
-    the rows of its parity.  Orthogonal self-loops reach both parities."""
+    targets' rows at ``s - 1`` times their multiplicities."""
     zeros = [0] * (solid + 1)
     table = {(): [[1] + zeros[1:]]}
     for j in range(1, k + 1):
@@ -197,13 +191,11 @@ def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], li
             below = (table[node.dashed] if node.dashed is not None
                      else [zeros] + table.get(node.squiggled, []))
             table[mu] = [(below[q] if q < len(below) else zeros)[:] for q in range(n_rows)]
-        # one (parity, row, [(multiplicity, solid target's row)]) per class and q
-        rows = [((j - len(mu) + q) % 2, row, [(mult, table[t][q]) for t, mult in node.solid])
+        # one (row, [(multiplicity, solid target's row)]) per class and q
+        plan = [(row, [(mult, table[target][q]) for target, mult in node.solid])
                 for mu, node in nodes.items() for q, row in enumerate(table[mu])]
-        plan = [[(row, steps) for p, row, steps in rows
-                 if p == parity or kind is GraphKind.ORTHOGONAL] for parity in (0, 1)]
         for s in range(1, solid + 1):
-            for row, steps in plan[s % 2]:
+            for row, steps in plan:
                 for mult, target in steps:
                     row[s] += mult * target[s - 1]
     return table

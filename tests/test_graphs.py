@@ -255,7 +255,7 @@ def test_count_table_rows_vanish_off_their_parity():
     # a solid step changes the number of cycles by one, a dashed step keeps
     # j - len(mu) and a squiggled step flips it, so a unitary row is nonzero
     # only at s = j - len(mu) and an A III row q only at s = j - len(mu) + q,
-    # mod 2; the sweep visits only those entries
+    # mod 2
     for kind in (U, A3):
         for k in range(7):
             for mu, rows in count_table(kind, k, 9).items():
