@@ -106,6 +106,14 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
+def _dim_error(exc: Exception) -> UsageError:
+    """``--dim: <reason>`` for an engine refusal; a unitary class below its
+    level drops the library's ``force`` hint, which the CLI does not offer."""
+    if isinstance(exc, exact.BelowLevelError):
+        return UsageError(f"--dim: dimension {exc.d} below level {exc.k}")
+    return UsageError(f"--dim: {exc}")
+
+
 def cmd_value(args) -> int:
     family = args.family
     elem = _parse_element(args, family)
@@ -125,7 +133,7 @@ def cmd_value(args) -> int:
     try:
         value = exact.wg(family, elem, args.dim, dminus)
     except (ValueError, exact.SingularSystemError) as exc:
-        raise UsageError(f"--dim: {exc}") from None
+        raise _dim_error(exc) from None
     record.update(dim=args.dim, value=str(value))
     _emit(args, record, [str(value)])
     return 0
@@ -225,7 +233,7 @@ def cmd_moment(args) -> int:
     try:
         value = exact_moment(spec)
     except ValueError as exc:
-        raise UsageError(f"--dim: {exc}") from None
+        raise _dim_error(exc) from None
     record = {"family": family, "dim": spec.d, "rows": list(spec.rows),
               "cols": list(spec.cols), "value": str(value)}
     if spec.crows:
@@ -517,8 +525,8 @@ def run(argv=None) -> int:
             return args.handler(args)
         except cache_mod.CacheCorruptionError as exc:
             code, error = 3, f"cache corruption: {exc}"
-        except exact.SingularSystemError as exc:
-            code, error = 1, f"error: --dim: {exc}"
+        except (exact.SingularSystemError, exact.BelowLevelError) as exc:
+            code, error = 1, f"error: {_dim_error(exc)}"
         except (UsageError, ValueError, TypeError) as exc:
             code, error = 1, f"error: {exc}"
         finally:

@@ -72,6 +72,16 @@ class SingularSystemError(ArithmeticError):
         super().__init__(f"singular {family} system at level {level}, {dims}")
 
 
+class BelowLevelError(ValueError):
+    """A unitary class of level ``k`` was asked for at ``d < k``, outside the
+    proven-invertible range, without ``force``."""
+
+    def __init__(self, d: int, k: int):
+        self.d = d
+        self.k = k
+        super().__init__(f"dimension {d} below level {k}; pass force=True to try anyway")
+
+
 LEVEL_CAP = 512  # solved levels kept; one benchmark job holds at most 60
 
 
@@ -126,8 +136,9 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     The one place a family is mapped to its route:
 
     * ``u``:    the unitary system at ``d``; ``d < k`` sits outside the
-      proven-invertible range and is rejected unless ``force`` is set
-      (a genuinely singular system is still detected exactly).
+      proven-invertible range and raises :class:`BelowLevelError` unless
+      ``force`` is set (a genuinely singular system is still detected
+      exactly).
     * ``o``:    the orthogonal system at ``d``, any integer; negative
       arguments are how the symplectic route is evaluated.
     * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity),
@@ -153,7 +164,7 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     kind, dim = GraphKind.ORTHOGONAL, d
     if family == "u":
         if d < k and not force:
-            raise ValueError(f"dimension {d} below level {k}; pass force=True to try anyway")
+            raise BelowLevelError(d, k)
         kind = GraphKind.UNITARY
     elif family == "coe":
         _check_coe_dim(d)

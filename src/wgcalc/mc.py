@@ -7,8 +7,10 @@ estimates entry-monomial means, and compares them against the exact
 backend at a 5-standard-error threshold.
 
 Haar unitaries come from QR of a complex Ginibre matrix with the
-triangular factor's diagonal phase-normalized; plain QR without that fix
-is not Haar.  COE samples are u u^T, the two-block symmetry ensemble is
+triangular factor's diagonal made positive (Mezzadri, Notices AMS 54,
+2007); plain QR without that fix is not Haar.  The QR is Gram-Schmidt
+run twice per column: the same Q as phase-fixed Householder up to
+roundoff.  COE samples are u u^T, the two-block symmetry ensemble is
 g diag(1..1,-1..-1) g*.  Symplectic sampling is deliberately absent: the
 exact side only defines those values up to sign, so there is no oracle
 target to compare against.
@@ -107,84 +109,77 @@ def _gaussian_block(seed, start, count, d, complex_valued):
     per = 2 * d * d if complex_valued else d * d
     blocks = -(-per // 4)
     words = np.random.Philox(key=seed, counter=start * blocks).random_raw(count * blocks * 4)
-    u = (((words >> 11) + 0.5) * 2.0**-53).reshape(count, 2 * blocks, 2)
+    u = (words >> 11).astype(np.float64).reshape(count, 2 * blocks, 2)
+    u += 0.5
+    u *= 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[..., 0]))
     angle = 2.0 * np.pi * u[..., 1]
-    z = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)[:, :per]
+    z = np.empty((count, 2, 2 * blocks))
+    np.cos(angle, out=z[:, 0])
+    np.sin(angle, out=z[:, 1])
+    z *= radius[:, None, :]
+    z = z.reshape(count, 4 * blocks)
     if complex_valued:
-        z = z[:, :d * d] + 1j * z[:, d * d:]
-    return z.reshape(count, d, d)
+        w = np.empty((count, d * d), dtype=np.complex128)
+        w.real, w.imag = z[:, :d * d], z[:, d * d:per]
+        z = w
+    return z[:, :d * d].reshape(count, d, d)
 
 
 def _qr_positive(a):
-    """Batched Householder QR returning the Q whose R has positive diagonal.
+    """Q of each sample's QR factorization whose R has positive diagonal.
 
-    For Gaussian input this phase convention is exactly what makes the
-    output Haar-distributed.
+    ``a[j, i]`` is row ``i`` of column ``j``, a vector over the samples on
+    the last axis; Q comes back in that layout.  Gram-Schmidt, run twice
+    per column, leaves R's diagonal the column norms, positive by
+    construction: the Q of phase-fixed Householder up to roundoff, which
+    is Haar for Gaussian input.  A column that orthogonalises to exactly
+    zero comes back NaN and fails :func:`_check_unitary`, where Householder
+    would return some unitary Q; Gaussian input does that with probability 0.
     """
-    batch, d, _ = a.shape
-    cplx = np.iscomplexobj(a)
-    r = a.copy()
-    q = np.zeros_like(a)
-    idx = np.arange(d)
-    q[:, idx, idx] = 1
-    for j in range(d):
-        x = r[:, j:, j]
-        norm = np.sqrt(np.sum(np.abs(x) ** 2, axis=1))
-        lead = x[:, 0]
-        absl = np.abs(lead)
-        safe_abs = np.where(absl > 0, absl, 1.0)
-        one = 1.0 + 0.0j if cplx else 1.0
-        phase = np.where(absl > 0, lead / safe_abs, one)
-        v = x.copy()
-        v[:, 0] += phase * norm
-        vsq = np.sum(np.abs(v) ** 2, axis=1)
-        safe = np.where(vsq > 0, vsq, 1.0)
-        w = np.einsum("bi,bij->bj", v.conj(), r[:, j:, j:])
-        r[:, j:, j:] -= 2.0 * v[:, :, None] * w[:, None, :] / safe[:, None, None]
-        t = np.einsum("bij,bj->bi", q[:, :, j:], v)
-        q[:, :, j:] -= 2.0 * t[:, :, None] * v.conj()[:, None, :] / safe[:, None, None]
-    diag = r[:, idx, idx]
-    absd = np.abs(diag)
-    lam = np.where(absd > 0, diag / np.where(absd > 0, absd, 1.0), 1.0)
-    return q * lam[:, None, :]
+    q = np.array(a, order="C")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(len(q)):
+            v = q[j]
+            for _ in range(2 if j else 0):
+                v -= np.einsum("kib,kb->ib", q[:j], np.einsum("kib,ib->kb", q[:j].conj(), v))
+            v /= np.sqrt(np.einsum("ib,ib->b", v, v.conj()).real)
+    return q
 
 
-def _assert_small(err: float, tol: float, what: str) -> None:
+def _assert_small(diff, tol: float, what: str) -> None:
+    err = float(np.max(np.abs(diff)))
     if not err <= tol:
         raise ValueError(f"sampler constraint violated: {what} defect {err:.3e} > {tol}")
 
 
 def _check_unitary(q, tol=1e-10):
-    d = q.shape[-1]
-    prod = np.matmul(q, q.conj().swapaxes(-1, -2))
-    err = float(np.max(np.abs(prod - np.eye(d))))
-    _assert_small(err, tol, "unitarity")
+    """Raise unless every sample has q q* = 1 to ``tol``; layout as in _qr_positive."""
+    eye = np.eye(len(q))[:, :, None]
+    _assert_small(np.einsum("jcb,jrb->crb", q.conj(), q) - eye, tol, "unitarity")
 
 
 def _sample_block(ens: EnsembleSpec, seed: int, start: int, count: int):
+    """Samples start..start+count-1, shape (count, d, d): a view of a
+    (column, row, sample) array, so each entry is a contiguous vector."""
     d = ens.d
-    q = _qr_positive(_gaussian_block(seed, start, count, d, ens.family != "o"))
+    g = _gaussian_block(seed, start, count, d, ens.family != "o")
+    q = _qr_positive(g.transpose(2, 1, 0))
     _check_unitary(q)
     if ens.family in ("u", "o"):
-        return q
+        return q.transpose(2, 1, 0)
     if ens.family == "coe":
-        s = np.matmul(q, q.swapaxes(1, 2))
-        err = float(np.max(np.abs(s - s.swapaxes(1, 2))))
-        _assert_small(err, 1e-10, "symmetry")
+        s = np.einsum("jcb,jrb->crb", q, q)
+        _assert_small(s - s.swapaxes(0, 1), 1e-10, "symmetry")
         _check_unitary(s, tol=1e-9)
-        return s
+        return s.transpose(2, 1, 0)
     signs = np.ones(d)
     signs[ens.a:] = -1.0
-    s = np.matmul(q * signs[None, None, :], q.conj().swapaxes(1, 2))
-    err = float(np.max(np.abs(s - s.conj().swapaxes(1, 2))))
-    _assert_small(err, 1e-9, "hermiticity")
-    traces = np.einsum("bii->b", s)
-    err = float(np.max(np.abs(traces - ens.dminus)))
-    _assert_small(err, 1e-9, "trace")
-    err = float(np.max(np.abs(np.matmul(s, s) - np.eye(d))))
-    _assert_small(err, 1e-9, "involution")
-    return s
+    s = np.einsum("jcb,jrb->crb", q.conj(), q * signs[:, None, None])
+    _assert_small(s - s.swapaxes(0, 1).conj(), 1e-9, "hermiticity")
+    _assert_small(np.einsum("iib->b", s) - ens.dminus, 1e-9, "trace")
+    _assert_small(np.einsum("mrb,cmb->crb", s, s) - np.eye(d)[:, :, None], 1e-9, "involution")
+    return s.transpose(2, 1, 0)
 
 
 def _monomial_values(spec: MomentSpec, samples):

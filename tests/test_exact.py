@@ -172,8 +172,10 @@ def test_full_cycle_magnitude():
 
 
 def test_dimension_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(exact.BelowLevelError) as below:
         wg_class("u", (3,), 2)
+    assert isinstance(below.value, ValueError)
+    assert (below.value.d, below.value.k) == (2, 3)
     with pytest.raises(ValueError):
         wg_class("u", (2, 1), 2)
     # forcing past the guard still detects true singularities exactly

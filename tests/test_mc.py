@@ -1,5 +1,7 @@
 """Sampler and z-test checks for the Monte Carlo oracle."""
 
+import hashlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 from wgcalc.mc import (
     STREAM,
     EnsembleSpec,
+    _check_unitary,
     _gaussian_block,
+    _qr_positive,
     _sample_block,
     compare_with_exact,
     estimate_moment,
@@ -69,6 +73,60 @@ def test_first_normal_at_seed_is_pinned():
     assert STREAM == "philox4x64-counter-v1"
     first = _gaussian_block(SEED, 0, 1, 2, True)[0, 0, 0]
     assert abs(first - (0.8209029592863308 - 0.7998329323467099j)) < 1e-12
+    # every byte of the real and complex streams at two starts, d = 1..4
+    pins = {False: "85b61d21f690b07583f89b195b307759ac3f3147327dcb05a15de246450c915f",
+            True: "2b7cec4d485b8e11ea046dd0462fc6a5aaa0b6d4ed975dee03dc2c308c470b8c"}
+    for complex_valued, pin in pins.items():
+        digest = hashlib.sha256()
+        for d in range(1, 5):
+            for start in (0, 37):
+                digest.update(_gaussian_block(SEED, start, 50, d, complex_valued).tobytes())
+        assert digest.hexdigest() == pin
+
+
+def _flip(a):
+    """(sample, row, column) <-> the (column, row, sample) layout of _qr_positive."""
+    return a.transpose(2, 1, 0)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_qr_positive_is_phase_fixed_householder(complex_valued):
+    for d in range(1, 7):
+        a = _gaussian_block(SEED, 0, 200, d, complex_valued)
+        q = _flip(_qr_positive(_flip(a)))
+        ref, r = np.linalg.qr(a)
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        assert np.max(np.abs(q - ref * (diag / np.abs(diag))[:, None, :])) < 1e-12
+        # R = Q* A is upper triangular with a real, positive diagonal
+        r = q.conj().swapaxes(1, 2) @ a
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        assert np.max(np.abs(diag.imag)) < 1e-12
+        assert np.min(diag.real) > 0
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_qr_positive_stays_unitary_on_near_dependent_columns(complex_valued):
+    a = _gaussian_block(SEED, 0, 200, 4, complex_valued)
+    # condition numbers from about 1e5 up to 1e12 and past it
+    for eps in (1e-4, 1e-7, 1e-10):
+        b = a.copy()
+        b[:, :, 1:] = a[:, :, :1] + eps * a[:, :, 1:]
+        assert np.max(np.linalg.cond(b)) > 10 / eps
+        _check_unitary(_qr_positive(_flip(b)), tol=1e-14)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_rank_deficient_block_fails_the_unitarity_check_without_a_warning(complex_valued):
+    zero = _gaussian_block(SEED, 0, 8, 3, complex_valued).copy()
+    zero[3, :, 1] = 0
+    dependent = np.zeros_like(zero)
+    dependent[:, 0, 0] = dependent[:, 0, 2] = dependent[:, 1, 1] = 1
+    for a in (zero, dependent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="unitarity defect nan"):
+                _check_unitary(_qr_positive(_flip(a)))
 
 
 def test_estimates_are_reproducible_and_chunk_independent():

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 
 import pytest
 
-from wgcalc.exact import SingularSystemError, wg, wg_class
+from wgcalc.exact import BelowLevelError, SingularSystemError, wg, wg_class
 from wgcalc.moments import (
     IndexRangeError,
     MomentSpec,
@@ -360,7 +360,7 @@ def test_exact_moment_matches_per_term_oracle():
     outcomes = [(_outcome(exact_moment, s), _outcome(_per_term_oracle, s)) for s in specs]
     for spec, (got, want) in zip(specs, outcomes):
         assert got == want, spec
-    assert outcomes[-2][0] == (ValueError,
+    assert outcomes[-2][0] == (BelowLevelError,
                                "dimension 1 below level 2; pass force=True to try anyway")
     assert outcomes[-1][0] == (SingularSystemError, "singular o system at level 2, d=1")
     nonzero = {s.family for s, (got, _) in zip(specs, outcomes) if isinstance(got, F) and got}
