@@ -131,7 +131,7 @@ def export(path: str, family: str, k: int, d: int, dminus: int | None = None) ->
     fresh = []
     for level in range(1, k + 1):
         for mu in partitions(level):
-            value = exact.wg_class(family, mu, d, dminus, force=True)
+            value = exact.wg_class(family, mu, d, dminus)
             key = (tag, level, format_partition(mu), dims)
             if key in existing:
                 stored, lineno = existing[key]
@@ -171,7 +171,7 @@ def verify(path: str, fraction: float = 0.05, seed: int = 0) -> tuple[int, int]:
         stored, lineno = entries[key]
         d, dminus = _parse_dims(family, dims_text, lineno)
         try:
-            value = exact.wg_class(family, mu, d, dminus, force=True)
+            value = exact.wg_class(family, mu, d, dminus)
         except (exact.SingularSystemError, ValueError) as exc:
             raise CacheCorruptionError(
                 f"line {lineno}: cannot recompute {_key_text(key)}: {exc}"

@@ -107,10 +107,7 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _dim_error(exc: Exception) -> UsageError:
-    """``--dim: <reason>`` for an engine refusal; a unitary class below its
-    level drops the library's ``force`` hint, which the CLI does not offer."""
-    if isinstance(exc, exact.BelowLevelError):
-        return UsageError(f"--dim: dimension {exc.d} below level {exc.k}")
+    """``--dim: <reason>`` for an engine refusal of the requested dimension."""
     return UsageError(f"--dim: {exc}")
 
 
@@ -384,6 +381,8 @@ def cmd_cache_export(args) -> int:
     dminus = _need_dminus(args, args.family)
     try:
         written = cache_mod.export(path, args.family, args.k, args.dim, dminus)
+    except exact.BelowLevelError as exc:
+        raise _dim_error(exc) from None
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     except OSError as exc:

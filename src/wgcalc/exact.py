@@ -21,7 +21,9 @@ a ``{column: integer}`` dict.  The cached unit is one solved level, keyed by
 family graph, dimension argument and level and kept in a bounded
 ``functools.lru_cache`` (``LEVEL_CAP`` levels); level ``k`` reads only the
 cached levels ``k-1`` and ``k-2``.  Singular systems are detected exactly
-and reported, never patched.
+and reported, never patched.  The level-``k`` unitary system is singular
+at every ``-k < d < k`` (checked for ``k = 2..7``) and no ensemble has
+``d <= -k``, so the unitary route refuses every ``d < k`` before solving.
 
 Public API: :func:`wg` (one element) and :func:`wg_class` (one class, and
 the one place each family is mapped to its memo, shifted dimension and
@@ -73,13 +75,13 @@ class SingularSystemError(ArithmeticError):
 
 
 class BelowLevelError(ValueError):
-    """A unitary class of level ``k`` was asked for at ``d < k``, outside the
-    proven-invertible range, without ``force``."""
+    """A unitary class of level ``k`` was asked for at ``d < k``, where the
+    system is singular (``-k < d < k``) or no ensemble exists (``d <= -k``)."""
 
     def __init__(self, d: int, k: int):
         self.d = d
         self.k = k
-        super().__init__(f"dimension {d} below level {k}; pass force=True to try anyway")
+        super().__init__(f"dimension {d} below level {k}")
 
 
 LEVEL_CAP = 512  # solved levels kept; one benchmark job holds at most 60
@@ -129,16 +131,14 @@ def _check_coe_dim(d: int) -> None:
         raise ValueError(f"COE dimension must be positive, got {d}")
 
 
-def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None,
-             force: bool = False) -> Fraction:
+def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None) -> Fraction:
     """Weingarten value of the level-``sum(mu)`` class ``mu`` of ``family``.
 
     The one place a family is mapped to its route:
 
-    * ``u``:    the unitary system at ``d``; ``d < k`` sits outside the
-      proven-invertible range and raises :class:`BelowLevelError` unless
-      ``force`` is set (a genuinely singular system is still detected
-      exactly).
+    * ``u``:    the unitary system at ``d >= k``; ``d < k`` raises
+      :class:`BelowLevelError` (the system is singular at ``-k < d < k``,
+      and no ensemble has ``d <= -k``).
     * ``o``:    the orthogonal system at ``d``, any integer; negative
       arguments are how the symplectic route is evaluated.
     * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity),
@@ -163,7 +163,7 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     k = sum(mu)
     kind, dim = GraphKind.ORTHOGONAL, d
     if family == "u":
-        if d < k and not force:
+        if d < k:
             raise BelowLevelError(d, k)
         kind = GraphKind.UNITARY
     elif family == "coe":
@@ -210,7 +210,7 @@ def wg_denominator(family: str, k: int) -> ratfunc.Poly:
                                      for c in contents.elements()), (Fraction(1),))
 
 
-def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False) -> Fraction:
+def wg(family: str, elem, d: int, dminus: int | None = None) -> Fraction:
     """Weingarten value of one element: a permutation for ``u`` and
     ``aiii``, a pair partition for ``o``, ``coe`` and ``sp``.  See
     :func:`wg_class` for the routes and their guards."""
@@ -219,10 +219,10 @@ def wg(family: str, elem, d: int, dminus: int | None = None, force: bool = False
     if family in ("u", "aiii"):
         if not isinstance(elem, Permutation):
             raise TypeError(f"family {family!r} expects a permutation")
-        return wg_class(family, elem.cycle_type(), d, dminus, force)
+        return wg_class(family, elem.cycle_type(), d, dminus)
     if not isinstance(elem, PairPartition):
         raise TypeError(f"family {family!r} expects a pair partition")
-    return wg_class(family, elem.coset_type(), d, dminus, force)
+    return wg_class(family, elem.coset_type(), d, dminus)
 
 
 def wg_coe_direct(m: PairPartition, d: int) -> Fraction:

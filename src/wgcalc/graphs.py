@@ -61,10 +61,6 @@ DASHED = "dashed"
 SQUIGGLED = "squiggled"
 
 
-class PathLimitExceeded(Exception):
-    """Raised when enumeration would return more paths than the caller's cap."""
-
-
 def _check_element(kind: GraphKind, elem: Element) -> None:
     if kind is GraphKind.ORTHOGONAL:
         if not isinstance(elem, PairPartition):
@@ -243,13 +239,10 @@ class Path:
         return tuple((s.index, s.top) for s in self.steps if s.kind == SOLID)
 
 
-def enumerate_paths(
-    kind: GraphKind, elem: Element, solid: int, limit: int | None = None
-) -> list[Path]:
+def enumerate_paths(kind: GraphKind, elem: Element, solid: int) -> list[Path]:
     """All paths with ``solid`` solid steps, ordered by the choices made at each
     vertex: solid edges by index, then dashed, then squiggled.  The walk keeps
     its own stack and enters only vertices that :func:`count_table` puts on a path.
-    Raises :class:`PathLimitExceeded` when more than ``limit`` paths exist.
     """
     _check_element(kind, elem)
     table = count_table(kind, elem.level, solid)
@@ -266,8 +259,6 @@ def enumerate_paths(
         depth, step, node, remaining = stack.pop()
         acc[depth:] = [step] if step else []
         if node.level == 0:
-            if limit is not None and len(out) >= limit:
-                raise PathLimitExceeded(limit)
             out.append(Path(kind, elem, tuple(acc)))
             continue
         edges = [(e, remaining - 1) for e in solid_neighbors(kind, node)] if remaining else []

@@ -4,7 +4,9 @@ Samples the four computable ensembles with a counter-based RNG (each
 sample index owns a fixed run of Philox4x64 counter blocks under the seed
 as key, so results do not depend on chunking or evaluation order),
 estimates entry-monomial means, and compares them against the exact
-backend at a 5-standard-error threshold.
+backend at a 5-standard-error threshold.  :func:`ensemble_of` reads the
+ensemble off a validated :class:`~wgcalc.moments.MomentSpec`, and every
+exact value is computed before the first sample is drawn.
 
 Haar unitaries come from QR of a complex Ginibre matrix with the
 triangular factor's diagonal made positive (Mezzadri, Notices AMS 54,
@@ -34,40 +36,6 @@ Z_THRESHOLD = 5.0
 # float roundoff floor: degenerate monomials (all samples equal up to
 # machine error) get an absolute comparison instead of a z-score
 ABS_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Which matrix ensemble to sample: family, dimension, A III signature."""
-
-    family: str
-    d: int
-    a: int | None = None
-    b: int | None = None
-
-    def __post_init__(self):
-        if self.family == "sp":
-            raise ValueError(
-                "symplectic sampling is unsupported: exact values exist only up "
-                "to sign, so there is no oracle target"
-            )
-        if self.family not in ("u", "o", "coe", "aiii"):
-            raise ValueError(f"unknown ensemble family {self.family!r}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-        if self.family == "aiii":
-            if self.a is None or self.b is None:
-                raise ValueError("aiii ensembles need a signature (a, b)")
-            if self.a < self.b or self.b < 0:
-                raise ValueError("signature must satisfy a >= b >= 0")
-            if self.a + self.b != self.d:
-                raise ValueError(f"signature {self.a}+{self.b} does not sum to d={self.d}")
-        elif self.a is not None or self.b is not None:
-            raise ValueError(f"family {self.family!r} takes no signature")
-
-    @property
-    def dminus(self) -> int:
-        return self.a - self.b
 
 
 @dataclass(frozen=True)
@@ -159,25 +127,26 @@ def _check_unitary(q, tol=1e-10):
     _assert_small(np.einsum("jcb,jrb->crb", q.conj(), q) - eye, tol, "unitarity")
 
 
-def _sample_block(ens: EnsembleSpec, seed: int, start: int, count: int):
-    """Samples start..start+count-1, shape (count, d, d): a view of a
-    (column, row, sample) array, so each entry is a contiguous vector."""
-    d = ens.d
-    g = _gaussian_block(seed, start, count, d, ens.family != "o")
+def _sample_block(ens: tuple[str, int, int], seed: int, start: int, count: int):
+    """Samples start..start+count-1 of ``ens``, an :func:`ensemble_of`
+    tuple, shape (count, d, d): a view of a (column, row, sample) array, so
+    each entry is a contiguous vector."""
+    family, d, a = ens
+    g = _gaussian_block(seed, start, count, d, family != "o")
     q = _qr_positive(g.transpose(2, 1, 0))
     _check_unitary(q)
-    if ens.family in ("u", "o"):
+    if family in ("u", "o"):
         return q.transpose(2, 1, 0)
-    if ens.family == "coe":
+    if family == "coe":
         s = np.einsum("jcb,jrb->crb", q, q)
         _assert_small(s - s.swapaxes(0, 1), 1e-10, "symmetry")
         _check_unitary(s, tol=1e-9)
         return s.transpose(2, 1, 0)
     signs = np.ones(d)
-    signs[ens.a:] = -1.0
+    signs[a:] = -1.0
     s = np.einsum("jcb,jrb->crb", q.conj(), q * signs[:, None, None])
     _assert_small(s - s.swapaxes(0, 1).conj(), 1e-9, "hermiticity")
-    _assert_small(np.einsum("iib->b", s) - ens.dminus, 1e-9, "trace")
+    _assert_small(np.einsum("iib->b", s) - (2 * a - d), 1e-9, "trace")
     _assert_small(np.einsum("mrb,cmb->crb", s, s) - np.eye(d)[:, :, None], 1e-9, "involution")
     return s.transpose(2, 1, 0)
 
@@ -191,40 +160,44 @@ def _monomial_values(spec: MomentSpec, samples):
     return vals
 
 
-def _ensemble_for(spec: MomentSpec) -> EnsembleSpec:
-    if spec.family == "aiii":
-        if (spec.d + spec.dminus) % 2 != 0:
-            raise ValueError(
-                f"no integer signature matches d={spec.d}, dminus={spec.dminus}"
-            )
-        if spec.dminus < 0:
-            raise ValueError(
-                "sample at the mirrored signature instead: negative dminus flips "
-                "every degree-k moment by (-1)^k"
-            )
-        a = (spec.d + spec.dminus) // 2
-        return EnsembleSpec("aiii", spec.d, a, spec.d - a)
-    return EnsembleSpec(spec.family, spec.d)
+def ensemble_of(spec: MomentSpec) -> tuple[str, int, int]:
+    """The ensemble a moment request samples: ``(family, d, a)``.
+
+    For A III the signature is ``(a, d - a)`` with ``a = (d + dminus)/2``;
+    every other family has ``a = d``.  :class:`MomentSpec` has validated
+    everything else, so only the A III signature is checked here.
+    """
+    if spec.family != "aiii":
+        return spec.family, spec.d, spec.d
+    if (spec.d + spec.dminus) % 2 != 0 or abs(spec.dminus) > spec.d:
+        raise ValueError(
+            f"no integer signature matches d={spec.d}, dminus={spec.dminus}"
+        )
+    if spec.dminus < 0:
+        raise ValueError(
+            "sample at the mirrored signature instead: negative dminus flips "
+            "every degree-k moment by (-1)^k"
+        )
+    return "aiii", spec.d, (spec.d + spec.dminus) // 2
 
 
 def estimate_moments(
-    ens: EnsembleSpec,
+    ens: tuple[str, int, int],
     specs: list[MomentSpec],
     n: int,
     seed: int,
     chunk: int = _CHUNK,
 ) -> list[MomentEstimate]:
-    """Estimate several monomials of one ensemble on a shared sample stream."""
+    """Estimate several monomials of one ensemble, an :func:`ensemble_of`
+    tuple, on a shared sample stream."""
     if n < 1000:
         raise ValueError(f"need at least 1000 samples, got {n}")
     check_seed(seed)
     # MomentSpec has checked every index against spec.d, so matching d
     # keeps every index inside the sampled matrices
     for spec in specs:
-        if spec.family != ens.family or spec.d != ens.d:
+        if ensemble_of(spec) != ens:
             raise ValueError("moment spec does not match the ensemble")
-        if spec.family == "aiii" and spec.dminus != ens.dminus:
-            raise ValueError("moment dminus does not match the ensemble signature")
     values = np.empty((len(specs), n), dtype=np.complex128)
     start = 0
     while start < n:
@@ -244,7 +217,7 @@ def estimate_moments(
 
 
 def estimate_moment(spec: MomentSpec, n: int, seed: int) -> MomentEstimate:
-    return estimate_moments(_ensemble_for(spec), [spec], n, seed)[0]
+    return estimate_moments(ensemble_of(spec), [spec], n, seed)[0]
 
 
 def _component_check(diff: float, se: float) -> tuple[float, bool]:
@@ -257,17 +230,18 @@ def _component_check(diff: float, se: float) -> tuple[float, bool]:
 
 
 def compare_many(
-    ens: EnsembleSpec, specs: list[MomentSpec], n: int, seed: int
+    ens: tuple[str, int, int], specs: list[MomentSpec], n: int, seed: int
 ) -> list[ZReport]:
     """z-test several monomials against the exact engine on one sample stream.
 
-    Each real component passes when it is within 5 standard errors, with
-    an absolute floor of 1e-9 for degenerate monomials whose sample spread
-    is pure float roundoff.
+    Every exact value is computed before any sample is drawn, so a request
+    the exact side refuses costs no sampling.  Each real component passes
+    when it is within 5 standard errors, with an absolute floor of 1e-9 for
+    degenerate monomials whose sample spread is pure float roundoff.
     """
+    exacts = [exact_moment(spec) for spec in specs]
     out = []
-    for spec, est in zip(specs, estimate_moments(ens, specs, n, seed)):
-        exact = exact_moment(spec)
+    for spec, exact, est in zip(specs, exacts, estimate_moments(ens, specs, n, seed)):
         z_r, ok_r = _component_check(est.mean.real - float(exact), est.se_real)
         z_i, ok_i = _component_check(est.mean.imag, est.se_imag)
         out.append(ZReport(spec, est, exact, z_r, z_i, ok_r and ok_i))
@@ -275,4 +249,4 @@ def compare_many(
 
 
 def compare_with_exact(spec: MomentSpec, n: int, seed: int) -> ZReport:
-    return compare_many(_ensemble_for(spec), [spec], n, seed)[0]
+    return compare_many(ensemble_of(spec), [spec], n, seed)[0]

@@ -251,19 +251,19 @@ def test_criterion_11_monte_carlo_suite():
     failures = []
     for d in (2, 3, 4):
         batches = [
-            (mc.EnsembleSpec("u", d), [
+            (("u", d, d), [
                 MomentSpec("u", (1,), (1,), (1,), (1,), d),
                 MomentSpec("u", (1, 2), (1, 2), (1, 2), (2, 1), d),
                 MomentSpec("u", (1, 2), (1, 2), (1, 2), (1, 2), d),
                 MomentSpec("u", (1,), (1,), (2,), (2,), d),
             ]),
-            (mc.EnsembleSpec("o", d), [
+            (("o", d, d), [
                 MomentSpec("o", (1, 1), (1, 1), (), (), d),
                 MomentSpec("o", (1, 1, 2, 2), (1, 2, 1, 2), (), (), d),
                 MomentSpec("o", (1, 1, 2, 2), (1, 1, 2, 2), (), (), d),
                 MomentSpec("o", (1, 2), (1, 1), (), (), d),
             ]),
-            (mc.EnsembleSpec("coe", d), [
+            (("coe", d, d), [
                 MomentSpec("coe", (1,), (1,), (1,), (1,), d),
                 MomentSpec("coe", (1,), (2,), (1,), (2,), d),
                 MomentSpec("coe", (1, 1), (1, 1), (1, 1), (1, 1), d),
@@ -277,18 +277,18 @@ def test_criterion_11_monte_carlo_suite():
     aiii_batches = [
         # degree 4 is singular for the exact engine at d = 3, so the (2,1)
         # signature carries the degree <= 3 monomials of the suite
-        (mc.EnsembleSpec("aiii", 3, 2, 1), [
+        (("aiii", 3, 2), [
             MomentSpec("aiii", (1,), (1,), (), (), 3, 1),
             MomentSpec("aiii", (1, 2), (2, 1), (), (), 3, 1),
             MomentSpec("aiii", (1, 1), (1, 1), (), (), 3, 1),
             MomentSpec("aiii", (1, 2, 3), (2, 3, 1), (), (), 3, 1),
         ]),
-        (mc.EnsembleSpec("aiii", 4, 2, 2), [
+        (("aiii", 4, 2), [
             MomentSpec("aiii", (1,), (1,), (), (), 4, 0),
             MomentSpec("aiii", (1, 2), (2, 1), (), (), 4, 0),
             MomentSpec("aiii", (1, 2, 3, 4), (2, 1, 4, 3), (), (), 4, 0),
         ]),
-        (mc.EnsembleSpec("aiii", 4, 3, 1), [
+        (("aiii", 4, 3), [
             MomentSpec("aiii", (1,), (1,), (), (), 4, 2),
             MomentSpec("aiii", (1, 2), (2, 1), (), (), 4, 2),
             MomentSpec("aiii", (1, 2, 3, 4), (1, 2, 3, 4), (), (), 4, 2),

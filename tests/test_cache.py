@@ -120,6 +120,8 @@ def test_verify_samples_deterministically(tmp_path):
 
 def test_verify_rejects_unrecomputable_dimension(tmp_path):
     path = tmp_path / "values.tsv"
-    path.write_text("SP\t1\t1\td=0\t1/2\n")
-    with pytest.raises(CacheCorruptionError, match="cannot recompute"):
-        cache.verify(str(path), fraction=1.0, seed=0)
+    # the U record is one an older export wrote below the level
+    for record in ("SP\t1\t1\td=0\t1/2\n", "U\t1\t1\td=-5\t-1/5\n"):
+        path.write_text(record)
+        with pytest.raises(CacheCorruptionError, match="cannot recompute"):
+            cache.verify(str(path), fraction=1.0, seed=0)

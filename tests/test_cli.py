@@ -457,6 +457,16 @@ def test_cache_io_errors_name_the_path_flag(capsys, tmp_path):
     assert (code, err) == (1, f"error: --out: Is a directory: {str(tmp_path)!r}\n")
 
 
+def test_cache_export_refuses_a_unitary_dimension_below_the_level(capsys, tmp_path):
+    path = tmp_path / "cache.tsv"
+    # export walks levels 1..k, so the first level above d is refused
+    for k, d, level in ((3, 2, 3), (2, -5, 1)):
+        code, out, err = run_capture(capsys, ["cache", "export", "--family", "u", "--k", str(k),
+                                              "--dim", str(d), "--out", str(path)])
+        assert (code, out, err) == (1, "", f"error: --dim: dimension {d} below level {level}\n")
+        assert not path.exists()
+
+
 def test_cache_that_is_not_utf8_is_corrupt(capsys, tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_bytes(b"\xff\xfe\x00U\t1\t1\td=5\t1/5\n")

@@ -178,13 +178,13 @@ def test_dimension_guards():
     assert (below.value.d, below.value.k) == (2, 3)
     with pytest.raises(ValueError):
         wg_class("u", (2, 1), 2)
-    # forcing past the guard still detects true singularities exactly
-    with pytest.raises(SingularSystemError) as info:
-        wg_class("u", (1, 1), 1, force=True)
-    assert info.value.level == 2
-    with pytest.raises(SingularSystemError):
-        wg_class("u", (1,), 0, force=True)
-    assert wg_class("u", (1, 1), 2, force=True) == F(1, 3)
+    # singular at -k < d < k, no ensemble at d <= -k: refused before any solve
+    clear_caches()
+    for mu, d in (((1, 1), 1), ((1,), 0), ((2,), -5)):
+        with pytest.raises(exact.BelowLevelError, match=f"^dimension {d} below level {sum(mu)}$"):
+            wg_class("u", mu, d)
+    assert exact._level.cache_info().currsize == 0
+    assert wg_class("u", (1, 1), 2) == F(1, 3)
 
 
 @pytest.mark.parametrize("mu", [(1, 2), (2, 0), (3, -1)])
@@ -207,12 +207,12 @@ def test_orthogonal_singular_dimension():
 
 
 def test_singular_levels_refused_and_lower_levels_kept():
-    # the forced unitary table at d < k and the orthogonal table at d=1
-    # hit an exactly singular level-2 system; level 1 stays available
-    with pytest.raises(SingularSystemError) as info:
-        wg_class("u", (3,), 1, force=True)
-    assert (info.value.family, info.value.level, info.value.d) == ("u", 2, 1)
-    assert wg_class("u", (1,), 1, force=True) == 1
+    # the unitary table refuses d < k at each level and keeps level 1 at
+    # d=1; the orthogonal table at d=1 hits an exactly singular level-2
+    # system and keeps level 1
+    with pytest.raises(exact.BelowLevelError):
+        wg_class("u", (3,), 1)
+    assert wg_class("u", (1,), 1) == 1
     with pytest.raises(SingularSystemError) as info:
         wg_class("o", (4,), 1)
     assert (info.value.family, info.value.level, info.value.d) == ("o", 2, 1)

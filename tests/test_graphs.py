@@ -12,7 +12,6 @@ from wgcalc.graphs import (
     GraphKind,
     MonotoneFactorization,
     Path,
-    PathLimitExceeded,
     class_node,
     count_class_paths,
     count_paths,
@@ -231,12 +230,6 @@ def test_single_path_identity_level_one():
     paths = enumerate_paths(U, Permutation((1,)), 0)
     assert len(paths) == 1
     assert [s.kind for s in paths[0].steps] == [DASHED]
-
-
-def test_path_limit():
-    with pytest.raises(PathLimitExceeded):
-        enumerate_paths(U, EXAMPLE_PERM, 4, limit=5)
-    assert len(enumerate_paths(U, EXAMPLE_PERM, 4, limit=14)) == 14
 
 
 def test_parity_unitary():

@@ -360,8 +360,7 @@ def test_exact_moment_matches_per_term_oracle():
     outcomes = [(_outcome(exact_moment, s), _outcome(_per_term_oracle, s)) for s in specs]
     for spec, (got, want) in zip(specs, outcomes):
         assert got == want, spec
-    assert outcomes[-2][0] == (BelowLevelError,
-                               "dimension 1 below level 2; pass force=True to try anyway")
+    assert outcomes[-2][0] == (BelowLevelError, "dimension 1 below level 2")
     assert outcomes[-1][0] == (SingularSystemError, "singular o system at level 2, d=1")
     nonzero = {s.family for s, (got, _) in zip(specs, outcomes) if isinstance(got, F) and got}
     assert nonzero == {"u", "o", "coe", "aiii"}
