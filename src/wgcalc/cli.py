@@ -377,14 +377,16 @@ def _cache_path(args, flag: str) -> str:
 
 
 def cmd_cache_export(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k: level must be positive, got {args.k}")
     path = _cache_path(args, "--out")
     dminus = _need_dminus(args, args.family)
     try:
         written = cache_mod.export(path, args.family, args.k, args.dim, dminus)
-    except exact.BelowLevelError as exc:
-        raise _dim_error(exc) from None
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # the parser limits --family and --k is checked above, so what is
+        # left refuses the dimension
+        raise _dim_error(exc) from None
     except OSError as exc:
         raise UsageError(f"--out: {exc.strerror}: {path!r}") from None
     record = {"path": path, "written": written}

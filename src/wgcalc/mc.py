@@ -12,10 +12,14 @@ Haar unitaries come from QR of a complex Ginibre matrix with the
 triangular factor's diagonal made positive (Mezzadri, Notices AMS 54,
 2007); plain QR without that fix is not Haar.  The QR is Gram-Schmidt
 run twice per column: the same Q as phase-fixed Householder up to
-roundoff.  COE samples are u u^T, the two-block symmetry ensemble is
-g diag(1..1,-1..-1) g*.  Symplectic sampling is deliberately absent: the
-exact side only defines those values up to sign, so there is no oracle
-target to compare against.
+roundoff.  Column j of Q depends only on the Gaussian columns 0..j, so
+u and o samples compute only the first m columns, m the largest column
+a requested monomial reads: bitwise the same values as the full matrix.
+COE samples are u u^T, the two-block symmetry ensemble is
+g diag(1..1,-1..-1) g*; each of their entries reads every column of u
+(or g), so both are sampled and checked in full.  Symplectic sampling is
+deliberately absent: the exact side only defines those values up to
+sign, so there is no oracle target to compare against.
 """
 
 from __future__ import annotations
@@ -64,34 +68,53 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def _gaussian_block(seed, start, count, d, complex_valued):
-    """Standard normals of samples start..start+count-1, shape (count, d, d).
+def _gaussian_block(seed, start, count, d, complex_valued, m=None):
+    """Standard normals of samples start..start+count-1: the first ``m``
+    columns (default all ``d``) of each d x d matrix, shape (count, d, m).
 
     A sample needs ``per`` normals and reads ``blocks = ceil(per / 4)``
     Philox4x64 blocks: sample i takes those that follow counter i*blocks
     under key ``seed``.  Each block gives four words, each word a uniform
     from its top 53 bits, and Box-Muller turns pairs of uniforms into
     pairs of normals.  A sample's normals therefore depend only on
-    (seed, i), never on the chunk it is drawn in.
+    (seed, i), never on the chunk it is drawn in.  Entry (i, j) is the
+    normal at stream position ``k = i*d + j`` (its imaginary part at
+    ``d*d + k``): the cosine of pair ``k mod 2*blocks`` when
+    ``k < 2*blocks``, else its sine.  Every word is drawn, but Box-Muller
+    runs only on the pairs the first ``m`` columns read, so the values are
+    bitwise those of the full block.
     """
+    m = d if m is None else m
     per = 2 * d * d if complex_valued else d * d
     blocks = -(-per // 4)
     words = np.random.Philox(key=seed, counter=start * blocks).random_raw(count * blocks * 4)
-    u = (words >> 11).astype(np.float64).reshape(count, 2 * blocks, 2)
+    words = words.reshape(count, 2 * blocks, 2)
+    if m < d:
+        pos = (np.arange(d)[:, None] * d + np.arange(m)).ravel()
+        if complex_valued:
+            pos = np.concatenate((pos, pos + d * d))
+        # the sorted pairs those positions read (np.unique would import numpy.ma)
+        pairs = np.flatnonzero(np.bincount(pos % (2 * blocks), minlength=2 * blocks))
+        words = words[:, pairs]
+    u = (words >> 11).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[..., 0]))
     angle = 2.0 * np.pi * u[..., 1]
-    z = np.empty((count, 2, 2 * blocks))
+    z = np.empty((count, 2, words.shape[1]))
     np.cos(angle, out=z[:, 0])
     np.sin(angle, out=z[:, 1])
     z *= radius[:, None, :]
-    z = z.reshape(count, 4 * blocks)
+    z = z.reshape(count, -1)
+    if m < d:
+        z = z[:, np.searchsorted(pairs, pos % (2 * blocks)) + len(pairs) * (pos >= 2 * blocks)]
+    else:
+        z = z[:, :per]
     if complex_valued:
-        w = np.empty((count, d * d), dtype=np.complex128)
-        w.real, w.imag = z[:, :d * d], z[:, d * d:per]
+        w = np.empty((count, d * m), dtype=np.complex128)
+        w.real, w.imag = z[:, :d * m], z[:, d * m:]
         z = w
-    return z[:, :d * d].reshape(count, d, d)
+    return z.reshape(count, d, m)
 
 
 def _qr_positive(a):
@@ -122,17 +145,27 @@ def _assert_small(diff, tol: float, what: str) -> None:
 
 
 def _check_unitary(q, tol=1e-10):
-    """Raise unless every sample has q q* = 1 to ``tol``; layout as in _qr_positive."""
+    """Raise unless the columns of every sample are orthonormal, q* q = 1 to
+    ``tol``; layout as in _qr_positive.  On all d columns this is the full
+    unitarity check; on the first m it checks just the columns computed."""
     eye = np.eye(len(q))[:, :, None]
-    _assert_small(np.einsum("jcb,jrb->crb", q.conj(), q) - eye, tol, "unitarity")
+    _assert_small(np.einsum("cib,rib->crb", q.conj(), q) - eye, tol, "unitarity")
 
 
-def _sample_block(ens: tuple[str, int, int], seed: int, start: int, count: int):
+def _sample_block(ens: tuple[str, int, int], seed: int, start: int, count: int, m=None):
     """Samples start..start+count-1 of ``ens``, an :func:`ensemble_of`
-    tuple, shape (count, d, d): a view of a (column, row, sample) array, so
-    each entry is a contiguous vector."""
+    tuple, shape (count, d, m): a view of a (column, row, sample) array, so
+    each entry is a contiguous vector.
+
+    ``u`` and ``o`` compute only the first ``m`` columns (default all d):
+    Gram-Schmidt builds column j from Gaussian columns 0..j alone, so they
+    are bitwise the full sample's.  ``coe`` and ``aiii`` read every column
+    of Q for every entry, so they always return all d columns.
+    """
     family, d, a = ens
-    g = _gaussian_block(seed, start, count, d, family != "o")
+    if m is None or family not in ("u", "o"):
+        m = d
+    g = _gaussian_block(seed, start, count, d, family != "o", m)
     q = _qr_positive(g.transpose(2, 1, 0))
     _check_unitary(q)
     if family in ("u", "o"):
@@ -198,11 +231,13 @@ def estimate_moments(
     for spec in specs:
         if ensemble_of(spec) != ens:
             raise ValueError("moment spec does not match the ensemble")
+    # u and o draw only the columns the monomials read
+    m = max((c for spec in specs for c in spec.cols + spec.ccols), default=1)
     values = np.empty((len(specs), n), dtype=np.complex128)
     start = 0
     while start < n:
         count = min(chunk, n - start)
-        samples = _sample_block(ens, seed, start, count)
+        samples = _sample_block(ens, seed, start, count, m)
         for pos, spec in enumerate(specs):
             values[pos, start:start + count] = _monomial_values(spec, samples)
         start += count

@@ -467,6 +467,27 @@ def test_cache_export_refuses_a_unitary_dimension_below_the_level(capsys, tmp_pa
         assert not path.exists()
 
 
+def test_cache_export_refusals_name_the_flag(capsys, tmp_path):
+    path = tmp_path / "cache.tsv"
+    cases = (
+        (["--family", "coe", "--k", "2", "--dim", "0"],
+         "--dim: COE dimension must be positive, got 0"),
+        (["--family", "sp", "--k", "2", "--dim", "0"],
+         "--dim: symplectic dimension must be positive, got 0"),
+        (["--family", "aiii", "--k", "2", "--dim", "0", "--dminus", "0"],
+         "--dim: dimension must be positive, got 0"),
+        (["--family", "u", "--k", "0", "--dim", "3"], "--k: level must be positive, got 0"),
+    )
+    for flags, message in cases:
+        code, out, err = run_capture(capsys, ["cache", "export", *flags, "--out", str(path)])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not path.exists()
+    # the same reason as wg value gives for the dimension
+    code, _, err = run_capture(capsys, ["value", "--family", "coe", "--pairing", "1,2|3,4",
+                                        "--dim", "0"])
+    assert (code, err) == (1, "error: --dim: COE dimension must be positive, got 0\n")
+
+
 def test_cache_that_is_not_utf8_is_corrupt(capsys, tmp_path):
     path = tmp_path / "cache.tsv"
     path.write_bytes(b"\xff\xfe\x00U\t1\t1\td=5\t1/5\n")

@@ -131,6 +131,84 @@ def test_rank_deficient_block_fails_the_unitarity_check_without_a_warning(comple
                 _check_unitary(_qr_positive(_flip(a)))
 
 
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_column_prefix_is_bitwise_the_full_sample(complex_valued):
+    family = "u" if complex_valued else "o"
+    for d in range(1, 7):
+        for start in (0, 37):
+            normals = _gaussian_block(SEED, start, 50, d, complex_valued)
+            sample = _sample_block((family, d, d), SEED, start, 50)
+            for m in range(1, d + 1):
+                assert np.array_equal(_gaussian_block(SEED, start, 50, d, complex_valued, m),
+                                      normals[:, :, :m])
+                assert np.array_equal(_sample_block((family, d, d), SEED, start, 50, m),
+                                      sample[:, :, :m])
+
+
+def test_check_unitary_on_a_column_prefix_catches_a_scaled_column():
+    q = _qr_positive(_flip(_gaussian_block(SEED, 0, 8, 4, True, 2)))
+    _check_unitary(q)
+    q[1, :, 5] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="unitarity defect"):
+        _check_unitary(q)
+
+
+def _orthogonalised_columns(monkeypatch, capsys, argv):
+    seen = []
+    qr = mc._qr_positive
+
+    def recording(a):
+        seen.append(len(a))
+        return qr(a)
+
+    monkeypatch.setattr(mc, "_qr_positive", recording)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    return set(seen)
+
+
+def test_mc_orthogonalises_only_the_columns_it_reads(monkeypatch, capsys):
+    # u and o stop at the largest column a monomial reads; coe and aiii
+    # read every column of Q for every entry
+    cases = (
+        (["--family", "u", "--dim", "4", "--rows", "1", "--cols", "1",
+          "--crows", "1", "--ccols", "1"], 1),
+        (["--family", "o", "--dim", "3", "--rows", "1,2", "--cols", "2,2"], 2),
+        (["--family", "coe", "--dim", "3", "--rows", "1", "--cols", "1",
+          "--crows", "1", "--ccols", "1"], 3),
+        (["--family", "aiii", "--sig", "2,1", "--rows", "1", "--cols", "1"], 3),
+    )
+    for flags, columns in cases:
+        argv = ["mc", *flags, "--samples", "1000"]
+        assert _orthogonalised_columns(monkeypatch, capsys, argv) == {columns}, flags
+
+
+def test_batched_estimates_equal_each_spec_alone():
+    first = MomentSpec("u", rows=(2,), cols=(1,), crows=(2,), ccols=(1,), d=4)
+    third = MomentSpec("u", rows=(1, 4), cols=(3, 2), crows=(1, 4), ccols=(3, 2), d=4)
+    ens = ensemble_of(first)
+    alone = [estimate_moments(ens, [spec], 2000, SEED)[0] for spec in (first, third)]
+    for chunk in (mc._CHUNK, 173):
+        assert estimate_moments(ens, [first, third], 2000, SEED, chunk=chunk) == alone
+        assert [estimate_moments(ens, [spec], 2000, SEED, chunk=chunk)[0]
+                for spec in (first, third)] == alone
+
+
+def test_degree_zero_estimate_is_one_and_still_checked(monkeypatch):
+    checked = []
+    check = mc._check_unitary
+
+    def recording(q, tol=1e-10):
+        checked.append(len(q))
+        return check(q, tol)
+
+    monkeypatch.setattr(mc, "_check_unitary", recording)
+    spec = MomentSpec("u", (), (), d=3)
+    est = estimate_moment(spec, 1000, SEED)
+    assert (est.mean, est.se_real, est.se_imag) == (1, 0, 0)
+    assert checked == [1]
+
+
 def test_estimates_are_reproducible_and_chunk_independent():
     spec = MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3)
     ens = ensemble_of(spec)
