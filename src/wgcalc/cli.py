@@ -38,23 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _common(sub):
     sub.add_argument("--json", action="store_true", help="emit one JSON record")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="cap on worker threads (the solvers are serial)")
-    sub.add_argument("--config", help="optional config file; flags always win")
 
 
 def _config_cache_path(args) -> str | None:
-    if getattr(args, "config", None):
+    if args.config:
         parser = configparser.ConfigParser()
         if not parser.read(args.config):
             raise UsageError(f"--config: cannot read {args.config!r}")
         return parser.get("wg", "cache", fallback=None)
     return None
-
-
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise UsageError(f"--threads: must be a positive integer, got {args.threads}")
 
 
 def _parse_element(args, family: str):
@@ -421,6 +413,10 @@ def build_parser() -> _Parser:
         sub.add_argument("--perm", help="permutation as comma-separated images, e.g. 2,1")
         sub.add_argument("--pairing", help='pair partition, e.g. "1,2|3,4"')
 
+    def config_flag(sub):
+        sub.add_argument("--config", help="config file whose [wg] cache key names the "
+                                          f"cache path; the path flag and {CACHE_ENV} win")
+
     sub = subs.add_parser("value", help="exact Weingarten value")
     sub.add_argument("--family", required=True, choices=exact.FAMILIES)
     element_flags(sub)
@@ -499,6 +495,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--dminus", type=int)
     sub.add_argument("--out")
+    config_flag(sub)
     _common(sub)
     sub.set_defaults(handler=cmd_cache_export)
 
@@ -506,6 +503,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--path")
     sub.add_argument("--fraction", type=float, default=0.05)
     sub.add_argument("--seed", type=int, default=0)
+    config_flag(sub)
     _common(sub)
     sub.set_defaults(handler=cmd_cache_verify)
 
@@ -522,7 +520,6 @@ def run(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
-            _check_threads(args)
             return args.handler(args)
         except cache_mod.CacheCorruptionError as exc:
             code, error = 3, f"cache corruption: {exc}"

@@ -2,11 +2,12 @@
 
 Samples the four computable ensembles with a counter-based RNG (each
 sample index owns a fixed run of Philox4x64 counter blocks under the seed
-as key, so results do not depend on chunking or evaluation order),
-estimates entry-monomial means, and compares them against the exact
-backend at a 5-standard-error threshold.  :func:`ensemble_of` reads the
-ensemble off a validated :class:`~wgcalc.moments.MomentSpec`, and every
-exact value is computed before the first sample is drawn.
+as key, so results do not depend on chunking, evaluation order or the
+number of threads), estimates entry-monomial means, and compares them
+against the exact backend at a 5-standard-error threshold.
+:func:`ensemble_of` reads the ensemble off a validated
+:class:`~wgcalc.moments.MomentSpec`, and every exact value is computed
+before the first sample is drawn.
 
 Haar unitaries come from QR of a complex Ginibre matrix with the
 triangular factor's diagonal made positive (Mezzadri, Notices AMS 54,
@@ -20,11 +21,19 @@ g diag(1..1,-1..-1) g*; each of their entries reads every column of u
 (or g), so both are sampled and checked in full.  Symplectic sampling is
 deliberately absent: the exact side only defines those values up to
 sign, so there is no oracle target to compare against.
+
+:func:`estimate_moments` splits the samples into one contiguous range
+per available CPU, each at least ``MIN_SAMPLES`` long; the calling thread
+samples the first range and a thread started for the call each other one.
+Every sample's values land in their own slot of one array, so estimates
+are bitwise those of the serial loop, and with one CPU no thread starts.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +42,8 @@ import numpy as np
 from .moments import MomentSpec, exact_moment
 
 _CHUNK = 4096
+# fewest samples an estimate takes, and so the fewest a sampling thread gets
+MIN_SAMPLES = 1000
 # names the normal stream of _gaussian_block; change it whenever the
 # samples drawn for a given seed change
 STREAM = "philox4x64-counter-v1"
@@ -184,6 +195,13 @@ def _sample_block(ens: tuple[str, int, int], seed: int, start: int, count: int, 
     return s.transpose(2, 1, 0)
 
 
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _monomial_values(spec: MomentSpec, samples):
     vals = np.ones(samples.shape[0], dtype=np.complex128)
     for r, c in zip(spec.rows, spec.cols):
@@ -222,9 +240,12 @@ def estimate_moments(
     chunk: int = _CHUNK,
 ) -> list[MomentEstimate]:
     """Estimate several monomials of one ensemble, an :func:`ensemble_of`
-    tuple, on a shared sample stream."""
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples, got {n}")
+    tuple, on a shared sample stream sampled in ranges over threads as the
+    module docstring describes.  A sampler check that fails in any range is
+    raised here, the lowest range's first.
+    """
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n}")
     check_seed(seed)
     # MomentSpec has checked every index against spec.d, so matching d
     # keeps every index inside the sampled matrices
@@ -234,13 +255,37 @@ def estimate_moments(
     # u and o draw only the columns the monomials read
     m = max((c for spec in specs for c in spec.cols + spec.ccols), default=1)
     values = np.empty((len(specs), n), dtype=np.complex128)
-    start = 0
-    while start < n:
-        count = min(chunk, n - start)
-        samples = _sample_block(ens, seed, start, count, m)
-        for pos, spec in enumerate(specs):
-            values[pos, start:start + count] = _monomial_values(spec, samples)
-        start += count
+
+    def fill(lo, hi):
+        for start in range(lo, hi, chunk):
+            count = min(chunk, hi - start)
+            samples = _sample_block(ens, seed, start, count, m)
+            for pos, spec in enumerate(specs):
+                values[pos, start:start + count] = _monomial_values(spec, samples)
+
+    blocks = max(1, min(_cores(), n // MIN_SAMPLES))
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    errors = [None] * blocks
+
+    def fill_block(b):
+        try:
+            fill(edges[b], edges[b + 1])
+        except Exception as exc:  # raised again in the calling thread
+            errors[b] = exc
+
+    threads = [threading.Thread(target=fill_block, args=(b,)) for b in range(1, blocks)]
+    try:
+        for thread in threads:
+            thread.start()
+        fill(edges[0], edges[1])
+    finally:
+        # a thread that failed to start is not alive and has nothing to join
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     out = []
     for pos in range(len(specs)):
         v = values[pos]
@@ -249,10 +294,6 @@ def estimate_moments(
         se_i = float(np.std(v.imag, ddof=1) / math.sqrt(n))
         out.append(MomentEstimate(mean, se_r, se_i, n, seed, STREAM))
     return out
-
-
-def estimate_moment(spec: MomentSpec, n: int, seed: int) -> MomentEstimate:
-    return estimate_moments(ensemble_of(spec), [spec], n, seed)[0]
 
 
 def _component_check(diff: float, se: float) -> tuple[float, bool]:

@@ -207,8 +207,8 @@ def test_one_parser_serves_every_call(capsys):
     code, out, err = run_capture(capsys, value + ["--json"])
     assert (code, json.loads(out)["value"], err) == (0, "-1/120", "")
     assert run_capture(capsys, value) == (0, "-1/120\n", "")
-    assert run_capture(capsys, value + ["--threads", "0"]) == (
-        1, "", "error: --threads: must be a positive integer, got 0\n")
+    assert run_capture(capsys, value + ["--config", "wg.ini"]) == (
+        1, "", "error: unrecognized arguments: --config wg.ini\n")
     assert run_capture(capsys, value) == (0, "-1/120\n", "")
     assert run_capture(capsys, ["value", "--family", "u", "--dim", "5"]) == (
         1, "", "error: --perm is required for family u\n")
@@ -337,10 +337,11 @@ def test_errors_name_the_offending_argument(capsys):
                                         "--k", "2", "--dim", "67"])
     assert code == 1
     assert "--dim" in err
-    code, _, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1",
-                                        "--dim", "5", "--threads", "0"])
-    assert code == 1
-    assert "--threads" in err
+    # only the cache subcommands read --config; no subcommand takes --threads
+    for flag in ("--threads", "--config"):
+        code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1",
+                                              "--dim", "5", flag, "1"])
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {flag} 1\n")
     code, _, err = run_capture(capsys, ["mc", "--family", "aiii", "--sig", "2,1",
                                         "--dim", "5", "--rows", "1", "--cols", "1"])
     assert code == 1

@@ -2,8 +2,13 @@
 
 import hashlib
 import inspect
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +22,16 @@ from wgcalc.mc import (
     _sample_block,
     compare_with_exact,
     ensemble_of,
-    estimate_moment,
     estimate_moments,
 )
 from wgcalc.moments import MomentSpec
 
 SEED = 20260822
 BATCH = 64
+
+
+def _estimate(spec, n, seed):
+    return estimate_moments(ensemble_of(spec), [spec], n, seed)[0]
 
 
 def test_haar_unitary_is_unitary():
@@ -204,7 +212,7 @@ def test_degree_zero_estimate_is_one_and_still_checked(monkeypatch):
 
     monkeypatch.setattr(mc, "_check_unitary", recording)
     spec = MomentSpec("u", (), (), d=3)
-    est = estimate_moment(spec, 1000, SEED)
+    est = _estimate(spec, 1000, SEED)
     assert (est.mean, est.se_real, est.se_imag) == (1, 0, 0)
     assert checked == [1]
 
@@ -217,6 +225,137 @@ def test_estimates_are_reproducible_and_chunk_independent():
     rechunked = estimate_moments(ens, [spec], 2000, SEED, chunk=173)[0]
     assert first == again
     assert first == rechunked
+
+
+# one degree-4 monomial of each sampled ensemble at d = 4
+THREAD_SPECS = {
+    "u": MomentSpec("u", rows=(1, 4), cols=(2, 3), crows=(1, 4), ccols=(3, 2), d=4),
+    "o": MomentSpec("o", rows=(1, 2, 3, 3), cols=(4, 4, 1, 2), d=4),
+    "coe": MomentSpec("coe", rows=(1, 2), cols=(2, 3), crows=(1, 2), ccols=(2, 3), d=4),
+    "aiii": MomentSpec("aiii", rows=(1, 2, 3, 4), cols=(2, 1, 4, 3), d=4, dminus=0),
+}
+
+
+@pytest.mark.parametrize("family", THREAD_SPECS)
+def test_estimates_do_not_depend_on_the_thread_count(monkeypatch, family):
+    spec = THREAD_SPECS[family]
+    ens = ensemble_of(spec)
+    sample = mc._sample_block
+    caller = threading.get_ident()
+    drawn = []
+
+    def recording(ens, seed, start, count, m=None):
+        drawn.append((start, count, threading.get_ident() == caller))
+        return sample(ens, seed, start, count, m)
+
+    for n in (1000, 2999, 4001):
+        monkeypatch.setattr(mc, "_cores", lambda: 1)
+        serial = estimate_moments(ens, [spec], n, SEED)
+        for cores in (1, 2, 3, 8):
+            monkeypatch.setattr(mc, "_cores", lambda: cores)
+            for chunk in (mc._CHUNK, 173):
+                drawn.clear()
+                monkeypatch.setattr(mc, "_sample_block", recording)
+                assert estimate_moments(ens, [spec], n, SEED, chunk=chunk) == serial
+                monkeypatch.setattr(mc, "_sample_block", sample)
+                # every sample is drawn once, in pieces of at most `chunk`
+                drawn.sort()
+                assert [start for start, _, _ in drawn] == [
+                    0, *(start + count for start, count, _ in drawn[:-1])]
+                assert drawn[-1][0] + drawn[-1][1] == n
+                assert max(count for _, count, _ in drawn) <= chunk
+                # each thread samples at least MIN_SAMPLES
+                off_caller = sum(count for _, count, mine in drawn if not mine)
+                assert (off_caller > 0) == (cores > 1 and n >= 2 * mc.MIN_SAMPLES)
+
+
+def test_one_cpu_or_one_range_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("started a sampling thread")
+
+    spec = THREAD_SPECS["coe"]
+    monkeypatch.setattr(mc.threading, "Thread", no_thread)
+    for cores, n in ((1, 4001), (8, 1999)):
+        monkeypatch.setattr(mc, "_cores", lambda: cores)
+        _estimate(spec, n, SEED)
+
+
+def test_a_failed_check_off_the_calling_thread_is_raised_by_the_call(monkeypatch):
+    check = mc._check_unitary
+    caller = threading.get_ident()
+
+    def failing_past_the_first_range(q, tol=1e-10):
+        if threading.get_ident() != caller:
+            raise ValueError("sampler constraint violated: injected")
+        return check(q, tol)
+
+    monkeypatch.setattr(mc, "_cores", lambda: 2)
+    monkeypatch.setattr(mc, "_check_unitary", failing_past_the_first_range)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="injected"):
+        _estimate(THREAD_SPECS["u"], 4000, SEED)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("first_failing", [0, 1000])
+def test_the_lowest_failing_range_is_raised(monkeypatch, first_failing):
+    sample = mc._sample_block
+
+    def failing(ens, seed, start, count, m=None):
+        if start >= first_failing:
+            raise ValueError(f"range at {start}")
+        return sample(ens, seed, start, count, m)
+
+    monkeypatch.setattr(mc, "_cores", lambda: 3)
+    monkeypatch.setattr(mc, "_sample_block", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"^range at {first_failing}$"):
+        _estimate(THREAD_SPECS["aiii"], 3000, SEED)
+    assert threading.active_count() == before
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# runs `wg` pinned to one CPU, where starting a thread fails
+PINNED_WG = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+def refuse(self):
+    raise AssertionError("started a thread on one CPU")
+threading.Thread.start = refuse
+from wgcalc import cli
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to one")
+@pytest.mark.parametrize("monomial", [
+    ["--family", "coe", "--dim", "4", "--rows", "1,2", "--cols", "2,3",
+     "--crows", "1,2", "--ccols", "2,3"],
+    ["--family", "aiii", "--sig", "2,2", "--rows", "1,2,3,4", "--cols", "2,1,4,3"]])
+def test_wg_mc_output_does_not_depend_on_the_cpu_count(monomial):
+    # the roundoff-level imaginary means in these outputs show any bit that moves
+    argv = ["mc", *monomial, "--samples", "4001", "--seed", "11"]
+    for extra in ([], ["--json"]):
+        runs = [subprocess.run([sys.executable, *how, *argv, *extra], capture_output=True,
+                               text=True, env=_src_env(), timeout=60)
+                for how in (["-m", "wgcalc"], ["-c", PINNED_WG])]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        assert runs[0].stdout == runs[1].stdout
+
+
+def test_importing_mc_leaves_concurrent_futures_unloaded():
+    script = "import sys, wgcalc.mc; assert 'concurrent.futures' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unitary_phase_mean_near_zero():
@@ -307,10 +446,10 @@ def test_sampling_entry_points_keep_their_leading_parameters():
 def test_estimate_rejects_bad_requests():
     spec = MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3)
     with pytest.raises(ValueError):
-        estimate_moment(spec, 999, SEED)
+        _estimate(spec, 999, SEED)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
-            estimate_moment(spec, 2000, seed)
+            _estimate(spec, 2000, seed)
     with pytest.raises(ValueError):
         estimate_moments(("o", 3, 3), [spec], 2000, SEED)
     # MomentSpec refuses the out-of-range index before any sampling
@@ -319,4 +458,4 @@ def test_estimate_rejects_bad_requests():
         estimate_moments(("u", 3, 3), [big], 2000, SEED)
     odd = MomentSpec("aiii", rows=(1,), cols=(1,), d=3, dminus=2)
     with pytest.raises(ValueError):
-        estimate_moment(odd, 2000, SEED)
+        _estimate(odd, 2000, SEED)
