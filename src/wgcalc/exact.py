@@ -15,12 +15,13 @@ Values are constant on cycle-type (permutation families) or coset-type
 (pair-partition families) classes, so each level is solved as a small exact
 linear system with one unknown per class, by sparse fraction-free
 elimination (:func:`wgcalc.ratfunc.solve_linear_exact`).  One row builder
-serves every family: it reads each class's solid, dashed and squiggled
-targets from the class graph of :mod:`wgcalc.graphs` and writes each row as
-a ``{column: integer}`` dict.  The cached unit is one solved level, keyed by
-family graph, dimension argument and level and kept in a bounded
-``functools.lru_cache`` (``LEVEL_CAP`` levels); level ``k`` reads only the
-cached levels ``k-1`` and ``k-2``.  Singular systems are detected exactly
+serves every family: it walks the level's node table
+(:func:`wgcalc.graphs.level_nodes`), reads each class's solid, dashed and
+squiggled targets from it and writes each row as a ``{column: integer}``
+dict.  The cached unit is one solved level, keyed by family graph,
+dimension argument and level and kept in a bounded ``functools.lru_cache``
+(``LEVEL_CAP`` levels); level ``k`` reads only the cached levels ``k-1``
+and ``k-2``.  Singular systems are detected exactly
 and reported, never patched.  The level-``k`` unitary system is singular
 at every ``-k < d < k`` (checked for ``k = 2..7``) and no ensemble has
 ``d <= -k``, so the unitary route refuses every ``d < k`` before solving.
@@ -50,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import ratfunc
-from .graphs import GraphKind, class_node, count_table, dashed_target, solid_targets
+from .graphs import GraphKind, count_table, dashed_target, level_nodes, solid_targets
 from .symcore import (
     PairPartition,
     Permutation,
@@ -96,11 +97,10 @@ def _level(kind: GraphKind, d: int, dminus: int | None, j: int) -> dict:
     if j == 0:
         return {(): Fraction(1)}
     below = _level(kind, d, dminus, j - 1)
-    classes = list(partitions(j))
-    index = {mu: i for i, mu in enumerate(classes)}
+    nodes = level_nodes(kind, j)
+    index = {mu: i for i, mu in enumerate(nodes)}
     rows, rhs = [], []
-    for mu in classes:
-        node = class_node(kind, mu)
+    for mu, node in nodes.items():
         row = {index[mu]: d}
         for target, mult in node.solid:
             col = index[target]
@@ -116,7 +116,7 @@ def _level(kind: GraphKind, d: int, dminus: int | None, j: int) -> dict:
     sol = ratfunc.solve_linear_exact(rows, rhs)
     if sol is None:
         raise SingularSystemError(kind.value, j, d, dminus)
-    return dict(zip(classes, sol))
+    return dict(zip(nodes, sol))
 
 
 def _check_dim(d) -> int:

@@ -20,29 +20,31 @@ annotations biject with monotone transposition factorizations
 (Matsumoto-Novak), both directions implemented below.
 
 Path counts are class functions of the start vertex (cycle type, coset
-type), so each kind is also described once at class level, kept in a
-``functools`` cache: :func:`class_node` computes a class's solid targets
-with multiplicities, dashed target and squiggled target from the partition
-alone.  A transposition moving the top point joins its cycle to another
-cycle or cuts it in two (Goulden-Jackson, *Transitive factorizations into
-transpositions*, PAMS 1997); on pairings the same join/cut acts on coset
-types, with the cuts that restore the block as self-loops.  No element is
-built.  One table, :func:`count_table`, sweeps the nodes bottom-up for
-every kind and depth, with no recursion and no count memo; series, bounds,
-:func:`count_class_paths` and :func:`enumerate_paths` read it, and
-:mod:`wgcalc.exact` builds its rows from the same nodes.  Class
-constancy is assumed, not derived; ``tests/test_graphs.py`` checks every
-node of small levels against the one read off a representative element,
-the class-level counts against element-level walks and
-:func:`enumerate_paths` on every element of small levels, and
-``exact.wg_coe_direct`` checks the solver.
+type), so each kind is also described once at class level, one table per
+level: :func:`level_nodes` computes every class's solid targets with
+multiplicities, dashed target and squiggled target from the partition
+alone, and keeps at most :data:`NODE_LEVEL_CAP` whole levels in a
+``functools.lru_cache``; :func:`class_node` validates a partition and looks
+its node up there.  A transposition moving the top point joins its cycle
+to another cycle or cuts it in two (Goulden-Jackson, *Transitive
+factorizations into transpositions*, PAMS 1997); on pairings the same
+join/cut acts on coset types, with the cuts that restore the block as
+self-loops.  No element is built.  One table, :func:`count_table`, sweeps
+the nodes bottom-up for every kind and depth, with no recursion and no
+count memo; series, bounds, :func:`count_class_paths` and
+:func:`enumerate_paths` read it, and :mod:`wgcalc.exact` builds its rows
+from the same node tables.  Class constancy is assumed, not derived;
+``tests/test_graphs.py`` checks every node of small levels against the one
+read off a representative element, the class-level counts against
+element-level walks and :func:`enumerate_paths` on every element of small
+levels, and ``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
@@ -138,9 +140,12 @@ class ClassNode(NamedTuple):
     squiggled: tuple[int, ...] | None
 
 
-@cache
-def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
-    """The node of class ``mu``, computed from ``mu`` on first use.
+NODE_LEVEL_CAP = 32  # whole levels of nodes kept; one benchmark job reads at most 14
+
+
+@lru_cache(maxsize=NODE_LEVEL_CAP)
+def level_nodes(kind: GraphKind, j: int) -> dict[tuple[int, ...], ClassNode]:
+    """The node of every class of level ``j``, in :func:`partitions` order.
 
     The top point lies in the last, smallest part ``c = mu[-1]``, as in the
     class representatives of :mod:`wgcalc.symcore`; the other parts are
@@ -149,6 +154,28 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     (``2m`` ways for pairings, which also take ``c-1`` self-loops).  The
     dashed step drops a top fixed point (``c == 1``), the squiggled step a
     top 2-cycle (``c == 2``); both land on ``rest``.
+    """
+    ortho = kind is GraphKind.ORTHOGONAL
+    nodes = {}
+    for mu in partitions(j):
+        rest, c = mu[:-1], (mu[-1] if mu else 0)
+        solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
+        targets = [(rest + (a, c - a), 1) for a in range(1, c)]
+        targets += [(rest[:i] + rest[i + 1:] + (m + c,), 2 * m if ortho else m)
+                    for i, m in enumerate(rest)]
+        for parts, mult in targets:
+            target = tuple(sorted(parts, reverse=True))
+            solid[target] = solid.get(target, 0) + mult
+        nodes[mu] = ClassNode(
+            tuple(solid.items()),
+            rest if c == 1 else None,
+            rest if kind is GraphKind.AIII and c == 2 else None,
+        )
+    return nodes
+
+
+def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
+    """The node of class ``mu``, looked up in its level's :func:`level_nodes`.
 
     >>> class_node(GraphKind.UNITARY, (2, 1))
     ClassNode(solid=(((3,), 2),), dashed=(2,), squiggled=None)
@@ -156,20 +183,7 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
     ClassNode(solid=(((3,), 4),), dashed=(2,), squiggled=None)
     """
     mu = validate_partition(mu)
-    rest, c = mu[:-1], (mu[-1] if mu else 0)
-    ortho = kind is GraphKind.ORTHOGONAL
-    solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
-    targets = [(rest + (a, c - a), 1) for a in range(1, c)]
-    targets += [(rest[:j] + rest[j + 1:] + (m + c,), 2 * m if ortho else m)
-                for j, m in enumerate(rest)]
-    for parts, mult in targets:
-        target = tuple(sorted(parts, reverse=True))
-        solid[target] = solid.get(target, 0) + mult
-    return ClassNode(
-        tuple(solid.items()),
-        rest if c == 1 else None,
-        rest if kind is GraphKind.AIII and c == 2 else None,
-    )
+    return level_nodes(kind, sum(mu))[mu]
 
 
 def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], list[list[int]]]:
@@ -181,7 +195,7 @@ def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], li
     zeros = [0] * (solid + 1)
     table = {(): [[1] + zeros[1:]]}
     for j in range(1, k + 1):
-        nodes = {mu: class_node(kind, mu) for mu in partitions(j)}
+        nodes = level_nodes(kind, j)
         n_rows = j // 2 + 1 if kind is GraphKind.AIII else 1
         for mu, node in nodes.items():
             below = (table[node.dashed] if node.dashed is not None
@@ -389,4 +403,4 @@ def enumerate_monotone_factorizations(
 
 
 def clear_caches() -> None:
-    class_node.cache_clear()
+    level_nodes.cache_clear()

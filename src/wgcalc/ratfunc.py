@@ -1,10 +1,11 @@
 """Exact rational linear algebra and rational-function reconstruction.
 
 Results are :class:`fractions.Fraction`.  The linear solver eliminates on
-sparse integer rows (fraction-free) and only back-substitutes over
-Fraction; polynomials and rational functions work over Fraction
-throughout.  Polynomials are coefficient tuples, lowest degree first; the
-zero polynomial is ``()``.
+sparse integer rows (fraction-free), picking each Markowitz pivot column
+from a lazy heap, and back-substitutes on integer numerator/denominator
+pairs, building one Fraction per unknown; polynomials and rational
+functions work over Fraction throughout.  Polynomials are coefficient
+tuples, lowest degree first; the zero polynomial is ``()``.
 
 :func:`reconstruct` is given the denominator: Collins–Śniady content
 products for ``u`` (and ``aiii``, where it is only observed), Collins–Matsumoto
@@ -15,6 +16,7 @@ zonal factors for ``o``, shifted for ``coe`` and ``sp``
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -53,10 +55,18 @@ def solve_linear_exact(
     Each row is either a ``{column: value}`` mapping of its nonzero entries
     or a dense sequence; values and ``rhs`` are ints or Fractions.  Every
     row is scaled to coprime integers.  Each step pivots Markowitz-style
-    (the uneliminated column with the fewest active rows, then the shortest
-    row in it) and clears that column from the other active rows by
-    ``p*row - f*pivot_row`` with ``gcd(p, f)`` divided out first and the
-    row's content afterwards.  Back-substitution runs over Fraction.
+    (the uneliminated column with the fewest active rows, lowest column
+    first on ties, then the shortest row in it) and clears that column from
+    the other active rows by ``p*row - f*pivot_row`` with ``gcd(p, f)``
+    divided out first and the row's content afterwards.  The column is
+    popped from a lazy heap of ``(active rows, column)`` entries, one pushed
+    whenever a column's count changes; a popped entry whose count is no
+    longer the column's, or whose column is gone, is skipped.
+
+    Back-substitution stays on integers: each solved unknown is a reduced
+    ``(numerator, denominator)`` pair, and a pivot row with the lcm ``m`` of
+    its other columns' denominators gives ``(b*m - sum v*num*(m//den)) /
+    (p*m)``, built as one Fraction.
 
     Returns ``None`` when the matrix is singular, detected exactly as an
     uneliminated column with no nonzero in any active row.
@@ -73,10 +83,16 @@ def solve_linear_exact(
     for r, row in enumerate(a):
         for c in row:
             col_rows[c].add(r)
+    # (count, column) for every count a column has had; the current one is live
+    heap = [(len(rs), c) for c, rs in col_rows.items()]
+    heapq.heapify(heap)
     order: list[tuple[int, int]] = []
     while col_rows:
-        col = min(col_rows, key=lambda c: len(col_rows[c]))
-        active = col_rows.pop(col)
+        count, col = heapq.heappop(heap)
+        active = col_rows.get(col)
+        if active is None or count != len(active):
+            continue
+        del col_rows[col]
         if not active:
             return None
         piv = min(active, key=lambda r: len(a[r]))
@@ -84,7 +100,9 @@ def solve_linear_exact(
         prow, pb = a[piv], b[piv]
         for c in prow:
             if c != col:
-                col_rows[c].discard(piv)
+                rs = col_rows[c]
+                rs.discard(piv)
+                heapq.heappush(heap, (len(rs), c))
         p = prow[col]
         for r in active:
             row = a[r]
@@ -98,11 +116,15 @@ def solve_linear_exact(
                 nv = new.get(c, 0) - ff * v
                 if nv:
                     if c not in new:
-                        col_rows[c].add(r)
+                        rs = col_rows[c]
+                        rs.add(r)
+                        heapq.heappush(heap, (len(rs), c))
                     new[c] = nv
                 else:
                     del new[c]
-                    col_rows[c].discard(r)
+                    rs = col_rows[c]
+                    rs.discard(r)
+                    heapq.heappush(heap, (len(rs), c))
             rhs_r = pp * b[r] - ff * pb
             g = gcd(rhs_r, *new.values())
             if g > 1:
@@ -111,13 +133,14 @@ def solve_linear_exact(
             a[r], b[r] = new, rhs_r
         order.append((col, piv))
     x: list[Fraction] = [Fraction(0)] * n
+    nums, dens = [0] * n, [1] * n
     for col, piv in reversed(order):
         prow = a[piv]
-        acc = Fraction(b[piv])
-        for c, v in prow.items():
-            if c != col:
-                acc -= v * x[c]
-        x[col] = acc / prow[col]
+        others = [c for c in prow if c != col]
+        m = lcm(*[dens[c] for c in others])
+        acc = b[piv] * m - sum(prow[c] * nums[c] * (m // dens[c]) for c in others)
+        value = x[col] = Fraction(acc, prow[col] * m)
+        nums[col], dens[col] = value.numerator, value.denominator
     return x
 
 
@@ -126,11 +149,6 @@ def poly_trim(p: Sequence[Fraction]) -> Poly:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(Fraction(c) for c in coeffs)
-
-
-def poly_deg(p: Poly) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(p) - 1
 
 
 def poly_eval(p: Poly, x) -> Fraction:
@@ -229,35 +247,6 @@ class RationalFunctionRep:
             raise ZeroDivisionError(f"pole at {x}")
         return poly_eval(self.num, x) / denv
 
-    def equivalent(self, num: Sequence, den: Sequence) -> bool:
-        """Equality with ``num/den`` as rational functions (cross-multiplied)."""
-        other_num = poly_trim([Fraction(c) for c in num])
-        other_den = poly_trim([Fraction(c) for c in den])
-        return poly_mul(self.num, other_den) == poly_mul(other_num, self.den)
-
-    def laurent_at_infinity(self, n_lo: int, n_hi: int) -> list[Fraction]:
-        """Coefficients of ``x**-n`` for ``n`` in ``[n_lo, n_hi]``."""
-        if not self.num:
-            return [Fraction(0)] * (n_hi - n_lo + 1)
-        dn, dd = poly_deg(self.num), poly_deg(self.den)
-        # f = x**(dn-dd) * A(t)/B(t) with t = 1/x and reversed coefficients
-        a = list(reversed(self.num))
-        b = list(reversed(self.den))
-        order = n_hi + dn - dd
-        if order < 0:
-            return [Fraction(0)] * (n_hi - n_lo + 1)
-        series = [Fraction(0)] * (order + 1)
-        for r in range(order + 1):
-            acc = a[r] if r < len(a) else Fraction(0)
-            for j in range(1, min(r, len(b) - 1) + 1):
-                acc -= b[j] * series[r - j]
-            series[r] = acc / b[0]
-        out = []
-        for n in range(n_lo, n_hi + 1):
-            r = n + dn - dd
-            out.append(series[r] if 0 <= r <= order else Fraction(0))
-        return out
-
     def text(self, var: str = "d") -> str:
         num_s = poly_text(self.num, var)
         if self.den == (Fraction(1),):
@@ -266,11 +255,6 @@ class RationalFunctionRep:
         if sum(1 for c in self.num if c != 0) > 1:
             num_s = f"({num_s})"
         return f"{num_s}/({den_s})"
-
-
-def from_integer_polys(num: Sequence[int], den: Sequence[int]) -> RationalFunctionRep:
-    return RationalFunctionRep(*_normalize_pair(poly_trim([Fraction(c) for c in num]),
-                                                poly_trim([Fraction(c) for c in den])))
 
 
 def _interpolate(points: list[tuple[int, Fraction]]) -> Poly:

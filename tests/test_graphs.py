@@ -201,14 +201,31 @@ def test_count_memo_is_bounded_by_classes():
     graphs.clear_caches()
     cycle = Permutation((2, 3, 4, 5, 6, 7, 8, 1))
     exact.series("u", cycle, 3)
-    classes = sum(1 for j in range(9) for _ in partitions(j))
-    assert 0 < graphs.class_node.cache_info().currsize <= classes
+    assert 0 < graphs.level_nodes.cache_info().currsize <= 8  # one per level 1..8
     graphs.clear_caches()
-    assert graphs.class_node.cache_info().currsize == 0
+    assert graphs.level_nodes.cache_info().currsize == 0
     count_paths(A3, cycle, 7, 0)
-    assert graphs.class_node.cache_info().currsize
+    assert graphs.level_nodes.cache_info().currsize
     graphs.clear_caches()
-    assert graphs.class_node.cache_info().currsize == 0
+    assert graphs.level_nodes.cache_info().currsize == 0
+
+
+def test_node_memo_evicts_past_its_cap():
+    memo, cap = graphs.level_nodes, graphs.NODE_LEVEL_CAP
+
+    def probe():
+        return class_node(U, (2, 1)), class_node(O, (3,))
+
+    memo.cache_clear()
+    fresh = probe()
+    for kind in (U, A3, O):
+        for j in range(4, 4 + cap // 3 + 1):
+            memo(kind, j)
+    assert memo.cache_info().currsize == cap
+    misses = memo.cache_info().misses
+    assert probe() == fresh
+    assert memo.cache_info().misses > misses
+    graphs.clear_caches()
 
 
 def test_deep_counts_need_no_recursion():
