@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import wg_class
-from .graphs import GraphKind, count_class_paths, count_table
+from .graphs import GraphKind, count_table
 from .symcore import Permutation, format_partition, partitions
 
 
@@ -44,20 +44,6 @@ def catalan(n: int) -> int:
 def _minimal_count(mu: tuple[int, ...]) -> int:
     """Number of minimal paths from class ``mu``: the Catalan product over its parts."""
     return math.prod(catalan(part - 1) for part in mu)
-
-
-def shortest_count(kind: GraphKind, element) -> int:
-    """Number of minimal paths from ``element``, via the Catalan product over its class."""
-    if kind is GraphKind.UNITARY:
-        return _minimal_count(element.cycle_type())
-    if kind is GraphKind.ORTHOGONAL:
-        return _minimal_count(element.coset_type())
-    raise ValueError(f"no closed form for {kind}")
-
-
-def moebius(sigma: Permutation) -> int:
-    """Leading coefficient of the large-d expansion, with its sign."""
-    return (-1) ** sigma.absolute_length() * _minimal_count(sigma.cycle_type())
 
 
 @dataclass(frozen=True)
@@ -107,24 +93,34 @@ def _finish(family, check, k, d, gmax, rows) -> BoundReport:
     )
 
 
-def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
-    """Exhaustive check of the two-sided path-count growth bound on S_k."""
+def _count_growth(kind: GraphKind, k: int, gmax: int, lower_base: int, upper_const: int,
+                  upper_step: int) -> BoundReport:
+    """Path-count growth on level ``k`` for ``g <= gmax``, read off one count
+    table: ``lower_base^g #P(|s|) <= #P(|s|+2g)`` and
+    ``#P(|s|+upper_step*g)^2 <= upper_const^g k^(7g) #P(|s|)^2``."""
     if k < 1 or gmax < 0:
         raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
-    table = count_table(GraphKind.UNITARY, k, k - 1 + 2 * gmax)
+    table = count_table(kind, k, k - 1 + 2 * gmax)
     for mu in partitions(k):
         row = table[mu][0][k - len(mu):]  # counts from the minimal length on
         base = row[0]
         for g in range(gmax + 1):
-            cnt = row[2 * g]
-            low_bound = (k - 1) ** g * base
-            ok_low = low_bound <= cnt
-            low = Fraction(low_bound, cnt) if cnt else None
-            ok_up = cnt * cnt <= 36**g * k ** (7 * g) * base * base
-            up = Fraction(cnt * cnt, 36**g * k ** (7 * g) * base * base)
+            even_cnt = row[2 * g]
+            low_bound = lower_base**g * base
+            ok_low = low_bound <= even_cnt
+            low = Fraction(low_bound, even_cnt) if even_cnt else None
+            cnt = row[upper_step * g]
+            up_bound = upper_const**g * k ** (7 * g) * base * base
+            ok_up = cnt * cnt <= up_bound
+            up = Fraction(cnt * cnt, up_bound)
             rows.append(BoundRow(format_partition(mu), g, low, up, ok_low and ok_up))
-    return _finish("u", "path-count growth", k, None, gmax, rows)
+    return _finish(kind.value, "path-count growth", k, None, gmax, rows)
+
+
+def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
+    """Exhaustive check of the two-sided path-count growth bound on S_k."""
+    return _count_growth(GraphKind.UNITARY, k, gmax, k - 1, 36, 2)
 
 
 def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
@@ -157,23 +153,7 @@ def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
 
 def certify_orthogonal_bounds(k: int, gmax: int) -> BoundReport:
     """Pairing path-count growth: lower bound on +2g steps, upper on +g."""
-    if k < 1 or gmax < 0:
-        raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
-    rows = []
-    table = count_table(GraphKind.ORTHOGONAL, k, k - 1 + 2 * gmax)
-    for mu in partitions(k):
-        row = table[mu][0][k - len(mu):]  # counts from the minimal length on
-        base = row[0]
-        for g in range(gmax + 1):
-            even_cnt = row[2 * g]
-            low_bound = (2 * k - 2) ** g * base
-            ok_low = low_bound <= even_cnt
-            low = Fraction(low_bound, even_cnt) if even_cnt else None
-            cnt = row[g]
-            ok_up = cnt * cnt <= 144**g * k ** (7 * g) * base * base
-            up = Fraction(cnt * cnt, 144**g * k ** (7 * g) * base * base)
-            rows.append(BoundRow(format_partition(mu), g, low, up, ok_low and ok_up))
-    return _finish("o", "path-count growth", k, None, gmax, rows)
+    return _count_growth(GraphKind.ORTHOGONAL, k, gmax, 2 * k - 2, 144, 1)
 
 
 def certify_sp_ratio(k: int, d: int) -> BoundReport:
@@ -290,53 +270,3 @@ def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
             margin = Fraction((k - 1) * here, above) if above else None
             rows.append(BoundRow(format_partition(mu), l, margin, None, ok))
     return _finish("u", "easy injection", k, None, None, rows)
-
-
-def dyck_area_sum(mu: tuple[int, ...], doubled: bool = False) -> int:
-    """Sum of areas over +-1 paths constrained by I_mu = (mu_1-1, ...).
-
-    With ``doubled=False`` the path length is sum(mu_i - 1) and heights
-    return to zero after each prefix of I_mu, read literally from the
-    stated convention; see :func:`dyck_report` for the discrepancy this
-    produces.  With ``doubled=True`` each unit of I_mu spans two steps
-    (length 2 sum(mu_i - 1), zero after each doubled prefix), which
-    empirically reproduces the direct path counts on every partition
-    tried.
-    """
-    lengths = [(2 if doubled else 1) * (part - 1) for part in mu]
-    total = sum(lengths)
-    marks = set()
-    acc = 0
-    for piece in lengths:
-        acc += piece
-        marks.add(acc)
-
-    def walk(step: int, height: int, twice_area: int) -> int:
-        if step == total:
-            return twice_area
-        out = 0
-        for move in (1, -1):
-            nxt = height + move
-            if nxt < 0:
-                continue
-            if step + 1 in marks and nxt != 0:
-                continue
-            out += walk(step + 1, nxt, twice_area + height + nxt)
-        return out
-
-    doubled = walk(0, 0, 0)
-    assert doubled % 2 == 0
-    return doubled // 2
-
-
-def dyck_report(mu: tuple[int, ...]) -> tuple[int, int, bool]:
-    """Dyck-area sum (literal convention) next to the directly enumerated
-    #P(m,|m|+1).
-
-    The two agree only in the degenerate all-ones case; both numbers are
-    returned so the mismatch stays visible.  The ``doubled=True`` variant
-    of :func:`dyck_area_sum` is the reading that matches the enumeration.
-    """
-    area = dyck_area_sum(mu)
-    direct = count_class_paths(GraphKind.ORTHOGONAL, mu, sum(mu) - len(mu) + 1)
-    return area, direct, area == direct

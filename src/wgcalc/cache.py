@@ -113,11 +113,6 @@ def _parse_file(path: str) -> dict[tuple, tuple[Fraction, int]]:
     return entries
 
 
-def load(path: str) -> dict[tuple, Fraction]:
-    """Validated cache contents keyed by (tag, level, class, dims)."""
-    return {key: value for key, (value, _) in _parse_file(path).items()}
-
-
 def export(path: str, family: str, k: int, d: int, dminus: int | None = None) -> int:
     """Append all class values for levels 1..k, skipping records already
     present.  Returns the number of newly written records."""

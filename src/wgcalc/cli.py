@@ -190,8 +190,9 @@ def cmd_factorizations(args) -> int:
     record = {"family": family, "element": symcore.format_element(elem), "length": args.length}
     if args.list:
         paths = graphs.enumerate_paths(kind, elem, args.length)
-        # one factorization per path; the (t, s) key lists them in monotone-sequence order
-        factors = sorted((graphs.path_to_factorization(p).transpositions for p in paths),
+        # a path's solid transpositions are its factorization; the (t, s) key
+        # lists them in monotone-sequence order
+        factors = sorted((p.solid_transpositions() for p in paths),
                          key=lambda ts: [(t, s) for s, t in ts])
         record["count"] = len(paths)
         record["factorizations"] = ["".join(f"({s},{t})" for s, t in ts) or "e"
@@ -319,9 +320,9 @@ def _mc_dims(args, family: str) -> tuple[int, int | None]:
         raise UsageError(f"--sig does not apply to family {family}")
     if dim is None:
         raise UsageError("--dim is required")
-    if args.samples < 1000:
-        raise UsageError(f"--samples: need at least 1000, got {args.samples}")
     from . import mc  # numpy is imported for Monte Carlo only
+    if args.samples < mc.MIN_SAMPLES:
+        raise UsageError(f"--samples: need at least {mc.MIN_SAMPLES}, got {args.samples}")
     try:
         mc.check_seed(args.seed)
     except ValueError as exc:

@@ -282,30 +282,6 @@ class SeriesTruncation:
     coefficients: tuple
     order: int
 
-    def evaluate(self, d: int, dminus: int | None = None) -> Fraction:
-        """Partial sum of the truncation at an integer dimension."""
-        total = Fraction(0)
-        if self.family == "aiii":
-            if dminus is None:
-                raise ValueError("aiii evaluation needs dminus")
-            for g, poly in enumerate(self.coefficients):
-                n = -self.leading_exponent + g
-                val = sum(c * dminus**e for e, c in poly.items())
-                total += Fraction(val, d**n)
-            return total
-        n0 = -self.leading_exponent
-        sign = (-1) ** self.element.absolute_length()
-        for g, c in enumerate(self.coefficients):
-            if self.family == "u":
-                total += Fraction(c, d ** (n0 + 2 * g))
-            elif self.family == "o":
-                total += Fraction(c * (-1) ** g, d ** (n0 + g))
-            else:
-                total += Fraction(c, (2 * d) ** (n0 + g))
-        if self.family == "sp":
-            return total
-        return sign * total
-
 
 def series(family: str, element, order: int) -> SeriesTruncation:
     """Expansion coefficients for one element through ``order`` terms past the lead."""

@@ -17,16 +17,18 @@ No other module decides an element's edges (:func:`solid_targets`,
 :func:`dashed_target`, :func:`squiggled_target`).  A path runs from its
 start vertex down to the empty object; paths with their solid-step
 annotations biject with monotone transposition factorizations
-(Matsumoto-Novak), both directions implemented below.
+(Matsumoto-Novak), so ``wg factorizations`` lists each path's
+:meth:`Path.solid_transpositions`.  The inverse map and a brute-force
+generator of the sequences live in ``tests/oracles.py``, where they check
+that bijection.
 
 Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level, one table per
 level: :func:`level_nodes` computes every class's solid targets with
 multiplicities, dashed target and squiggled target from the partition
 alone, and keeps at most :data:`NODE_LEVEL_CAP` whole levels in a
-``functools.lru_cache``; :func:`class_node` validates a partition and looks
-its node up there.  A transposition moving the top point joins its cycle
-to another cycle or cuts it in two (Goulden-Jackson, *Transitive
+``functools.lru_cache``.  A transposition moving the top point joins its
+cycle to another cycle or cuts it in two (Goulden-Jackson, *Transitive
 factorizations into transpositions*, PAMS 1997); on pairings the same
 join/cut acts on coset types, with the cuts that restore the block as
 self-loops.  No element is built.  One table, :func:`count_table`, sweeps
@@ -45,7 +47,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
 
@@ -174,18 +176,6 @@ def level_nodes(kind: GraphKind, j: int) -> dict[tuple[int, ...], ClassNode]:
     return nodes
 
 
-def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
-    """The node of class ``mu``, looked up in its level's :func:`level_nodes`.
-
-    >>> class_node(GraphKind.UNITARY, (2, 1))
-    ClassNode(solid=(((3,), 2),), dashed=(2,), squiggled=None)
-    >>> class_node(GraphKind.ORTHOGONAL, (2, 1))
-    ClassNode(solid=(((3,), 4),), dashed=(2,), squiggled=None)
-    """
-    mu = validate_partition(mu)
-    return level_nodes(kind, sum(mu))[mu]
-
-
 def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], list[list[int]]]:
     """Path counts from every class of level ``<= k``, swept bottom-up:
     ``table[mu][q][s]`` counts the paths from ``mu`` with ``s <= solid`` solid
@@ -242,9 +232,6 @@ class Path:
     start: Element
     steps: tuple[EdgeStep, ...]
 
-    def nodes(self) -> tuple[Element, ...]:
-        return (self.start,) + tuple(s.target for s in self.steps)
-
     def count(self, edge_kind: str) -> int:
         return sum(1 for s in self.steps if s.kind == edge_kind)
 
@@ -294,112 +281,6 @@ def format_path(path: Path) -> str:
             parts.append("=>" if step.kind == DASHED else "~>")
         parts.append(format_element(step.target))
     return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class MonotoneFactorization:
-    """Transpositions ``(s_1,t_1)...(s_l,t_l)`` with ``s_i < t_i`` and weakly
-    decreasing ``t_i``, multiplying (leftmost applied last) to a permutation,
-    or acting on the trivial pairing in the orthogonal variant where every
-    ``t_i`` is an odd position ``2r-1``.
-    """
-
-    kind: GraphKind
-    level: int
-    transpositions: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.kind is GraphKind.AIII:
-            raise ValueError("monotone factorizations are defined for the unitary and orthogonal graphs")
-        ts = [t for _, t in self.transpositions]
-        if any(ts[i] < ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError(f"second components must weakly decrease: {self.transpositions}")
-        n_points = 2 * self.level if self.kind is GraphKind.ORTHOGONAL else self.level
-        for s, t in self.transpositions:
-            if not (1 <= s < t <= n_points):
-                raise ValueError(f"bad transposition ({s},{t}) on {n_points} points")
-            if self.kind is GraphKind.ORTHOGONAL and t % 2 == 0:
-                raise ValueError(f"orthogonal factors need odd second components: ({s},{t})")
-
-    def product(self) -> Permutation:
-        n_points = 2 * self.level if self.kind is GraphKind.ORTHOGONAL else self.level
-        acc = Permutation.identity(n_points)
-        for s, t in self.transpositions:
-            acc = acc * Permutation.transposition(n_points, s, t)
-        return acc
-
-    def target(self) -> Element:
-        """The permutation (or pairing, via action on the trivial one) produced."""
-        prod = self.product()
-        if self.kind is GraphKind.ORTHOGONAL:
-            return PairPartition.trivial(self.level).apply(prod)
-        return prod
-
-
-def path_to_factorization(path: Path) -> MonotoneFactorization:
-    return MonotoneFactorization(path.kind, path.start.level, path.solid_transpositions())
-
-
-def factorization_to_path(f: MonotoneFactorization) -> Path:
-    """Rebuild the unique path whose solid steps carry ``f``'s transpositions.
-
-    Walks from ``f.target()``: each factor ``(s,t)`` forces dashed descents
-    until its level is reached, then a solid step with index ``s``; the
-    remainder descends dashed to the empty object.  Raises ``ValueError``
-    when the walk gets stuck, which happens exactly when the sequence is not
-    realizable (e.g. a factor below a level whose top cannot be dropped).
-    """
-    kind = f.kind
-    start = f.target()
-    cur = start
-    steps: list[EdgeStep] = []
-
-    def descend_once() -> None:
-        nonlocal cur
-        down = dashed_target(kind, cur)
-        if down is None:
-            raise ValueError("factorization does not correspond to a path: stuck descent")
-        steps.append(EdgeStep(DASHED, None, down))
-        cur = down
-
-    for s, t in f.transpositions:
-        want_level = (t + 1) // 2 if kind is GraphKind.ORTHOGONAL else t
-        while cur.level > want_level:
-            descend_once()
-        if cur.level != want_level:
-            raise ValueError(f"factor ({s},{t}) sits above the current level {cur.level}")
-        nxt = solid_targets(kind, cur)[s - 1]
-        steps.append(EdgeStep(SOLID, s, nxt, t))
-        cur = nxt
-    while cur.level > 0:
-        descend_once()
-    return Path(kind, start, tuple(steps))
-
-
-def enumerate_monotone_factorizations(
-    kind: GraphKind, level: int, length: int
-) -> Iterator[MonotoneFactorization]:
-    """Brute-force generator of every monotone sequence of given length.
-
-    Deliberately independent of the path machinery: the tests' oracle for
-    the bijection, in the order ``wg factorizations`` lists.  Small levels only.
-    """
-    if kind is GraphKind.ORTHOGONAL:
-        choices = [
-            (s, 2 * r - 1) for r in range(1, level + 1) for s in range(1, 2 * r - 1)
-        ]
-    else:
-        choices = [(s, t) for t in range(1, level + 1) for s in range(1, t)]
-
-    def rec(prefix: tuple, remaining: int, max_t: int):
-        if remaining == 0:
-            yield MonotoneFactorization(kind, level, prefix)
-            return
-        for s, t in choices:
-            if t <= max_t:
-                yield from rec(prefix + ((s, t),), remaining - 1, t)
-
-    yield from rec((), length, 10 ** 9)
 
 
 def clear_caches() -> None:

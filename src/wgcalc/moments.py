@@ -34,33 +34,10 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import wg_class
-from .symcore import PairPartition, Permutation, pairing_mates, trivial_mates, union_type
+from .symcore import pairing_mates, trivial_mates, union_type
 
 Indices = tuple[int, ...]
 INDEX_FIELDS = ("rows", "cols", "crows", "ccols")
-
-
-def delta_sigma(sigma: Permutation, i: Sequence[int], iprime: Sequence[int]) -> int:
-    if len(i) != len(iprime):
-        raise ValueError("sequences must have equal length")
-    if len(i) != sigma.level:
-        raise ValueError("sequence length must match the permutation level")
-    return int(all(i[sigma(r) - 1] == iprime[r - 1] for r in range(1, len(i) + 1)))
-
-
-def delta_admissible(m: PairPartition, i: Sequence[int]) -> int:
-    """1 iff every block of ``m`` pairs equal entries of ``i``."""
-    if len(i) != 2 * m.level:
-        raise ValueError("sequence length must be twice the pairing level")
-    return int(all(i[a - 1] == i[b - 1] for a, b in m.blocks))
-
-
-def strongly_admissible(m: PairPartition, i: Sequence[int]) -> int:
-    """1 iff blocks pair equal entries and distinct blocks carry distinct values."""
-    if not delta_admissible(m, i):
-        return 0
-    values = [i[a - 1] for a, _ in m.blocks]
-    return int(len(set(values)) == len(values))
 
 
 def _matchings(source: Sequence[int], target: Sequence[int]) -> Iterator[Indices]:

@@ -1,10 +1,11 @@
 """Exact rational linear algebra and rational-function reconstruction.
 
-Results are :class:`fractions.Fraction`.  The linear solver eliminates on
-sparse integer rows (fraction-free), picking each Markowitz pivot column
-from a lazy heap, and back-substitutes on integer numerator/denominator
-pairs, building one Fraction per unknown; polynomials and rational
-functions work over Fraction throughout.  Polynomials are coefficient
+Results are :class:`fractions.Fraction`.  The linear solver takes sparse
+``{column: int}`` rows with int or Fraction right-hand sides, eliminates
+fraction-free, picking each Markowitz pivot column from a lazy heap, and
+back-substitutes on integer numerator/denominator pairs, building one
+Fraction per unknown; polynomials and rational functions work over
+Fraction throughout.  Polynomials are coefficient
 tuples, lowest degree first; the zero polynomial is ``()``.
 
 :func:`reconstruct` is given the denominator: Collins–Śniady content
@@ -31,15 +32,13 @@ class DenominatorMismatchError(ValueError):
     """Held-out evaluations are not ``P/den`` for one polynomial ``P``."""
 
 
-def _integer_row(row, b) -> tuple[dict[int, int], int]:
-    """One equation as coprime integers: ``{column: coefficient}`` and the
-    right-hand side, scaled by the lcm of their denominators and divided by
-    their content.  Zero coefficients are dropped."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    entries = {c: v for c, v in items if v}
-    m = lcm(b.denominator, *(v.denominator for v in entries.values()))
-    ints = {c: v.numerator * (m // v.denominator) for c, v in entries.items()}
-    rhs = b.numerator * (m // b.denominator)
+def _integer_row(row: dict[int, int], b: int | Fraction) -> tuple[dict[int, int], int]:
+    """One equation as coprime integers: a copy of ``row`` scaled by the
+    denominator of the right-hand side ``b``, divided by its content.  Zero
+    coefficients are dropped."""
+    m = b.denominator
+    ints = {c: v * m for c, v in row.items() if v}
+    rhs = b.numerator
     g = gcd(rhs, *ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
@@ -47,18 +46,19 @@ def _integer_row(row, b) -> tuple[dict[int, int], int]:
     return ints, rhs
 
 
-def solve_linear_exact(
-    rows: Sequence[dict[int, Fraction] | Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
+def solve_linear_exact(rows: Sequence[dict[int, int]],
+                       rhs: Sequence[int | Fraction]) -> list[Fraction] | None:
     """Solve a square system exactly by sparse fraction-free elimination.
 
-    Each row is either a ``{column: value}`` mapping of its nonzero entries
-    or a dense sequence; values and ``rhs`` are ints or Fractions.  Every
-    row is scaled to coprime integers.  Each step pivots Markowitz-style
-    (the uneliminated column with the fewest active rows, lowest column
-    first on ties, then the shortest row in it) and clears that column from
-    the other active rows by ``p*row - f*pivot_row`` with ``gcd(p, f)``
-    divided out first and the row's content afterwards.  The column is
+    Each row is a ``{column: int}`` mapping, the form :mod:`wgcalc.exact`
+    builds; each right-hand side is an int or a Fraction.  A copy of every
+    row, zero entries dropped, is scaled by its right-hand side's
+    denominator and divided by its content; the caller's rows are left
+    untouched.  Each step pivots Markowitz-style (the uneliminated column
+    with the fewest active rows, lowest column first on ties, then the
+    shortest row in it) and clears that column from the other active rows
+    by ``p*row - f*pivot_row`` with ``gcd(p, f)`` divided out first and the
+    row's content afterwards.  The column is
     popped from a lazy heap of ``(active rows, column)`` entries, one pushed
     whenever a column's count changes; a popped entry whose count is no
     longer the column's, or whose column is gone, is skipped.
@@ -240,12 +240,6 @@ class RationalFunctionRep:
 
     num: Poly
     den: Poly
-
-    def evaluate(self, x) -> Fraction:
-        denv = poly_eval(self.den, x)
-        if denv == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return poly_eval(self.num, x) / denv
 
     def text(self, var: str = "d") -> str:
         num_s = poly_text(self.num, var)

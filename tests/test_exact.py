@@ -4,7 +4,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from oracles import equivalent
+from oracles import all_permutations, equivalent, evaluate_rational, evaluate_series, identity
 
 from wgcalc import exact
 from wgcalc.exact import (
@@ -24,9 +24,7 @@ from wgcalc.graphs import (
 )
 from wgcalc.symcore import (
     PairPartition,
-    Permutation,
     all_pair_partitions,
-    all_permutations,
     class_representative,
     coset_representative,
     parse_pair_partition,
@@ -251,7 +249,7 @@ def test_family_route_argument_checks():
     with pytest.raises(ValueError, match="unknown family"):
         wg_class("q", (1,), 3)
     with pytest.raises(ValueError, match="unknown family"):
-        wg("q", Permutation.identity(1), 3)
+        wg("q", identity(1), 3)
     with pytest.raises(ValueError, match="takes no dminus"):
         wg_class("u", (1,), 3, dminus=1)
     with pytest.raises(ValueError, match="needs dminus"):
@@ -259,11 +257,11 @@ def test_family_route_argument_checks():
     with pytest.raises(TypeError):
         wg("u", PairPartition.trivial(1), 3)
     with pytest.raises(TypeError):
-        wg("coe", Permutation.identity(1), 3)
+        wg("coe", identity(1), 3)
     with pytest.raises(ValueError, match="needs dminus"):
-        reconstruct_rational("aiii", Permutation.identity(1))
+        reconstruct_rational("aiii", identity(1))
     with pytest.raises(ValueError, match="unknown family"):
-        reconstruct_rational("q", Permutation.identity(1))
+        reconstruct_rational("q", identity(1))
 
 
 def test_aiii_signature_warning():
@@ -286,7 +284,7 @@ def test_table_lookup():
         {(1, 1, 1), (2, 1), (3,)},
     ]
     assert value == wg_class("u", (3,), 5)
-    assert wg("u", Permutation.identity(3), 5) == wg_class("u", (1, 1, 1), 5)
+    assert wg("u", identity(3), 5) == wg_class("u", (1, 1, 1), 5)
 
 
 def test_series_unitary():
@@ -295,8 +293,8 @@ def test_series_unitary():
     assert s.leading_exponent == -3
     assert s.coefficients == (1, 1, 1, 1)
     # -1/(d^3 - d) is the geometric sum of exactly these terms
-    assert s.evaluate(5) == -(F(1, 125) + F(1, 5**5) + F(1, 5**7) + F(1, 5**9))
-    ident = Permutation.identity(2)
+    assert evaluate_series(s, 5) == -(F(1, 125) + F(1, 5**5) + F(1, 5**7) + F(1, 5**9))
+    ident = identity(2)
     s2 = series("u", ident, 2)
     assert s2.leading_exponent == -2
     assert s2.coefficients == (1, 1, 1)
@@ -308,12 +306,12 @@ def test_series_orthogonal_and_symplectic():
     assert s.leading_exponent == -3
     assert s.coefficients == (1, 1, 3)
     # truncation with alternating signs: -(1/d^3 - 1/d^4 + 3/d^5)
-    assert s.evaluate(10) == -(F(1, 1000) - F(1, 10**4) + F(3, 10**5))
+    assert evaluate_series(s, 10) == -(F(1, 1000) - F(1, 10**4) + F(3, 10**5))
     one = PairPartition.trivial(1)
     sp = series("sp", one, 4)
     assert sp.leading_exponent == -1
     assert sp.coefficients == (1, 0, 0, 0, 0)
-    assert sp.evaluate(3) == F(1, 6)
+    assert evaluate_series(sp, 3) == F(1, 6)
 
 
 def test_series_aiii():
@@ -321,24 +319,24 @@ def test_series_aiii():
     s = series("aiii", t, 2)
     assert s.leading_exponent == -1
     assert s.coefficients == ({0: 1}, {}, {0: 1, 2: -1})
-    assert s.evaluate(5, 2) == F(1, 5) + F(1 - 4, 125)
-    ident = Permutation.identity(2)
+    assert evaluate_series(s, 5, 2) == F(1, 5) + F(1 - 4, 125)
+    ident = identity(2)
     s2 = series("aiii", ident, 0)
     assert s2.leading_exponent == -2
     assert s2.coefficients == ({0: -1, 2: 1},)
     with pytest.raises(ValueError):
-        s2.evaluate(5)
+        evaluate_series(s2, 5)
 
 
 def test_series_argument_checks():
     with pytest.raises(TypeError):
         series("u", PairPartition.trivial(2), 1)
     with pytest.raises(TypeError):
-        series("o", Permutation.identity(2), 1)
+        series("o", identity(2), 1)
     with pytest.raises(ValueError):
         series("coe", PairPartition.trivial(2), 1)
     with pytest.raises(ValueError):
-        series("u", Permutation.identity(2), -1)
+        series("u", identity(2), -1)
 
 
 def test_reconstruct_closed_forms():
@@ -384,10 +382,10 @@ def test_closed_forms_agree_with_wg_outside_the_fit_window():
                 value = wg(family, elem, d, dminus)
             except (ValueError, SingularSystemError):
                 continue
-            assert rep.evaluate(d) == value, (family, elem, dminus, d)
+            assert evaluate_rational(rep, d) == value, (family, elem, dminus, d)
             break
         assert value is not None, (family, elem, dminus)
-        assert rep.evaluate(97) == wg(family, elem, 97, dminus), (family, elem, dminus)
+        assert evaluate_rational(rep, 97) == wg(family, elem, 97, dminus), (family, elem, dminus)
 
 
 def test_series_matches_exact_at_large_dimension():
@@ -401,7 +399,7 @@ def test_series_matches_exact_at_large_dimension():
     n = t.absolute_length()
     c_next = count_paths(GraphKind.UNITARY, t, n + 2 * (order + 1))
     for d in (9, 12):
-        tail = abs(wg("u", t, d) - s.evaluate(d))
+        tail = abs(wg("u", t, d) - evaluate_series(s, d))
         exp = -s.leading_exponent + 2 * (order + 1)
         assert F(c_next, 2 * d**exp) < tail < F(2 * c_next, d**exp)
     m = parse_pair_partition("1,4|2,3|5,6")
@@ -409,7 +407,7 @@ def test_series_matches_exact_at_large_dimension():
     so = series("o", m, order)
     c_next = count_paths(GraphKind.ORTHOGONAL, m, m.absolute_length() + order + 1)
     for d in (9, 12):
-        tail = abs(wg("o", m, d) - so.evaluate(d))
+        tail = abs(wg("o", m, d) - evaluate_series(so, d))
         exp = -so.leading_exponent + order + 1
         assert F(c_next, 2 * d**exp) < tail < F(2 * c_next, d**exp)
 

@@ -3,6 +3,16 @@ import random
 from collections import Counter
 
 import pytest
+from oracles import (
+    MonotoneFactorization,
+    all_permutations,
+    class_node,
+    enumerate_monotone_factorizations,
+    factorization_to_path,
+    identity,
+    path_nodes,
+    path_to_factorization,
+)
 
 from wgcalc import exact, graphs
 from wgcalc.graphs import (
@@ -10,18 +20,13 @@ from wgcalc.graphs import (
     SOLID,
     SQUIGGLED,
     GraphKind,
-    MonotoneFactorization,
     Path,
-    class_node,
     count_class_paths,
     count_paths,
     count_table,
     dashed_target,
-    enumerate_monotone_factorizations,
     enumerate_paths,
-    factorization_to_path,
     format_path,
-    path_to_factorization,
     solid_neighbors,
     squiggled_target,
 )
@@ -29,7 +34,6 @@ from wgcalc.symcore import (
     PairPartition,
     Permutation,
     all_pair_partitions,
-    all_permutations,
     class_representative,
     coset_representative,
     partitions,
@@ -81,7 +85,7 @@ def test_squiggled_targets():
 def test_count_paths_unitary_small():
     s = Permutation((2, 1))
     assert [count_paths(U, s, l) for l in (1, 2, 3)] == [1, 0, 1]
-    assert count_paths(U, Permutation.identity(1), 0) == 1
+    assert count_paths(U, identity(1), 0) == 1
     assert count_paths(U, EXAMPLE_PERM, 4) == 14
 
 
@@ -95,7 +99,7 @@ def test_loop_then_exit_is_the_unique_two_step_path():
     paths = enumerate_paths(O, LOOPY, 2)
     assert len(paths) == 1
     (p,) = paths
-    assert p.nodes()[1] == LOOPY  # first step traverses the self-loop
+    assert path_nodes(p)[1] == LOOPY  # first step traverses the self-loop
     assert p.solid_transpositions() == ((1, 3), (2, 3))
 
 
@@ -304,7 +308,7 @@ def test_refined_counts_for_transposition():
 
 def test_length_profile_along_paths():
     for p in enumerate_paths(U, EXAMPLE_PERM, 6):
-        nodes = p.nodes()
+        nodes = path_nodes(p)
         for a, b, step in zip(nodes, nodes[1:], p.steps):
             if step.kind == SOLID:
                 assert abs(b.absolute_length() - a.absolute_length()) == 1
@@ -312,7 +316,7 @@ def test_length_profile_along_paths():
                 assert b.absolute_length() == a.absolute_length()
     for m in all_pair_partitions(3):
         for p in enumerate_paths(O, m, m.absolute_length() + 1):
-            nodes = p.nodes()
+            nodes = path_nodes(p)
             for a, b, step in zip(nodes, nodes[1:], p.steps):
                 if step.kind == SOLID:
                     assert abs(b.absolute_length() - a.absolute_length()) <= 1

@@ -4,32 +4,29 @@ from fractions import Fraction as F
 from math import comb, factorial, prod
 
 import pytest
-
-from wgcalc.exact import BelowLevelError, SingularSystemError, wg, wg_class
-from wgcalc.moments import (
-    IndexRangeError,
-    MomentSpec,
-    _term_classes,
+from oracles import (
+    all_permutations,
+    as_permutation,
     delta_admissible,
     delta_sigma,
-    exact_moment,
+    identity,
+    strong_admissible_sequence,
     strongly_admissible,
 )
+
+from wgcalc.exact import BelowLevelError, SingularSystemError, wg, wg_class
+from wgcalc.moments import IndexRangeError, MomentSpec, _term_classes, exact_moment
 from wgcalc.symcore import (
     PairPartition,
-    Permutation,
-    act,
     all_pair_partitions,
-    all_permutations,
     parse_pair_partition,
     parse_permutation,
     partitions,
-    strong_admissible_sequence,
 )
 
 
 def test_delta_symbols():
-    ident = Permutation.identity(3)
+    ident = identity(3)
     assert delta_sigma(ident, (1, 2, 2), (1, 2, 2)) == 1
     assert delta_sigma(ident, (1, 2, 2), (1, 2, 3)) == 0
     swap = parse_permutation("2,1")
@@ -276,7 +273,7 @@ def test_moments_below_level_are_refused():
 def _orthogonal_pair(m, n, d):
     """W_o(m, n): reduce by the permutation carrying the trivial pairing
     to ``m``, then look up the one-argument function."""
-    return wg("o", act(m.as_permutation().inverse(), n), d)
+    return wg("o", n.apply(as_permutation(m).inverse()), d)
 
 
 def _per_term_oracle(spec):
@@ -303,7 +300,7 @@ def _per_term_oracle(spec):
         if len(i) != len(j):
             return F(0)
         trivial = PairPartition.trivial(len(i) // 2)
-        return sum((wg("coe", act(s, trivial), d) for s in all_permutations(len(i))
+        return sum((wg("coe", trivial.apply(s), d) for s in all_permutations(len(i))
                     if delta_sigma(s, i, j)), F(0))
     return sum((wg("aiii", s, d, spec.dminus) for s in all_permutations(len(rows))
                 if delta_sigma(s, rows, cols)), F(0))

@@ -22,9 +22,11 @@ F = Fraction
 
 
 def test_solve_linear_exact():
-    sol = solve_linear_exact([[F(2), F(1)], [F(1), F(3)]], [F(5), F(10)])
+    sol = solve_linear_exact([{0: 2, 1: 1}, {0: 1, 1: 3}], [F(5), 10])
     assert sol == [F(1), F(3)]
-    assert solve_linear_exact([[F(1), F(2)], [F(2), F(4)]], [F(0), F(0)]) is None
+    assert solve_linear_exact([{0: 1, 1: 2}, {0: 2, 1: 4}], [F(0), 0]) is None
+    # a zero entry is no nonzero: column 1 is empty, so the system is singular
+    assert solve_linear_exact([{0: 1, 1: 0}, {0: 2}], [1, 2]) is None
 
 
 def _sparse_system(rng: random.Random, n: int, k: int) -> list[dict[int, int]]:
@@ -45,12 +47,8 @@ def _big_fraction(rng: random.Random) -> Fraction:
 
 
 def _solves(rows, rhs, x) -> bool:
-    """``A x == b`` exactly, for dict or dense rows."""
-    for row, b in zip(rows, rhs):
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        if sum(v * x[c] for c, v in items) != b:
-            return False
-    return True
+    """``A x == b`` exactly."""
+    return all(sum(v * x[c] for c, v in row.items()) == b for row, b in zip(rows, rhs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 19, 40])
@@ -58,20 +56,21 @@ def test_solve_linear_exact_random_sparse(n):
     rng = random.Random(9000 + n)
     for trial in range(4):
         rows = _sparse_system(rng, n, k=rng.randint(1, 6))
-        # rescale some equations by a rational factor: the solver must
-        # clear denominators itself
-        for r in rng.sample(range(n), n // 2):
-            factor = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
-            rows[r] = {c: v * factor for c, v in rows[r].items()}
         rhs = [_big_fraction(rng) if rng.random() < 0.8 else 0 for _ in range(n)]
+        plain = solve_linear_exact(rows, rhs)
+        # rescale some equations, right-hand side included, by an integer
+        # factor: the solver must divide the content out itself
+        for r in rng.sample(range(n), n // 2):
+            factor = rng.randint(2, 10**6)
+            rows[r] = {c: v * factor for c, v in rows[r].items()}
+            rhs[r] *= factor
         before = [dict(row) for row in rows]
         x = solve_linear_exact(rows, rhs)
         assert x is not None and len(x) == n
         assert all(isinstance(v, Fraction) for v in x)
         assert _solves(rows, rhs, x)
         assert rows == before  # callers' rows are left untouched
-        dense = [[F(row.get(c, 0)) for c in range(n)] for row in rows]
-        assert solve_linear_exact(dense, [F(b) for b in rhs]) == x
+        assert x == plain
 
 
 def _gauss_jordan(rows, rhss, n):
@@ -140,9 +139,7 @@ def test_solve_linear_exact_singular_systems():
     combo = {c: 3 * rows[4].get(c, 0) - 7 * rows[9].get(c, 0) for c in range(n)}
     rows[0] = {c: v for c, v in combo.items() if v}
     assert solve_linear_exact(rows, [_big_fraction(rng) for _ in range(n)]) is None
-    assert solve_linear_exact([[F(v) for v in combo.values()]] + [
-        [F(row.get(c, 0)) for c in range(n)] for row in rows[1:]
-    ], [F(1)] * n) is None
+    assert solve_linear_exact(rows, [1] * n) is None
     # weighted Laplacian of a connected graph: every column holds at least
     # two nonzeros and the kernel (the all-ones vector) involves every row,
     # so the singularity only surfaces once the last column is reached
