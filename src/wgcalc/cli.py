@@ -4,7 +4,7 @@ Subcommands: value, series, paths, factorizations, moment, bounds, mc,
 cache export, cache verify.  Plain output is one short line per result;
 ``--json`` switches every subcommand to a single sorted-key JSON record.
 Exit codes: 0 success, 1 domain error, 2 failed certification or
-comparison, 3 cache corruption.
+comparison, 3 cache corruption, 141 stdout closed early (as under SIGPIPE).
 """
 
 from __future__ import annotations
@@ -511,6 +511,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _run_handler(args) -> int:
+    """Run the parsed command with every integer printed whole: a path count
+    or series coefficient can pass the 4300-digit cap that CPython 3.11 (and
+    3.10.7 on) puts on int-to-str conversion.  The cap guards a parser
+    against long untrusted input; the long integers here are the engine's
+    own results, and the process-wide cap is restored on return."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return args.handler(args)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.handler(args)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def run(argv=None) -> int:
     """Run one command; return its exit code.  Each distinct warning the
     engine raised is printed once on stderr as ``warning: <message>``,
@@ -521,7 +537,7 @@ def run(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
-            return args.handler(args)
+            return _run_handler(args)
         except cache_mod.CacheCorruptionError as exc:
             code, error = 3, f"cache corruption: {exc}"
         except (exact.SingularSystemError, exact.BelowLevelError) as exc:
@@ -536,7 +552,16 @@ def run(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(run())
+    """The ``wg`` command.  A reader that closes stdout early, such as
+    ``head``, ends it quietly with exit code 141, as SIGPIPE would."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,10 @@ annotations biject with monotone transposition factorizations
 (Matsumoto-Novak), so ``wg factorizations`` lists each path's
 :meth:`Path.solid_transpositions`.  The inverse map and a brute-force
 generator of the sequences live in ``tests/oracles.py``, where they check
-that bijection.
+that bijection.  :func:`enumerate_paths` reads each distinct vertex's edges
+once per call and filters each ``(vertex, solid steps left)`` pair's edges
+once; the memos die with the call, and the paths it returns share one
+:class:`EdgeStep` per step from a vertex, which formats itself once.
 
 Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level, one table per
@@ -31,11 +34,14 @@ alone, and keeps at most :data:`NODE_LEVEL_CAP` whole levels in a
 cycle to another cycle or cuts it in two (Goulden-Jackson, *Transitive
 factorizations into transpositions*, PAMS 1997); on pairings the same
 join/cut acts on coset types, with the cuts that restore the block as
-self-loops.  No element is built.  One table, :func:`count_table`, sweeps
-the nodes bottom-up for every kind and depth, with no recursion and no
-count memo; series, bounds, :func:`count_class_paths` and
-:func:`enumerate_paths` read it, and :mod:`wgcalc.exact` builds its rows
-from the same node tables.  Class constancy is assumed, not derived;
+self-loops.  No element is built and no target is sorted: a cut's two
+parts go last, and a join moves its part up past the smaller ones.  One
+table, :func:`count_table`, sweeps the nodes bottom-up for every kind and
+depth, with no recursion and no count memo; series, bounds and
+:func:`enumerate_paths` read it.  :func:`count_class_paths` sweeps the same
+recurrence keeping one solid length at a time, so a count alone holds one
+column of counts, not ``solid + 1`` of them.  :mod:`wgcalc.exact` builds its
+rows from the same node tables.  Class constancy is assumed, not derived;
 ``tests/test_graphs.py`` checks every node of small levels against the one
 read off a representative element, the class-level counts against
 element-level walks and :func:`enumerate_paths` on every element of small
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
@@ -83,6 +89,16 @@ class EdgeStep:
     index: int | None
     target: Element
     top: int | None = None
+
+    @cached_property
+    def text(self) -> str:
+        """The step as :func:`format_path` prints it, kept on the step: solid
+        ``-(i,k)-> target``, dashed ``=> target``, squiggled ``~> target``."""
+        if self.kind == SOLID:
+            arrow = f"-({self.index},{self.top})->"
+        else:
+            arrow = "=>" if self.kind == DASHED else "~>"
+        return f"{arrow} {format_element(self.target)}"
 
 
 def _top(kind: GraphKind, level: int) -> int:
@@ -162,12 +178,15 @@ def level_nodes(kind: GraphKind, j: int) -> dict[tuple[int, ...], ClassNode]:
     for mu in partitions(j):
         rest, c = mu[:-1], (mu[-1] if mu else 0)
         solid: dict[tuple[int, ...], int] = {mu: c - 1} if ortho and c > 1 else {}
-        targets = [(rest + (a, c - a), 1) for a in range(1, c)]
-        targets += [(rest[:i] + rest[i + 1:] + (m + c,), 2 * m if ortho else m)
-                    for i, m in enumerate(rest)]
-        for parts, mult in targets:
-            target = tuple(sorted(parts, reverse=True))
-            solid[target] = solid.get(target, 0) + mult
+        for a in range(1, c):  # both parts of a cut are below every part of rest
+            target = rest + ((c - a, a) if 2 * a <= c else (a, c - a))
+            solid[target] = solid.get(target, 0) + 1
+        for i, m in enumerate(rest):  # a join moves m + c up past the smaller parts
+            p = i
+            while p and rest[p - 1] < m + c:
+                p -= 1
+            target = rest[:p] + (m + c,) + rest[p:i] + rest[i + 1:]
+            solid[target] = solid.get(target, 0) + (2 * m if ortho else m)
         nodes[mu] = ClassNode(
             tuple(solid.items()),
             rest if c == 1 else None,
@@ -209,12 +228,29 @@ def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
     Unitary and orthogonal paths take exactly ``k = sum(mu)`` dashed steps.
     An A III path takes ``dashed + 2*squiggled == k``; without ``dashed`` the
     count aggregates over every such split.
+
+    The recurrence is :func:`count_table`'s, swept one solid length at a
+    time: only the counts at ``s - 1`` are kept while those at ``s`` are
+    filled, so memory grows with the counts' size, not with ``solid`` times
+    it.  Each class holds one count per ``q`` (squiggled steps), ``q <= k // 2``.
     """
     if solid < 0:
         return 0
     mu = validate_partition(mu)
-    rows = count_table(kind, sum(mu), solid)[mu]
-    return sum(row[solid] for q, row in enumerate(rows) if dashed in (None, sum(mu) - 2 * q))
+    k = sum(mu)
+    levels = [level_nodes(kind, j) for j in range(1, k + 1)]
+    zeros = [0] * (k // 2 + 1 if kind is GraphKind.AIII else 1)
+    column: dict[tuple[int, ...], list[int]] = {}
+    for s in range(solid + 1):
+        previous, column = column, {(): [int(s == 0)] + zeros[1:]}
+        for nodes in levels:
+            for nu, node in nodes.items():
+                counts = (column[node.dashed][:] if node.dashed is not None
+                          else [0] + column.get(node.squiggled, zeros)[:-1])
+                for target, mult in node.solid if s else ():
+                    counts = [c + mult * t for c, t in zip(counts, previous[target])]
+                column[nu] = counts
+    return sum(c for q, c in enumerate(column[mu]) if dashed in (None, k - 2 * q))
 
 
 def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
@@ -242,45 +278,75 @@ class Path:
 
 def enumerate_paths(kind: GraphKind, elem: Element, solid: int) -> list[Path]:
     """All paths with ``solid`` solid steps, ordered by the choices made at each
-    vertex: solid edges by index, then dashed, then squiggled.  The walk keeps
-    its own stack and enters only vertices that :func:`count_table` puts on a path.
+    vertex: solid edges by index, then dashed, then squiggled.
+
+    The walk keeps its own stack and enters only vertices that
+    :func:`count_table` puts on a path.  Its memos live for this call only:
+    each distinct vertex's class rows and edges, read once from
+    :func:`solid_neighbors`, :func:`dashed_target` and
+    :func:`squiggled_target`, and one entry per ``(vertex, solid steps left)``
+    pair holding its live moves, filtered once against the table and then
+    followed by reference.  A pair reached again is not expanded again, and
+    the paths share one :class:`EdgeStep` object per step from a vertex.
     """
     _check_element(kind, elem)
     table = count_table(kind, elem.level, solid)
     class_of = PairPartition.coset_type if kind is GraphKind.ORTHOGONAL else Permutation.cycle_type
+    rows_of: dict[Element, list[list[int]]] = {}  # vertex -> its class's table rows
+    solid_of: dict[Element, tuple[EdgeStep, ...]] = {}  # vertex -> its solid steps
+    down_of: dict[Element, list[EdgeStep]] = {}  # vertex -> its dashed and squiggled steps
+    # (vertex, solid steps left) -> [vertex, solid steps left, live moves once expanded]
+    entries: dict[tuple[Element, int], list] = {}
 
-    def live(node: Element, remaining: int) -> bool:
-        return any(row[remaining] for row in table[class_of(node)])
+    def entry(node: Element, remaining: int) -> list | None:
+        """The walk's entry for ``node`` with ``remaining`` solid steps left;
+        None if no path leaves it."""
+        rows = rows_of.get(node)
+        if rows is None:
+            rows = rows_of[node] = table[class_of(node)]
+        if not any(row[remaining] for row in rows):
+            return None
+        return entries.setdefault((node, remaining), [node, remaining, None])
+
+    def live_moves(node: Element, remaining: int) -> list[tuple[EdgeStep, list]]:
+        """``(step, entry reached)`` for every live edge, in stack order."""
+        if node not in down_of:
+            flat = squiggled_target(kind, node) if kind is GraphKind.AIII else None
+            down_of[node] = [EdgeStep(edge_kind, None, target)
+                             for edge_kind, target in ((DASHED, dashed_target(kind, node)),
+                                                       (SQUIGGLED, flat))
+                             if target is not None]
+        if remaining and node not in solid_of:
+            solid_of[node] = solid_neighbors(kind, node)
+        edges = [(e, remaining - 1) for e in solid_of[node]] if remaining else []
+        edges += [(e, remaining) for e in down_of[node]]
+        moves = [(e, entry(e.target, r)) for e, r in reversed(edges)]
+        return [(e, reached) for e, reached in moves if reached is not None]
 
     out: list[Path] = []
     acc: list[EdgeStep] = []
-    # (steps taken before, step or None at the start, vertex reached, solid steps left)
-    stack = [(0, None, elem, solid)] if live(elem, solid) else []
+    start = entry(elem, solid)
+    # (steps taken before, step or None at the start, entry reached)
+    stack = [(0, None, start)] if start else []
     while stack:
-        depth, step, node, remaining = stack.pop()
+        depth, step, here = stack.pop()
         acc[depth:] = [step] if step else []
+        node, remaining, moves = here
         if node.level == 0:
             out.append(Path(kind, elem, tuple(acc)))
             continue
-        edges = [(e, remaining - 1) for e in solid_neighbors(kind, node)] if remaining else []
-        flat = squiggled_target(kind, node) if kind is GraphKind.AIII else None
-        for edge_kind, target in ((DASHED, dashed_target(kind, node)), (SQUIGGLED, flat)):
-            if target is not None:
-                edges.append((EdgeStep(edge_kind, None, target), remaining))
-        stack.extend((len(acc), e, e.target, r) for e, r in reversed(edges) if live(e.target, r))
+        if moves is None:
+            moves = here[2] = live_moves(node, remaining)
+        depth = len(acc)
+        stack.extend((depth, e, reached) for e, reached in moves)
     return out
 
 
 def format_path(path: Path) -> str:
-    """Serialize: solid ``-(s,t)->``, dashed ``=>``, squiggled ``~>``."""
-    parts = [format_element(path.start)]
-    for step in path.steps:
-        if step.kind == SOLID:
-            parts.append(f"-({step.index},{step.top})->")
-        else:
-            parts.append("=>" if step.kind == DASHED else "~>")
-        parts.append(format_element(step.target))
-    return " ".join(parts)
+    """Serialize: solid ``-(s,t)->``, dashed ``=>``, squiggled ``~>``.  The
+    paths of one :func:`enumerate_paths` call share their step objects, so a
+    listing formats each distinct step once (:attr:`EdgeStep.text`)."""
+    return " ".join([format_element(path.start), *(step.text for step in path.steps)])
 
 
 def clear_caches() -> None:

@@ -30,22 +30,42 @@ from typing import Iterator, Sequence
 EMPTY_TEXT = "∅"  # printed for the level-0 permutation / pairing
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of ``n`` as decreasing tuples, largest part first.
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of ``n`` as decreasing tuples, largest part first,
+    in antilexicographic order, without recursion (Zoghbi-Stojmenovic ZS1,
+    *Fast algorithms for generating integer partitions*, 1998).
 
-    >>> list(partitions(3))
-    [(3,), (2, 1), (1, 1, 1)]
+    >>> list(partitions(4))
+    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    # parts[:m] is the current partition; parts[h] is its last part above 1
+    parts, m, h = [n] + [1] * (n - 1), 1, 0
+    yield (n,)
+    while parts[0] != 1:
+        if parts[h] == 2:
+            parts[h], m, h = 1, m + 1, h - 1
+        else:
+            # shrink parts[h] by one, then refill behind it with the freed
+            # units in parts of that new size, and the remainder last
+            r = parts[h] - 1
+            t = m - h
+            parts[h] = r
+            while t >= r:
+                h += 1
+                parts[h] = r
+                t -= r
+            m = h + 1
+            if t:
+                m += 1
+                if t > 1:
+                    h += 1
+                    parts[h] = t
+        yield tuple(parts[:m])
 
 
 def union_type(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:

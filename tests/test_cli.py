@@ -1,11 +1,13 @@
 """End-to-end checks of the wg command surface."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -37,14 +39,19 @@ def test_value_frozen_examples(capsys):
     assert (code, out) == (0, "1/5\n")
 
 
-@pytest.mark.parametrize("module", ["wgcalc", "wgcalc.cli"])
-def test_python_dash_m_runs_the_command(module):
+def _child_env() -> dict:
+    """The environment of a child Python that imports this checkout's wgcalc."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("module", ["wgcalc", "wgcalc.cli"])
+def test_python_dash_m_runs_the_command(module):
     proc = subprocess.run(
         [sys.executable, "-m", module, "value", "--family", "u", "--perm", "2,1", "--dim", "5"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "-1/120\n")
 
@@ -198,6 +205,95 @@ def test_count_line_is_the_same_with_and_without_list(capsys):
             lines = listed.splitlines()
             assert lines[0] == plain.rstrip("\n"), argv
             assert lines[0] == f"count: {len(lines) - 1}", argv
+
+
+def _listing_argvs():
+    """``--list`` commands over every element of small levels: u and A III at
+    k <= 4, o at k <= 3, solid 0..5, A III also at every ``--dashed``."""
+    cases = [(family, "--perm", p) for family in ("u", "aiii")
+             for k in range(5) for p in all_permutations(k)]
+    cases += [("o", "--pairing", m) for k in range(4) for m in all_pair_partitions(k)]
+    for family, flag, elem in cases:
+        text = symcore.format_element(elem)
+        for solid in range(6):
+            yield ["paths", "--family", family, flag, text, "--solid", str(solid), "--list"]
+            if family == "aiii":
+                for dashed in range(elem.level + 1):
+                    yield ["paths", "--family", family, flag, text, "--solid", str(solid),
+                           "--dashed", str(dashed), "--list"]
+            else:
+                yield ["factorizations", "--family", family, flag, text,
+                       "--length", str(solid), "--list"]
+
+
+def test_listings_are_pinned(capsys):
+    # SHA-256 of the plain and --json stdout of 1770 listings, in order, taken
+    # from a walk that expanded every vertex again on every visit: the walk's
+    # memos and the shared step texts change no byte
+    digest = hashlib.sha256()
+    for argv in _listing_argvs():
+        for extra in ([], ["--json"]):
+            code, out, err = run_capture(capsys, argv + extra)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == "554976a08ebf702339c400a5913af71c43813c78b011d74707afd73dec6948c3"
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # a 1.3 MB line fills the pipe long before the child is done, so the
+    # child writes to a closed pipe after the reader has gone, as under `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wgcalc", "paths", "--family", "u", "--perm", "2,1",
+         "--solid", "100001", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+    )
+    assert proc.stdout.readline() == b"count: 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
+def test_counts_past_4300_digits_print_whole(capsys):
+    # CPython caps int-to-str conversion at 4300 digits; counts are printed
+    # whole in plain and --json output, here checked against decimal.Decimal,
+    # which converts without the cap
+    count = graphs.count_class_paths(GraphKind.UNITARY, (4,), 9101)
+    digits = str(Decimal(count))
+    assert len(digits) > 4300
+    argv = ["paths", "--family", "u", "--perm", "2,3,4,1", "--solid", "9101"]
+    assert run_capture(capsys, argv) == (0, f"count: {digits}\n", "")
+    assert run_capture(capsys, argv + ["--json"]) == (
+        0, f'{{"count": {digits}, "element": "2,3,4,1", "family": "u", "solid": 9101}}\n', "")
+    # the last coefficient at order 4510 counts the paths with 9023 solid steps
+    digits = str(Decimal(graphs.count_class_paths(GraphKind.UNITARY, (4,), 9023)))
+    assert len(digits) > 4300
+    argv = ["series", "--family", "u", "--perm", "2,3,4,1", "--order", "4510"]
+    code, out, err = run_capture(capsys, argv)
+    assert (code, err, out.endswith(f",{digits}\n"), len(out.split(","))) == (0, "", True, 4511)
+    code, out, err = run_capture(capsys, argv + ["--json"])
+    assert (code, err, f", {digits}], \"element\": " in out) == (0, "", True)
+
+
+def _count_max_rss(solid: int) -> int:
+    """Max RSS of a child that answers ``wg paths ... --solid`` without a listing."""
+    script = ("import resource, sys; from wgcalc import cli; "
+              "code = cli.run(sys.argv[1:]); "
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "paths", "--family", "u", "--perm", "2,3,4,1",
+         "--solid", str(solid)], capture_output=True, text=True, env=_child_env(), timeout=120)
+    count, status = proc.stdout.splitlines()
+    code, rss = status.split()
+    assert (count.startswith("count: "), code, proc.stderr) == (True, "0", "")
+    return int(rss)
+
+
+def test_count_only_queries_run_in_flat_memory():
+    # the counts' bit length grows with --solid, so a table of every solid
+    # length grows with its square (about 160 MB at 20001); one column does not
+    pytest.importorskip("resource")
+    assert _count_max_rss(20001) <= 1.25 * _count_max_rss(1001)
 
 
 def test_one_parser_serves_every_call(capsys):

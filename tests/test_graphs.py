@@ -118,6 +118,33 @@ def test_enumeration_matches_counts():
             assert len(enumerate_paths(A3, s, l)) == count_paths(A3, s, l)
 
 
+def test_one_walk_expands_each_vertex_once(monkeypatch):
+    # the walk asks each distinct vertex for its solid edges at most once, and
+    # every path holds the same step object for the same step from a vertex
+    asked = Counter()
+    solid_targets = graphs.solid_targets
+
+    def counted(kind, elem):
+        asked[elem] += 1
+        return solid_targets(kind, elem)
+
+    monkeypatch.setattr(graphs, "solid_targets", counted)
+    for kind, elem, solid in ((U, Permutation((3, 2, 5, 1, 4)), 5), (U, Permutation((2, 1)), 301),
+                              (O, PairPartition(((1, 2), (3, 6), (4, 5))), 4),
+                              (A3, Permutation((2, 1, 4, 3)), 4)):
+        asked.clear()
+        paths = enumerate_paths(kind, elem, solid)
+        assert len(paths) == count_paths(kind, elem, solid)
+        assert asked and max(asked.values()) == 1, (kind, elem)
+        objects = {}
+        for p in paths:
+            node = p.start
+            for step in p.steps:
+                objects.setdefault((node, step), set()).add(id(step))
+                node = step.target
+        assert all(len(ids) == 1 for ids in objects.values()), (kind, elem)
+
+
 def _walk_counts(kind, elem, solid, memo):
     """Paths from ``elem`` with ``solid`` solid steps, by dashed-step count,
     walked element by element without the class graph."""
@@ -170,6 +197,7 @@ def test_class_nodes_are_well_formed():
                 node = class_node(kind, mu)
                 assert sum(mult for _, mult in node.solid) == (2 * k - 2 if kind is O else k - 1)
                 assert all(sum(target) == k for target, _ in node.solid)
+                assert all(list(target) == sorted(target, reverse=True) for target, _ in node.solid)
                 assert node.dashed is None or node.squiggled is None
                 if kind is not A3:
                     assert node.squiggled is None

@@ -31,6 +31,23 @@ def test_partitions_order_and_count():
     assert list(partitions(0)) == [()]
     assert list(partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
     assert len(list(partitions(6))) == 11
+    with pytest.raises(ValueError):
+        list(partitions(-1))
+
+
+def _partitions_oracle(n, top):
+    """Every partition of ``n`` with parts at most ``top``, by recursion."""
+    if n == 0:
+        return [()]
+    return [(first, *rest) for first in range(min(n, top), 0, -1)
+            for rest in _partitions_oracle(n - first, first)]
+
+
+def test_partitions_are_antilexicographic_without_repeats():
+    # the generator keeps no recursion; the oracle fixes the order it must keep
+    for n in range(25):
+        listed = list(partitions(n))
+        assert listed == _partitions_oracle(n, n) == sorted(set(listed), reverse=True), n
 
 
 def test_permutation_validation():
