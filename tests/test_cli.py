@@ -239,6 +239,37 @@ def test_listings_are_pinned(capsys):
     assert digest.hexdigest() == "554976a08ebf702339c400a5913af71c43813c78b011d74707afd73dec6948c3"
 
 
+def _count_reader_argvs():
+    """``wg series`` for one element of every class of level 1..5 in each
+    family at orders 0..3, and the count-growth and injection bounds."""
+    for family in ("u", "aiii", "o", "sp"):
+        pairing = family in ("o", "sp")
+        for k in range(1, 6):
+            for mu in symcore.partitions(k):
+                elem = (symcore.coset_representative if pairing
+                        else symcore.class_representative)(mu)
+                flag = "--pairing" if pairing else "--perm"
+                for order in range(4):
+                    yield ["series", "--family", family, flag, symcore.format_element(elem),
+                           "--order", str(order)]
+    for family, top in (("u", 6), ("o", 5)):
+        yield from (["bounds", "--check", "counts", "--family", family, "--k", str(k)]
+                    for k in range(1, top + 1))
+    yield from (["bounds", "--check", "injection", "--k", str(k)] for k in range(1, 7))
+
+
+def test_series_and_count_bounds_are_pinned(capsys):
+    # SHA-256 of the plain and --json stdout of every command above, in
+    # order; each reads its path counts from one bottom-up sweep
+    digest = hashlib.sha256()
+    for argv in _count_reader_argvs():
+        for extra in ([], ["--json"]):
+            code, out, err = run_capture(capsys, argv + extra)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == "8bbeece90c6a66068382abe3ce4903a7735c2aa56aa3f9f3a3694659be24a96a"
+
+
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # a 1.3 MB line fills the pipe long before the child is done, so the
     # child writes to a closed pipe after the reader has gone, as under `| head -1`
