@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import wg_class
-from .graphs import GraphKind, count_table
+from .graphs import GraphKind, class_counts
 from .symcore import Permutation, format_partition, partitions
 
 
@@ -96,14 +96,13 @@ def _finish(family, check, k, d, gmax, rows) -> BoundReport:
 def _count_growth(kind: GraphKind, k: int, gmax: int, lower_base: int, upper_const: int,
                   upper_step: int) -> BoundReport:
     """Path-count growth on level ``k`` for ``g <= gmax``, read off one count
-    table: ``lower_base^g #P(|s|) <= #P(|s|+2g)`` and
+    sweep: ``lower_base^g #P(|s|) <= #P(|s|+2g)`` and
     ``#P(|s|+upper_step*g)^2 <= upper_const^g k^(7g) #P(|s|)^2``."""
     if k < 1 or gmax < 0:
         raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
     rows = []
-    table = count_table(kind, k, k - 1 + 2 * gmax)
-    for mu in partitions(k):
-        row = table[mu][0][k - len(mu):]  # counts from the minimal length on
+    for mu, counts in zip(partitions(k), class_counts(kind, k, k - 1 + 2 * gmax, partitions(k))):
+        row = counts[k - len(mu):]  # counts from the minimal length on
         base = row[0]
         for g in range(gmax + 1):
             even_cnt = row[2 * g]
@@ -260,10 +259,9 @@ def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
     if extra < 0:
         raise ValueError(f"extra must be nonnegative, got {extra}")
     rows = []
-    table = count_table(GraphKind.UNITARY, k, k + 1 + extra)
-    for mu in partitions(k):
+    for mu, row in zip(partitions(k), class_counts(GraphKind.UNITARY, k, k + 1 + extra,
+                                                   partitions(k))):
         n = k - len(mu)
-        row = table[mu][0]
         for l in range(n, n + extra + 1):
             here, above = row[l], row[l + 2]
             ok = (k - 1) * here <= above

@@ -170,9 +170,7 @@ def cmd_paths(args) -> int:
     if args.dashed is not None:
         record["dashed"] = args.dashed
     if args.list:
-        paths = graphs.enumerate_paths(kind, elem, args.solid)
-        if args.dashed is not None:
-            paths = [p for p in paths if p.count(graphs.DASHED) == args.dashed]
+        paths = graphs.enumerate_paths(kind, elem, args.solid, args.dashed)
         record["count"] = len(paths)
         record["paths"] = [graphs.format_path(p) for p in paths]
     else:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import ratfunc
-from .graphs import GraphKind, count_table, dashed_target, level_nodes, solid_targets
+from .graphs import GraphKind, class_counts, dashed_target, level_nodes, solid_targets
 from .symcore import (
     PairPartition,
     Permutation,
@@ -292,13 +292,13 @@ def series(family: str, element, order: int) -> SeriesTruncation:
         if not isinstance(element, Permutation):
             raise TypeError("unitary series expects a permutation")
         n = element.absolute_length()
-        row = count_table(GraphKind.UNITARY, k, n + 2 * order)[element.cycle_type()][0]
+        row = class_counts(GraphKind.UNITARY, k, n + 2 * order, [element.cycle_type()])[0]
         return SeriesTruncation("u", element, -(k + n), tuple(row[n::2]), order)
     if family in ("o", "sp"):
         if not isinstance(element, PairPartition):
             raise TypeError("orthogonal and symplectic series expect a pair partition")
         n = element.absolute_length()
-        row = count_table(GraphKind.ORTHOGONAL, k, n + order)[element.coset_type()][0]
+        row = class_counts(GraphKind.ORTHOGONAL, k, n + order, [element.coset_type()])[0]
         return SeriesTruncation(family, element, -(k + n), tuple(row[n:]), order)
     if family == "aiii":
         if not isinstance(element, Permutation):
@@ -306,7 +306,7 @@ def series(family: str, element, order: int) -> SeriesTruncation:
         by_exponent: dict[int, dict[int, int]] = {}
         # exponent budget: l0 solid steps, l1 dashed, q = (k-l1)/2 squiggled
         max_n = 2 * k + 2 * order + 2
-        rows = count_table(GraphKind.AIII, k, max_n - k + k // 2)[element.cycle_type()]
+        rows = class_counts(GraphKind.AIII, k, max_n - k + k // 2, [element.cycle_type()])
         for q, row in enumerate(rows):
             l1, base = k - 2 * q, k - q
             for l0, cnt in enumerate(row[:max_n - base + 1]):

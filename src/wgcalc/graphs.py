@@ -20,32 +20,19 @@ annotations biject with monotone transposition factorizations
 (Matsumoto-Novak), so ``wg factorizations`` lists each path's
 :meth:`Path.solid_transpositions`.  The inverse map and a brute-force
 generator of the sequences live in ``tests/oracles.py``, where they check
-that bijection.  :func:`enumerate_paths` reads each distinct vertex's edges
-once per call and filters each ``(vertex, solid steps left)`` pair's edges
-once; the memos die with the call, and the paths it returns share one
-:class:`EdgeStep` per step from a vertex, which formats itself once.
+that bijection.
 
 Path counts are class functions of the start vertex (cycle type, coset
-type), so each kind is also described once at class level, one table per
-level: :func:`level_nodes` computes every class's solid targets with
-multiplicities, dashed target and squiggled target from the partition
-alone, and keeps at most :data:`NODE_LEVEL_CAP` whole levels in a
-``functools.lru_cache``.  A transposition moving the top point joins its
-cycle to another cycle or cuts it in two (Goulden-Jackson, *Transitive
-factorizations into transpositions*, PAMS 1997); on pairings the same
-join/cut acts on coset types, with the cuts that restore the block as
-self-loops.  No element is built and no target is sorted: a cut's two
-parts go last, and a join moves its part up past the smaller ones.  One
-table, :func:`count_table`, sweeps the nodes bottom-up for every kind and
-depth, with no recursion and no count memo; series, bounds and
-:func:`enumerate_paths` read it.  :func:`count_class_paths` sweeps the same
-recurrence keeping one solid length at a time, so a count alone holds one
-column of counts, not ``solid + 1`` of them.  :mod:`wgcalc.exact` builds its
-rows from the same node tables.  Class constancy is assumed, not derived;
-``tests/test_graphs.py`` checks every node of small levels against the one
-read off a representative element, the class-level counts against
-element-level walks and :func:`enumerate_paths` on every element of small
-levels, and ``exact.wg_coe_direct`` checks the solver.
+type), so each kind is also described once at class level:
+:func:`level_nodes` reads every class's targets off its partition by the
+join/cut rule (Goulden-Jackson, *Transitive factorizations into
+transpositions*, PAMS 1997), and :mod:`wgcalc.exact` builds its rows from
+these node tables.  One sweep, :func:`count_columns`, yields the counts of
+one flat row per class and squiggled count, one solid length at a time;
+:func:`count_class_paths` keeps the last column, :func:`enumerate_paths`
+every column, series and bounds a few rows (:func:`class_counts`).  Class
+constancy is assumed, not derived: the tests check it against element-level
+walks on small levels, and ``exact.wg_coe_direct`` checks the solver.
 """
 
 from __future__ import annotations
@@ -53,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
 
@@ -195,29 +182,55 @@ def level_nodes(kind: GraphKind, j: int) -> dict[tuple[int, ...], ClassNode]:
     return nodes
 
 
-def count_table(kind: GraphKind, k: int, solid: int) -> dict[tuple[int, ...], list[list[int]]]:
-    """Path counts from every class of level ``<= k``, swept bottom-up:
-    ``table[mu][q][s]`` counts the paths from ``mu`` with ``s <= solid`` solid
-    and ``q`` squiggled steps (``q`` is 0 outside A III).  A row at ``s`` is its
-    dashed (or squiggled, one ``q`` lower) target's row at ``s`` plus its solid
-    targets' rows at ``s - 1`` times their multiplicities."""
-    zeros = [0] * (solid + 1)
-    table = {(): [[1] + zeros[1:]]}
+def count_columns(kind: GraphKind, k: int, solid: int
+                  ) -> tuple[dict[tuple[int, ...], list[int]], Iterator[list[int]]]:
+    """Path counts from every class of level ``<= k``, one solid length at a time.
+
+    ``rows[mu][q]`` numbers the row of class ``mu`` with ``q`` squiggled
+    steps (0 outside A III); column ``s <= solid`` counts there the paths
+    with ``s`` solid steps: the dashed (or squiggled, one ``q`` lower)
+    target's count at ``s`` plus the solid targets' at ``s - 1`` times their
+    multiplicities.  Targets are looked up once; row 0, always 0, is none.
+
+    >>> rows, columns = count_columns(GraphKind.UNITARY, 2, 4)
+    >>> counts = list(columns)
+    >>> {mu: [column[r] for column in counts] for mu, (r,) in rows.items()}
+    {(): [1, 0, 0, 0, 0], (1,): [1, 0, 0, 0, 0], (2,): [0, 1, 0, 1, 0], (1, 1): [1, 0, 1, 0, 1]}
+    """
+    rows: dict[tuple[int, ...], list[int]] = {(): [1]}
+    plan: list[tuple[int, list[tuple[int, int]]]] = []  # row 2, 3, ...: (below, [(mult, target)])
     for j in range(1, k + 1):
         nodes = level_nodes(kind, j)
-        n_rows = j // 2 + 1 if kind is GraphKind.AIII else 1
-        for mu, node in nodes.items():
-            below = (table[node.dashed] if node.dashed is not None
-                     else [zeros] + table.get(node.squiggled, []))
-            table[mu] = [(below[q] if q < len(below) else zeros)[:] for q in range(n_rows)]
-        # one (row, [(multiplicity, solid target's row)]) per class and q
-        plan = [(row, [(mult, table[target][q]) for target, mult in node.solid])
-                for mu, node in nodes.items() for q, row in enumerate(table[mu])]
-        for s in range(1, solid + 1):
-            for row, steps in plan:
+        n_q, first = (j // 2 + 1 if kind is GraphKind.AIII else 1), len(plan) + 2
+        for i, mu in enumerate(nodes):
+            rows[mu] = list(range(first + i * n_q, first + (i + 1) * n_q))
+        for node in nodes.values():
+            below = (rows[node.dashed] if node.dashed is not None
+                     else [0] + rows.get(node.squiggled, []))
+            plan += [(below[q] if q < len(below) else 0,
+                      [(mult, rows[target][q]) for target, mult in node.solid])
+                     for q in range(n_q)]
+
+    def sweep() -> Iterator[list[int]]:
+        column = [0] * (len(plan) + 2)
+        for s in range(solid + 1):
+            previous, column = column, [0, int(s == 0)]
+            for below, steps in plan:
+                count = column[below]
                 for mult, target in steps:
-                    row[s] += mult * target[s - 1]
-    return table
+                    count += mult * previous[target]
+                column.append(count)
+            yield column
+
+    return rows, sweep()
+
+
+def class_counts(kind: GraphKind, k: int, solid: int, classes: Iterable[tuple[int, ...]]
+                 ) -> list[tuple[int, ...]]:
+    """The counts at ``s = 0..solid`` of each of ``classes``' rows, in order."""
+    rows, columns = count_columns(kind, k, solid)
+    wanted = [r for mu in classes for r in rows[mu]]
+    return list(zip(*([column[r] for r in wanted] for column in columns)))
 
 
 def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
@@ -227,30 +240,18 @@ def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
 
     Unitary and orthogonal paths take exactly ``k = sum(mu)`` dashed steps.
     An A III path takes ``dashed + 2*squiggled == k``; without ``dashed`` the
-    count aggregates over every such split.
-
-    The recurrence is :func:`count_table`'s, swept one solid length at a
-    time: only the counts at ``s - 1`` are kept while those at ``s`` are
-    filled, so memory grows with the counts' size, not with ``solid`` times
-    it.  Each class holds one count per ``q`` (squiggled steps), ``q <= k // 2``.
+    count aggregates over every such split.  Only the last of
+    :func:`count_columns` is kept, so memory grows with the counts' size,
+    not with ``solid`` times it.
     """
     if solid < 0:
         return 0
     mu = validate_partition(mu)
     k = sum(mu)
-    levels = [level_nodes(kind, j) for j in range(1, k + 1)]
-    zeros = [0] * (k // 2 + 1 if kind is GraphKind.AIII else 1)
-    column: dict[tuple[int, ...], list[int]] = {}
-    for s in range(solid + 1):
-        previous, column = column, {(): [int(s == 0)] + zeros[1:]}
-        for nodes in levels:
-            for nu, node in nodes.items():
-                counts = (column[node.dashed][:] if node.dashed is not None
-                          else [0] + column.get(node.squiggled, zeros)[:-1])
-                for target, mult in node.solid if s else ():
-                    counts = [c + mult * t for c, t in zip(counts, previous[target])]
-                column[nu] = counts
-    return sum(c for q, c in enumerate(column[mu]) if dashed in (None, k - 2 * q))
+    rows, columns = count_columns(kind, k, solid)
+    for column in columns:
+        pass
+    return sum(column[r] for q, r in enumerate(rows[mu]) if dashed in (None, k - 2 * q))
 
 
 def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
@@ -276,39 +277,40 @@ class Path:
         return tuple((s.index, s.top) for s in self.steps if s.kind == SOLID)
 
 
-def enumerate_paths(kind: GraphKind, elem: Element, solid: int) -> list[Path]:
-    """All paths with ``solid`` solid steps, ordered by the choices made at each
-    vertex: solid edges by index, then dashed, then squiggled.
+def enumerate_paths(kind: GraphKind, elem: Element, solid: int,
+                    dashed: int | None = None) -> list[Path]:
+    """All paths with ``solid`` solid steps and, if given, ``dashed`` dashed
+    steps, ordered by the choices made at each vertex: solid edges by index,
+    then dashed, then squiggled.
 
     The walk keeps its own stack and enters only vertices that
-    :func:`count_table` puts on a path.  Its memos live for this call only:
-    each distinct vertex's class rows and edges, read once from
-    :func:`solid_neighbors`, :func:`dashed_target` and
-    :func:`squiggled_target`, and one entry per ``(vertex, solid steps left)``
-    pair holding its live moves, filtered once against the table and then
-    followed by reference.  A pair reached again is not expanded again, and
-    the paths share one :class:`EdgeStep` object per step from a vertex.
+    :func:`count_columns` puts on a path (with ``dashed``, on the row of the
+    squiggled steps left).  Its memos live for this call: each vertex's class
+    rows and edges, and per ``(vertex, solid and squiggled steps left)`` its
+    live moves, filtered once.  Paths share one :class:`EdgeStep` per step.
     """
     _check_element(kind, elem)
-    table = count_table(kind, elem.level, solid)
+    if dashed is not None and (dashed > elem.level or (elem.level - dashed) % 2):
+        return []
+    rows, columns = count_columns(kind, elem.level, solid)
+    columns = list(columns)
     class_of = PairPartition.coset_type if kind is GraphKind.ORTHOGONAL else Permutation.cycle_type
-    rows_of: dict[Element, list[list[int]]] = {}  # vertex -> its class's table rows
+    rows_of: dict[Element, list[int]] = {}  # vertex -> its class's rows
     solid_of: dict[Element, tuple[EdgeStep, ...]] = {}  # vertex -> its solid steps
     down_of: dict[Element, list[EdgeStep]] = {}  # vertex -> its dashed and squiggled steps
-    # (vertex, solid steps left) -> [vertex, solid steps left, live moves once expanded]
-    entries: dict[tuple[Element, int], list] = {}
+    # (vertex, solid, squiggled or None steps left) -> [the same three, live moves once expanded]
+    entries: dict[tuple[Element, int, int | None], list] = {}
 
-    def entry(node: Element, remaining: int) -> list | None:
-        """The walk's entry for ``node`` with ``remaining`` solid steps left;
-        None if no path leaves it."""
-        rows = rows_of.get(node)
-        if rows is None:
-            rows = rows_of[node] = table[class_of(node)]
-        if not any(row[remaining] for row in rows):
+    def entry(node: Element, remaining: int, q: int | None) -> list | None:
+        """The walk's entry for ``node``; None if no path leaves it."""
+        live = rows_of.get(node)
+        if live is None:
+            live = rows_of[node] = rows[class_of(node)]
+        if not any(columns[remaining][r] for r in (live if q is None else live[q:q + 1])):
             return None
-        return entries.setdefault((node, remaining), [node, remaining, None])
+        return entries.setdefault((node, remaining, q), [node, remaining, q, None])
 
-    def live_moves(node: Element, remaining: int) -> list[tuple[EdgeStep, list]]:
+    def live_moves(node: Element, remaining: int, q: int | None) -> list[tuple[EdgeStep, list]]:
         """``(step, entry reached)`` for every live edge, in stack order."""
         if node not in down_of:
             flat = squiggled_target(kind, node) if kind is GraphKind.AIII else None
@@ -318,25 +320,26 @@ def enumerate_paths(kind: GraphKind, elem: Element, solid: int) -> list[Path]:
                              if target is not None]
         if remaining and node not in solid_of:
             solid_of[node] = solid_neighbors(kind, node)
-        edges = [(e, remaining - 1) for e in solid_of[node]] if remaining else []
-        edges += [(e, remaining) for e in down_of[node]]
-        moves = [(e, entry(e.target, r)) for e, r in reversed(edges)]
+        edges = [(e, remaining - 1, q) for e in solid_of[node]] if remaining else []
+        edges += [(e, remaining, q - 1 if q is not None and e.kind == SQUIGGLED else q)
+                  for e in down_of[node]]
+        moves = [(e, entry(e.target, r, left)) for e, r, left in reversed(edges)]
         return [(e, reached) for e, reached in moves if reached is not None]
 
     out: list[Path] = []
     acc: list[EdgeStep] = []
-    start = entry(elem, solid)
+    start = entry(elem, solid, None if dashed is None else (elem.level - dashed) // 2)
     # (steps taken before, step or None at the start, entry reached)
     stack = [(0, None, start)] if start else []
     while stack:
         depth, step, here = stack.pop()
         acc[depth:] = [step] if step else []
-        node, remaining, moves = here
+        node, remaining, q, moves = here
         if node.level == 0:
             out.append(Path(kind, elem, tuple(acc)))
             continue
         if moves is None:
-            moves = here[2] = live_moves(node, remaining)
+            moves = here[3] = live_moves(node, remaining, q)
         depth = len(acc)
         stack.extend((depth, e, reached) for e, reached in moves)
     return out

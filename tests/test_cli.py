@@ -182,8 +182,8 @@ def test_path_walks_answer_thousands_of_steps(capsys):
 
 
 def test_count_line_is_the_same_with_and_without_list(capsys):
-    # with --list the count is the length of the (filtered) listing, without
-    # it the count table's; both forms must print the same count line
+    # with --list the count is the length of the listing, without
+    # it the count sweep's; both forms must print the same count line
     cases = []
     for k in range(5):
         for p in all_permutations(k):

@@ -22,8 +22,8 @@ from wgcalc.graphs import (
     GraphKind,
     Path,
     count_class_paths,
+    count_columns,
     count_paths,
-    count_table,
     dashed_target,
     enumerate_paths,
     format_path,
@@ -175,14 +175,15 @@ def _walk_counts(kind, elem, solid, memo):
 )
 def test_class_counts_match_element_level_counts_on_every_element(kind, elements, top):
     # the element walk is checked against full enumeration one level lower,
-    # where enumerating every path stays cheap; a table row q holds the
+    # where enumerating every path stays cheap; a count row q holds the
     # paths with k - 2q dashed steps
     type_of = PairPartition.coset_type if kind is O else Permutation.cycle_type
     memo = {}
     for k in range(top + 1):
-        table = count_table(kind, k, k + 4)
+        index, columns = count_columns(kind, k, k + 4)
+        columns = list(columns)
         for e in elements(k):
-            rows = table[type_of(e)]
+            rows = [[column[r] for column in columns] for r in index[type_of(e)]]
             for l in range(e.absolute_length() + 5):
                 walked = _walk_counts(kind, e, l, memo)
                 assert Counter({k - 2 * q: row[l] for q, row in enumerate(rows)}) == walked
@@ -281,6 +282,19 @@ def test_single_path_identity_level_one():
     assert [s.kind for s in paths[0].steps] == [DASHED]
 
 
+def test_a_dashed_count_lists_the_full_listing_filtered():
+    # the walk with a dashed count enters only vertices on the row of the
+    # squiggled steps left; it must keep exactly the paths of that count
+    cases = [(kind, e) for kind in (U, A3) for k in range(5) for e in all_permutations(k)]
+    cases += [(O, m) for k in range(4) for m in all_pair_partitions(k)]
+    for kind, e in cases:
+        for l in range(e.absolute_length() + 3):
+            paths = enumerate_paths(kind, e, l)
+            for dashed in range(-1, e.level + 2):
+                kept = [p for p in paths if p.count(DASHED) == dashed]
+                assert enumerate_paths(kind, e, l, dashed) == kept, (kind, e, l, dashed)
+
+
 def test_parity_unitary():
     # solid steps change the absolute length by one, dashed keep it, so
     # every count at the wrong parity vanishes
@@ -293,15 +307,17 @@ def test_parity_unitary():
                     assert count_paths(U, s, l) == 0
 
 
-def test_count_table_rows_vanish_off_their_parity():
+def test_count_column_rows_vanish_off_their_parity():
     # a solid step changes the number of cycles by one, a dashed step keeps
     # j - len(mu) and a squiggled step flips it, so a unitary row is nonzero
     # only at s = j - len(mu) and an A III row q only at s = j - len(mu) + q,
     # mod 2
     for kind in (U, A3):
         for k in range(7):
-            for mu, rows in count_table(kind, k, 9).items():
-                for q, row in enumerate(rows):
+            index, columns = count_columns(kind, k, 9)
+            columns = list(columns)
+            for mu, numbers in index.items():
+                for q, row in enumerate([column[r] for column in columns] for r in numbers):
                     parity = (sum(mu) - len(mu) + q) % 2
                     assert not any(row[1 - parity::2]), (kind, k, mu, q)
                     if kind is U:
