@@ -624,3 +624,112 @@ def test_cache_that_is_not_utf8_is_corrupt(capsys, tmp_path):
                  ["cache", "export", "--family", "u", "--k", "2", "--dim", "5", "--out", str(path)]):
         code, out, err = run_capture(capsys, argv)
         assert (code, out, err) == (3, "", "cache corruption: line 1: not UTF-8 text\n")
+
+
+# (argv, stderr line) of family refusals; every one exits with code 1.  The
+# invalid-choice lines list the families a subcommand takes, in table order.
+_FAMILY_REFUSALS = [
+    ("value --family u --pairing 1,2|3,4 --dim 5", "--perm is required for family u"),
+    ("value --family aiii --pairing 1,2|3,4 --dim 5 --dminus 1",
+     "--perm is required for family aiii"),
+    ("value --family o --perm 2,1 --dim 5", "--pairing is required for family o"),
+    ("value --family coe --perm 2,1 --dim 5", "--pairing is required for family coe"),
+    ("value --family sp --perm 2,1 --dim 5", "--pairing is required for family sp"),
+    ("value --family u --perm 2,1 --pairing 1,2 --dim 5", "--pairing does not apply to family u"),
+    ("value --family aiii --perm 2,1 --pairing 1,2 --dim 5 --dminus 1",
+     "--pairing does not apply to family aiii"),
+    ("value --family o --pairing 1,2 --perm 1 --dim 5", "--perm does not apply to family o"),
+    ("value --family coe --pairing 1,2 --perm 1 --dim 5", "--perm does not apply to family coe"),
+    ("value --family sp --pairing 1,2 --perm 1 --dim 5", "--perm does not apply to family sp"),
+    ("series --family u --pairing 1,2 --order 1", "--perm is required for family u"),
+    ("series --family o --perm 1 --order 1", "--pairing is required for family o"),
+    ("series --family sp --perm 1 --order 1", "--pairing is required for family sp"),
+    ("series --family aiii --pairing 1,2 --order 1", "--perm is required for family aiii"),
+    ("paths --family u --perm 1 --pairing 1,2 --solid 1", "--pairing does not apply to family u"),
+    ("paths --family o --pairing 1,2 --perm 1 --solid 1", "--perm does not apply to family o"),
+    ("paths --family aiii --pairing 1,2 --solid 1", "--perm is required for family aiii"),
+    ("factorizations --family u --pairing 1,2 --length 1", "--perm is required for family u"),
+    ("factorizations --family o --perm 1 --length 1", "--pairing is required for family o"),
+    ("value --family aiii --perm 2,1 --dim 5", "--dminus is required for family aiii"),
+    ("value --family u --perm 2,1 --dim 5 --dminus 1", "--dminus does not apply to family u"),
+    ("value --family o --pairing 1,2 --dim 5 --dminus 1", "--dminus does not apply to family o"),
+    ("value --family coe --pairing 1,2 --dim 5 --dminus 1",
+     "--dminus does not apply to family coe"),
+    ("value --family sp --pairing 1,2 --dim 5 --dminus 1", "--dminus does not apply to family sp"),
+    ("moment --family aiii --rows 1 --cols 1 --dim 2", "--dminus is required for family aiii"),
+    ("moment --family coe --rows 1 --cols 1 --crows 1 --ccols 1 --dim 2 --dminus 1",
+     "--dminus does not apply to family coe"),
+    ("cache export --family aiii --k 2 --dim 3 --out {out}", "--dminus is required for family aiii"),
+    ("cache export --family sp --k 2 --dim 3 --dminus 1 --out {out}",
+     "--dminus does not apply to family sp"),
+    ("paths --family u --perm 2,1 --solid 1 --dashed 0", "--dashed applies only to family aiii"),
+    ("paths --family o --pairing 1,2 --solid 1 --dashed 1", "--dashed applies only to family aiii"),
+    ("mc --family aiii --rows 1 --cols 1", "--sig A,B is required for family aiii"),
+    ("mc --family u --sig 2,1 --rows 1 --cols 1", "--sig does not apply to family u"),
+    ("mc --family o --sig 2,1 --rows 1 --cols 1", "--sig does not apply to family o"),
+    ("mc --family coe --sig 2,1 --rows 1 --cols 1", "--sig does not apply to family coe"),
+    ("mc --family sp --dim 2 --rows 1 --cols 1",
+     "--family: symplectic sampling is unsupported; exact symplectic values are defined "
+     "only up to sign, so there is no oracle target"),
+    ("moment --family o --rows 1 --cols 1 --crows 1 --ccols 1 --dim 2",
+     "family 'o' takes no conjugated factors"),
+    ("mc --family aiii --sig 2,2 --rows 1 --cols 1 --crows 1 --ccols 1",
+     "family 'aiii' takes no conjugated factors"),
+    ("bounds --check counts --family sp --k 3", "--family: count bounds cover families u and o"),
+    ("bounds --check neighborhood --family o --k 3",
+     "--family: the neighborhood check covers family u only"),
+    ("bounds --check neighborhood --family sp --k 3",
+     "--family: the neighborhood check covers family u only"),
+    ("bounds --check injection --family o --k 3",
+     "--family: the injection check covers family u only"),
+    ("bounds --check injection --family sp --k 3",
+     "--family: the injection check covers family u only"),
+    ("bounds --check ratio --family sp --k 2", "--dim is required for --check ratio"),
+    ("value --family coe --pairing 1,2 --dim 0", "--dim: COE dimension must be positive, got 0"),
+    ("value --family sp --pairing 1,2 --dim -3",
+     "--dim: symplectic dimension must be positive, got -3"),
+    ("value --family aiii --perm 1 --dim 0 --dminus 0", "--dim: dimension must be positive, got 0"),
+    ("cache export --family coe --k 1 --dim -1 --out {out}",
+     "--dim: COE dimension must be positive, got -1"),
+    ("cache export --family sp --k 1 --dim 0 --out {out}",
+     "--dim: symplectic dimension must be positive, got 0"),
+    ("cache export --family aiii --k 1 --dim -2 --dminus 0 --out {out}",
+     "--dim: dimension must be positive, got -2"),
+    ("value --family u --perm 2,1 --dim 1", "--dim: dimension 1 below level 2"),
+    ("value --family u --perm 1 --dim -4", "--dim: dimension -4 below level 1"),
+    ("moment --family u --rows 1,1 --cols 1,1 --crows 1,1 --ccols 1,1 --dim 1",
+     "--dim: dimension 1 below level 2"),
+    ("mc --family u --rows 1,1 --cols 1,1 --crows 1,1 --ccols 1,1 --dim 1",
+     "--dim: dimension 1 below level 2"),
+    ("cache export --family u --k 3 --dim 2 --out {out}", "--dim: dimension 2 below level 3"),
+    ("value --family o --pairing 1,2|3,4 --dim 1", "--dim: singular o system at level 2, d=1"),
+    ("value --family coe --pairing 1,2|3,4|5,6 --dim 1",
+     "--dim: singular coe system at level 3, d=1"),
+    ("value --family sp --pairing 1,2|3,4 --dim 1", "--dim: singular sp system at level 2, d=1"),
+    ("value --family aiii --perm 2,1 --dim 1 --dminus 1",
+     "--dim: singular aiii system at level 2, d=1, dminus=1"),
+    ("value --family q --perm 1 --dim 1",
+     "argument --family: invalid choice: 'q' (choose from 'u', 'o', 'coe', 'sp', 'aiii')"),
+    ("series --family coe --pairing 1,2 --order 1",
+     "argument --family: invalid choice: 'coe' (choose from 'u', 'o', 'sp', 'aiii')"),
+    ("paths --family sp --pairing 1,2 --solid 1",
+     "argument --family: invalid choice: 'sp' (choose from 'u', 'o', 'aiii')"),
+    ("factorizations --family aiii --perm 1 --length 1",
+     "argument --family: invalid choice: 'aiii' (choose from 'u', 'o')"),
+    ("moment --family sp --rows 1 --cols 1 --dim 2",
+     "argument --family: invalid choice: 'sp' (choose from 'u', 'o', 'coe', 'aiii')"),
+    ("bounds --family coe --k 2",
+     "argument --family: invalid choice: 'coe' (choose from 'u', 'o', 'sp')"),
+    ("mc --family q --dim 2 --rows 1 --cols 1",
+     "argument --family: invalid choice: 'q' (choose from 'u', 'o', 'coe', 'sp', 'aiii')"),
+    ("cache export --family q --k 1 --dim 2 --out {out}",
+     "argument --family: invalid choice: 'q' (choose from 'u', 'o', 'coe', 'sp', 'aiii')"),
+]
+
+
+def test_family_refusals_are_pinned(capsys, tmp_path):
+    out_path = tmp_path / "cache.tsv"
+    for command, message in _FAMILY_REFUSALS:
+        argv = command.format(out=out_path).split()
+        assert run_capture(capsys, argv) == (1, "", f"error: {message}\n"), command
+    assert not out_path.exists()
