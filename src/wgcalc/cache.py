@@ -1,11 +1,11 @@
 """Append-only TSV cache of solved class values.
 
-Each record is one line with five tab-separated fields: family tag
-(U, O, COE, SP, AIII), level, class key ("3+1+1"), dimension arguments
-("d=5" or "d=5,dm=1"), and the exact value as "p/q".  Loading validates
-every field and treats two records that give the same key different
-values as corruption.  Verification recomputes a seeded random sample of
-the stored values with the exact engine.
+Each record is one line with five tab-separated fields: family tag (the
+family's name in capitals: U, O, COE, SP, AIII), level, class key
+("3+1+1"), dimension arguments ("d=5" or "d=5,dm=1"), and the exact value
+as "p/q".  Loading validates every field and treats two records that give
+the same key different values as corruption.  Verification recomputes a
+seeded random sample of the stored values with the exact engine.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from fractions import Fraction
 from . import exact
 from .symcore import format_partition, parse_partition, partitions
 
-_TAGS = {fam: fam.upper() for fam in exact.FAMILIES}
-_FAMILIES = {tag: fam for fam, tag in _TAGS.items()}
+_FAMILIES = {name.upper(): name for name in exact.FAMILIES}
 _VALUE_RE = re.compile(r"-?\d+/\d+$")
 _UNDECODED_RE = re.compile("[\udc80-\udcff]")
 
@@ -29,18 +28,16 @@ class CacheCorruptionError(Exception):
     """A cache file failed validation; the message names the offending line."""
 
 
-def _dims_text(family: str, d: int, dminus) -> str:
-    if family == "aiii":
-        return f"d={d},dm={dminus}"
-    return f"d={d}"
+def _dims_text(d: int, dminus) -> str:
+    return f"d={d}" if dminus is None else f"d={d},dm={dminus}"
 
 
 def _parse_dims(family: str, text: str, lineno: int) -> tuple[int, int | None]:
     fields = text.split(",")
-    want = 2 if family == "aiii" else 1
+    want = 2 if exact.FAMILIES[family].takes_dminus else 1
     if len(fields) != want:
         raise CacheCorruptionError(
-            f"line {lineno}: family {_TAGS[family]} needs "
+            f"line {lineno}: family {family.upper()} needs "
             f"{want} dimension argument(s), got {text!r}"
         )
     if not fields[0].startswith("d=") or (want == 2 and not fields[1].startswith("dm=")):
@@ -100,7 +97,7 @@ def _parse_file(path: str) -> dict[tuple, tuple[Fraction, int]]:
                     f"line {lineno}: value {value_text!r} is not of the form p/q"
                 )
             value = Fraction(value_text)
-            key = (tag, level, format_partition(mu), _dims_text(family, d, dminus))
+            key = (tag, level, format_partition(mu), _dims_text(d, dminus))
             if key in entries:
                 stored, first = entries[key]
                 if stored != value:
@@ -116,13 +113,13 @@ def _parse_file(path: str) -> dict[tuple, tuple[Fraction, int]]:
 def export(path: str, family: str, k: int, d: int, dminus: int | None = None) -> int:
     """Append all class values for levels 1..k, skipping records already
     present.  Returns the number of newly written records."""
-    if family not in _TAGS:
+    if family not in exact.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if k < 1:
         raise ValueError(f"level must be positive, got {k}")
     existing = _parse_file(path) if os.path.exists(path) else {}
-    tag = _TAGS[family]
-    dims = _dims_text(family, d, dminus)
+    tag = family.upper()
+    dims = _dims_text(d, dminus)
     fresh = []
     for level in range(1, k + 1):
         for mu in partitions(level):

@@ -51,30 +51,23 @@ def _config_cache_path(args) -> str | None:
 
 def _parse_element(args, family: str):
     """Permutation families take --perm, pairing families take --pairing."""
-    wants_perm = family in ("u", "aiii")
-    if wants_perm:
-        if args.perm is None:
-            raise UsageError(f"--perm is required for family {family}")
-        if getattr(args, "pairing", None) is not None:
-            raise UsageError(f"--pairing does not apply to family {family}")
-        try:
-            return symcore.parse_permutation(args.perm)
-        except ValueError as exc:
-            raise UsageError(f"--perm: {exc}") from None
-    if args.pairing is None:
-        raise UsageError(f"--pairing is required for family {family}")
-    if getattr(args, "perm", None) is not None:
-        raise UsageError(f"--perm does not apply to family {family}")
+    pairing = exact.FAMILIES[family].pairing
+    flag, stray = ("pairing", "perm") if pairing else ("perm", "pairing")
+    if getattr(args, flag) is None:
+        raise UsageError(f"--{flag} is required for family {family}")
+    if getattr(args, stray) is not None:
+        raise UsageError(f"--{stray} does not apply to family {family}")
+    parse = symcore.parse_pair_partition if pairing else symcore.parse_permutation
     try:
-        return symcore.parse_pair_partition(args.pairing)
+        return parse(getattr(args, flag))
     except ValueError as exc:
-        raise UsageError(f"--pairing: {exc}") from None
+        raise UsageError(f"--{flag}: {exc}") from None
 
 
 def _need_dminus(args, family: str) -> int | None:
-    if family == "aiii":
+    if exact.FAMILIES[family].takes_dminus:
         if args.dminus is None:
-            raise UsageError("--dminus is required for family aiii")
+            raise UsageError(f"--dminus is required for family {family}")
         return args.dminus
     if getattr(args, "dminus", None) is not None:
         raise UsageError(f"--dminus does not apply to family {family}")
@@ -128,27 +121,20 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _series_coeff_text(family: str, coeff) -> str:
-    if family != "aiii":
-        return str(coeff)
-    if not coeff:
-        return "0"
-    return poly_text(tuple(Fraction(coeff.get(p, 0)) for p in range(max(coeff) + 1)), var="dm")
-
-
 def cmd_series(args) -> int:
     family = args.family
     elem = _parse_element(args, family)
     if args.order < 0:
         raise UsageError(f"--order: must be nonnegative, got {args.order}")
     st = exact.series(family, elem, args.order)
-    texts = [_series_coeff_text(family, c) for c in st.coefficients]
-    if family == "aiii":
+    if exact.FAMILIES[family].takes_dminus:  # each coefficient is a polynomial in dminus
         json_coeffs = [{str(p): c for p, c in sorted(co.items())} for co in st.coefficients]
-        plain = "; ".join(texts)
+        polys = [tuple(Fraction(co.get(p, 0)) for p in range(max(co, default=-1) + 1))
+                 for co in st.coefficients]
+        plain = "; ".join(poly_text(poly, var="dm") for poly in polys)
     else:
         json_coeffs = list(st.coefficients)
-        plain = ",".join(texts)
+        plain = ",".join(map(str, st.coefficients))
     record = {"family": family, "element": symcore.format_element(elem), "order": args.order,
               "leading_exponent": st.leading_exponent, "coefficients": json_coeffs}
     _emit(args, record, [f"leading exponent: {st.leading_exponent}",
@@ -158,11 +144,11 @@ def cmd_series(args) -> int:
 
 def cmd_paths(args) -> int:
     family = args.family
-    kind = graphs.GraphKind(family)
+    kind = exact.FAMILIES[family].kind
     elem = _parse_element(args, family)
     if args.solid < 0:
         raise UsageError(f"--solid: must be nonnegative, got {args.solid}")
-    if args.dashed is not None and family != "aiii":
+    if args.dashed is not None and kind is not graphs.GraphKind.AIII:
         raise UsageError("--dashed applies only to family aiii")
     if args.dashed is not None and args.dashed < 0:
         raise UsageError(f"--dashed: must be nonnegative, got {args.dashed}")
@@ -181,7 +167,7 @@ def cmd_paths(args) -> int:
 
 def cmd_factorizations(args) -> int:
     family = args.family
-    kind = graphs.GraphKind(family)
+    kind = exact.FAMILIES[family].kind
     elem = _parse_element(args, family)
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
@@ -259,6 +245,16 @@ def _report_output(args, report) -> int:
     return 0 if report.all_pass else 2
 
 
+# check -> family -> the bounds_mod certifier, looked up when the command runs
+_CERTIFIERS = {
+    "counts": {"u": "certify_unitary_bounds", "o": "certify_orthogonal_bounds"},
+    "ratio": {"u": "certify_wg_ratio_unitary", "o": "certify_orthogonal_ratio",
+              "sp": "certify_sp_ratio"},
+    "neighborhood": {"u": "neighborhood_certify"},
+    "injection": {"u": "easy_injection_check"},
+}
+
+
 def cmd_bounds(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k: must be positive, got {args.k}")
@@ -270,31 +266,18 @@ def cmd_bounds(args) -> int:
     for flag, value in (("--gmax", args.gmax), ("--extra", args.extra)):
         if value is not None and value < 0:
             raise UsageError(f"{flag}: must be nonnegative, got {value}")
+    if check == "ratio" and args.dim is None:
+        raise UsageError("--dim is required for --check ratio")
+    certifier = _CERTIFIERS[check].get(args.family)
+    if certifier is None:
+        if check == "counts":
+            raise UsageError("--family: count bounds cover families u and o")
+        raise UsageError(f"--family: the {check} check covers family u only")
     gmax = 3 if args.gmax is None else args.gmax
     extra = 4 if args.extra is None else args.extra
+    rest = {"counts": (gmax,), "ratio": (args.dim,), "injection": (extra,)}.get(check, ())
     try:
-        if check == "counts":
-            if args.family == "u":
-                report = bounds_mod.certify_unitary_bounds(args.k, gmax)
-            elif args.family == "o":
-                report = bounds_mod.certify_orthogonal_bounds(args.k, gmax)
-            else:
-                raise UsageError("--family: count bounds cover families u and o")
-        elif check == "ratio":
-            if args.dim is None:
-                raise UsageError("--dim is required for --check ratio")
-            if args.family == "u":
-                report = bounds_mod.certify_wg_ratio_unitary(args.k, args.dim)
-            elif args.family == "o":
-                report = bounds_mod.certify_orthogonal_ratio(args.k, args.dim)
-            else:
-                report = bounds_mod.certify_sp_ratio(args.k, args.dim)
-        elif args.family != "u":
-            raise UsageError(f"--family: the {check} check covers family u only")
-        elif check == "neighborhood":
-            report = bounds_mod.neighborhood_certify(args.k)
-        else:
-            report = bounds_mod.easy_injection_check(args.k, extra=extra)
+        report = getattr(bounds_mod, certifier)(args.k, *rest)
     except ValueError as exc:
         raise UsageError(f"--dim: {exc}") from None
     return _report_output(args, report)
@@ -304,9 +287,9 @@ def _mc_dims(args, family: str) -> tuple[int, int | None]:
     """Check ``--sig/--dim/--samples/--seed``; return ``(dim, dminus)``."""
     dminus = None
     dim = args.dim
-    if family == "aiii":
+    if exact.FAMILIES[family].takes_dminus:
         if args.sig is None:
-            raise UsageError("--sig A,B is required for family aiii")
+            raise UsageError(f"--sig A,B is required for family {family}")
         sig = _int_list(args.sig, "--sig")
         if len(sig) != 2 or sig[1] < 0 or sig[0] < sig[1]:
             raise UsageError(f"--sig: expected two integers A >= B >= 0, got {args.sig!r}")
@@ -330,7 +313,8 @@ def _mc_dims(args, family: str) -> tuple[int, int | None]:
 
 def cmd_mc(args) -> int:
     family = args.family
-    if family == "sp":
+    if "moment" not in exact.FAMILIES[family].commands:
+        # the message names sp, the one family without a moment route
         raise UsageError(
             "--family: symplectic sampling is unsupported; exact symplectic "
             "values are defined only up to sign, so there is no oracle target"
@@ -398,6 +382,11 @@ def cmd_cache_verify(args) -> int:
     return 0
 
 
+def _families(command: str) -> list[str]:
+    """The families that take ``command``, in table order."""
+    return [name for name, fam in exact.FAMILIES.items() if command in fam.commands]
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The ``wg`` parser, built on the first call and reused for the rest
@@ -417,7 +406,7 @@ def build_parser() -> _Parser:
                                           f"cache path; the path flag and {CACHE_ENV} win")
 
     sub = subs.add_parser("value", help="exact Weingarten value")
-    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
+    sub.add_argument("--family", required=True, choices=list(exact.FAMILIES))
     element_flags(sub)
     sub.add_argument("--dim", type=int)
     sub.add_argument("--dminus", type=int)
@@ -427,14 +416,14 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_value)
 
     sub = subs.add_parser("series", help="large-d expansion coefficients")
-    sub.add_argument("--family", required=True, choices=["u", "o", "sp", "aiii"])
+    sub.add_argument("--family", required=True, choices=_families("series"))
     element_flags(sub)
     sub.add_argument("--order", type=int, required=True)
     _common(sub)
     sub.set_defaults(handler=cmd_series)
 
     sub = subs.add_parser("paths", help="count or list monotone descent paths")
-    sub.add_argument("--family", required=True, choices=["u", "o", "aiii"])
+    sub.add_argument("--family", required=True, choices=_families("paths"))
     element_flags(sub)
     sub.add_argument("--solid", type=int, required=True)
     sub.add_argument("--dashed", type=int)
@@ -443,7 +432,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_paths)
 
     sub = subs.add_parser("factorizations", help="monotone transposition factorizations")
-    sub.add_argument("--family", required=True, choices=["u", "o"])
+    sub.add_argument("--family", required=True, choices=_families("factorizations"))
     element_flags(sub)
     sub.add_argument("--length", type=int, required=True)
     sub.add_argument("--list", action="store_true")
@@ -451,7 +440,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_factorizations)
 
     sub = subs.add_parser("moment", help="exact Haar moment of matrix entries")
-    sub.add_argument("--family", required=True, choices=["u", "o", "coe", "aiii"])
+    sub.add_argument("--family", required=True, choices=_families("moment"))
     sub.add_argument("--rows", required=True)
     sub.add_argument("--cols", required=True)
     sub.add_argument("--crows")
@@ -462,9 +451,8 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_moment)
 
     sub = subs.add_parser("bounds", help="certify the path-count and ratio bounds")
-    sub.add_argument("--check", choices=["counts", "ratio", "neighborhood", "injection"],
-                     default="counts")
-    sub.add_argument("--family", choices=["u", "o", "sp"], default="u")
+    sub.add_argument("--check", choices=list(_CERTIFIERS), default="counts")
+    sub.add_argument("--family", choices=_families("bounds"), default="u")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--gmax", type=int)
     sub.add_argument("--dim", type=int)
@@ -473,7 +461,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_bounds)
 
     sub = subs.add_parser("mc", help="Monte Carlo z-test against the exact value")
-    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
+    sub.add_argument("--family", required=True, choices=list(exact.FAMILIES))
     sub.add_argument("--dim", type=int)
     sub.add_argument("--sig", help="aiii signature A,B")
     sub.add_argument("--rows", required=True)
@@ -489,7 +477,7 @@ def build_parser() -> _Parser:
     cache_subs = cache_parser.add_subparsers(dest="cache_command", required=True)
 
     sub = cache_subs.add_parser("export", help="append class values for levels 1..k")
-    sub.add_argument("--family", required=True, choices=exact.FAMILIES)
+    sub.add_argument("--family", required=True, choices=list(exact.FAMILIES))
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--dminus", type=int)

@@ -26,12 +26,14 @@ and reported, never patched.  The level-``k`` unitary system is singular
 at every ``-k < d < k`` (checked for ``k = 2..7``) and no ensemble has
 ``d <= -k``, so the unitary route refuses every ``d < k`` before solving.
 
-Public API: :func:`wg` (one element) and :func:`wg_class` (one class, and
-the one place each family is mapped to its memo, shifted dimension and
-guards); :func:`wg_coe_direct` (COE element by element, an independent
-check of the class reduction); :func:`series` (large-``d`` expansions from
-the path counts of :mod:`wgcalc.graphs`) and :func:`reconstruct_rational`
-(closed forms in ``d``).
+Each family is one :class:`Family` record in :data:`FAMILIES`, read by
+this module and by ``cli``, ``moments``, ``mc`` and ``cache``.  Public API:
+:func:`wg` (one element) and :func:`wg_class` (one class, and the one place
+a record is mapped to its memo, shifted dimension and guards);
+:func:`wg_coe_direct` (COE element by element, an independent check of the
+class reduction); :func:`series` (large-``d`` expansions from the path
+counts of :mod:`wgcalc.graphs`) and :func:`reconstruct_rational` (closed
+forms in ``d``).
 
 Closed forms interpolate ``Q*Wg`` against a known denominator
 (:func:`wg_denominator`): ``Q_u = lcm_{lambda |- k} prod_{(i,j)} (d + j - i)``
@@ -49,9 +51,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from . import ratfunc
-from .graphs import GraphKind, class_counts, dashed_target, level_nodes, solid_targets
+from .graphs import (GraphKind, class_counts, dashed_target, level_nodes, solid_targets,
+                     vertex_class)
 from .symcore import (
     PairPartition,
     Permutation,
@@ -60,7 +64,44 @@ from .symcore import (
     validate_partition,
 )
 
-FAMILIES = ("u", "o", "coe", "sp", "aiii")
+# plain names for the hot path: each GraphKind.X lookup costs about 0.1 us on CPython 3.11
+_UNITARY, _ORTHOGONAL, _AIII = GraphKind.UNITARY, GraphKind.ORTHOGONAL, GraphKind.AIII
+
+
+class Family(NamedTuple):
+    """One ensemble, as every module reads it."""
+
+    kind: GraphKind  # its elements are pair partitions iff ORTHOGONAL; dminus iff AIII
+    scale: int  # the graph is solved at scale*d + shift; at a negative
+    shift: int  # scale only the absolute value is defined
+    positive: str | None  # prefix of the refusal of d < 1; None: no such guard
+    conjugated: bool  # its moments take conjugated factors
+    commands: tuple[str, ...]  # subcommands, of those not open to every family, taking it
+
+    @property
+    def pairing(self) -> bool:
+        return self.kind is _ORTHOGONAL
+
+    @property
+    def takes_dminus(self) -> bool:
+        return self.kind is _AIII
+
+
+_RESTRICTED = ("series", "paths", "factorizations", "moment", "bounds")
+FAMILIES = {  # in the order the command line lists them
+    "u": Family(GraphKind.UNITARY, 1, 0, None, True, _RESTRICTED),
+    "o": Family(GraphKind.ORTHOGONAL, 1, 0, None, False, _RESTRICTED),
+    "coe": Family(GraphKind.ORTHOGONAL, 1, 1, "COE ", True, ("moment",)),
+    "sp": Family(GraphKind.ORTHOGONAL, -2, 0, "symplectic ", False, ("series", "bounds")),
+    "aiii": Family(GraphKind.AIII, 1, 0, "", False, ("series", "paths", "moment")),
+}
+
+
+def _family(name: str) -> Family:
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"unknown family {name!r}") from None
 
 
 class SingularSystemError(ArithmeticError):
@@ -125,88 +166,65 @@ def _check_dim(d) -> int:
     return d
 
 
-def _check_coe_dim(d: int) -> None:
-    """No COE ensemble has ``d < 1``; both COE routes refuse it."""
-    if d < 1:
-        raise ValueError(f"COE dimension must be positive, got {d}")
+def _check_positive(fam: Family, d: int) -> None:
+    if fam.positive is not None and d < 1:
+        raise ValueError(f"{fam.positive}dimension must be positive, got {d}")
 
 
 def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None) -> Fraction:
     """Weingarten value of the level-``sum(mu)`` class ``mu`` of ``family``.
 
-    The one place a family is mapped to its route:
-
-    * ``u``:    the unitary system at ``d >= k``; ``d < k`` raises
-      :class:`BelowLevelError` (the system is singular at ``-k < d < k``,
-      and no ensemble has ``d <= -k``).
-    * ``o``:    the orthogonal system at ``d``, any integer; negative
-      arguments are how the symplectic route is evaluated.
-    * ``coe``:  the orthogonal system at ``d+1`` (dimension-shift identity),
-      for ``d >= 1``.
-    * ``sp``:   ``|orthogonal at -2d|`` for ``d >= 1``; the sign is
-      deliberately out of scope.
-    * ``aiii``: the A III system at ``d = a+b``, ``dminus = a-b``;
-      ``|dminus| > d`` has no matching ensemble, so it is still computed
-      but flagged with a warning.
+    The one place each family is mapped to its route, all read off its
+    :class:`Family` record: the class graph ``kind`` is solved at
+    ``scale*d + shift`` (COE at ``d+1``, the dimension-shift identity; sp at
+    ``-2d``, sign deliberately out of scope), and ``o`` at any integer.
+    Guards: ``d >= 1`` where the record has a ``positive`` prefix; on the
+    unitary graph, ``d < k`` raises :class:`BelowLevelError` (that system is
+    singular at ``-k < d < k``, and no ensemble has ``d <= -k``); ``dminus``
+    is required on A III and refused elsewhere.  ``|dminus| > d`` matches no
+    A III signature, so it is still computed but flagged with a warning.
 
     The value is looked up in the cached solved level ``sum(mu)``, solved
     on demand from the levels below.  A singular level raises
     :class:`SingularSystemError` naming ``family`` and ``d`` as given, also
     on the shifted routes.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family != "aiii" and dminus is not None:
-        raise ValueError(f"family {family!r} takes no dminus")
+    fam = _family(family)
+    if fam.takes_dminus != (dminus is not None):
+        raise ValueError(f"family {family!r} needs dminus" if dminus is None
+                         else f"family {family!r} takes no dminus")
     _check_dim(d)
     mu = validate_partition(mu)
     k = sum(mu)
-    kind, dim = GraphKind.ORTHOGONAL, d
-    if family == "u":
-        if d < k:
-            raise BelowLevelError(d, k)
-        kind = GraphKind.UNITARY
-    elif family == "coe":
-        _check_coe_dim(d)
-        dim = d + 1
-    elif family == "sp":
-        if d < 1:
-            raise ValueError(f"symplectic dimension must be positive, got {d}")
-        dim = -2 * d
-    elif family == "aiii":
-        if dminus is None:
-            raise ValueError("family 'aiii' needs dminus")
-        _check_dim(dminus)
-        if d < 1:
-            raise ValueError(f"dimension must be positive, got {d}")
-        if abs(dminus) > d:
-            warnings.warn(
-                f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
-                stacklevel=2,
-            )
-        kind = GraphKind.AIII
+    if d < 1:
+        _check_positive(fam, d)
+    if d < k and fam.kind is _UNITARY:
+        raise BelowLevelError(d, k)
+    if dminus is not None and abs(_check_dim(dminus)) > d:
+        warnings.warn(
+            f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
+            stacklevel=2,
+        )
     try:
-        value = _level(kind, dim, dminus, k)[mu]
+        value = _level(fam.kind, fam.scale * d + fam.shift, dminus, k)[mu]
     except SingularSystemError as exc:
         raise SingularSystemError(family, exc.level, d, dminus) from None
-    return abs(value) if family == "sp" else value
+    return abs(value) if fam.scale < 0 else value
 
 
 def wg_denominator(family: str, k: int) -> ratfunc.Poly:
     """The level-``k`` denominator of ``family`` (see the module docstring),
-    cells ``(i, j)`` 0-based.
+    cells ``(i, j)`` 0-based, at ``scale*d + shift``.
 
     >>> [str(c) for c in wg_denominator("u", 2)]
     ['0', '-1', '0', '1']
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    step = 1 if family in ("u", "aiii") else 2
+    fam = _family(family)
+    step = 2 if fam.pairing else 1
     contents: Counter = Counter()
     for lam in partitions(k):  # the lcm keeps each factor at its top multiplicity
         contents |= Counter(step * j - i for i, row in enumerate(lam) for j in range(row))
-    scale, shift = {"coe": (1, 1), "sp": (-2, 0)}.get(family, (1, 0))
-    return reduce(ratfunc.poly_mul, ((Fraction(shift + c), Fraction(scale))
+    return reduce(ratfunc.poly_mul, ((Fraction(fam.shift + c), Fraction(fam.scale))
                                      for c in contents.elements()), (Fraction(1),))
 
 
@@ -214,15 +232,7 @@ def wg(family: str, elem, d: int, dminus: int | None = None) -> Fraction:
     """Weingarten value of one element: a permutation for ``u`` and
     ``aiii``, a pair partition for ``o``, ``coe`` and ``sp``.  See
     :func:`wg_class` for the routes and their guards."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family in ("u", "aiii"):
-        if not isinstance(elem, Permutation):
-            raise TypeError(f"family {family!r} expects a permutation")
-        return wg_class(family, elem.cycle_type(), d, dminus)
-    if not isinstance(elem, PairPartition):
-        raise TypeError(f"family {family!r} expects a pair partition")
-    return wg_class(family, elem.coset_type(), d, dminus)
+    return wg_class(family, vertex_class(_family(family).kind, elem), d, dminus)
 
 
 def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
@@ -233,7 +243,7 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     is structurally independent of ``wg("coe", ...)`` and doubles as a
     check of the class constancy it assumes.
     """
-    _check_coe_dim(_check_dim(d))
+    _check_positive(FAMILIES["coe"], _check_dim(d))
     return _coe_level(d, m.level)[m]
 
 
@@ -287,40 +297,29 @@ def series(family: str, element, order: int) -> SeriesTruncation:
     """Expansion coefficients for one element through ``order`` terms past the lead."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    fam = FAMILIES.get(family)
+    if fam is None or "series" not in fam.commands:
+        raise ValueError(f"no series for family {family!r}")
+    mu = vertex_class(fam.kind, element)
     k = element.level
-    if family == "u":
-        if not isinstance(element, Permutation):
-            raise TypeError("unitary series expects a permutation")
+    if not fam.takes_dminus:
+        # a unitary path has the parity of n, so only every other count is read
+        step = 1 if fam.pairing else 2
         n = element.absolute_length()
-        row = class_counts(GraphKind.UNITARY, k, n + 2 * order, [element.cycle_type()])[0]
-        return SeriesTruncation("u", element, -(k + n), tuple(row[n::2]), order)
-    if family in ("o", "sp"):
-        if not isinstance(element, PairPartition):
-            raise TypeError("orthogonal and symplectic series expect a pair partition")
-        n = element.absolute_length()
-        row = class_counts(GraphKind.ORTHOGONAL, k, n + order, [element.coset_type()])[0]
-        return SeriesTruncation(family, element, -(k + n), tuple(row[n:]), order)
-    if family == "aiii":
-        if not isinstance(element, Permutation):
-            raise TypeError("aiii series expects a permutation")
-        by_exponent: dict[int, dict[int, int]] = {}
-        # exponent budget: l0 solid steps, l1 dashed, q = (k-l1)/2 squiggled
-        max_n = 2 * k + 2 * order + 2
-        rows = class_counts(GraphKind.AIII, k, max_n - k + k // 2, [element.cycle_type()])
-        for q, row in enumerate(rows):
-            l1, base = k - 2 * q, k - q
-            for l0, cnt in enumerate(row[:max_n - base + 1]):
-                if cnt:  # the one term of exponent l0 + base with l1 dashed steps
-                    by_exponent.setdefault(l0 + base, {})[l1] = (-1) ** l0 * cnt
-        nonzero = sorted(n for n, poly in by_exponent.items() if any(poly.values()))
-        if not nonzero:
-            raise AssertionError("every permutation admits at least one path")
-        n0 = nonzero[0]
-        coeffs = tuple(
-            dict(sorted(by_exponent.get(n0 + g, {}).items())) for g in range(order + 1)
-        )
-        return SeriesTruncation("aiii", element, -n0, coeffs, order)
-    raise ValueError(f"no series for family {family!r}")
+        row = class_counts(fam.kind, k, n + step * order, [mu])[0]
+        return SeriesTruncation(family, element, -(k + n), tuple(row[n::step]), order)
+    by_exponent: dict[int, dict[int, int]] = {}
+    # exponent budget: l0 solid steps, l1 dashed, q = (k-l1)/2 squiggled
+    max_n = 2 * k + 2 * order + 2
+    rows = class_counts(fam.kind, k, max_n - k + k // 2, [mu])
+    for q, row in enumerate(rows):
+        l1, base = k - 2 * q, k - q
+        for l0, cnt in enumerate(row[:max_n - base + 1]):
+            if cnt:  # the one term of exponent l0 + base with l1 dashed steps
+                by_exponent.setdefault(l0 + base, {})[l1] = (-1) ** l0 * cnt
+    n0 = min(by_exponent)  # every count stored is nonzero, and every element has a path
+    coeffs = tuple(dict(sorted(by_exponent.get(n0 + g, {}).items())) for g in range(order + 1))
+    return SeriesTruncation(family, element, -n0, coeffs, order)
 
 
 def reconstruct_rational(family: str, element, dminus: int | None = None

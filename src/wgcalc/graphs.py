@@ -66,6 +66,12 @@ def _check_element(kind: GraphKind, elem: Element) -> None:
         raise TypeError(f"{kind.value} graph vertices are permutations, got {elem!r}")
 
 
+def vertex_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
+    """The class of the ``kind`` vertex ``elem``: its coset type or cycle type."""
+    _check_element(kind, elem)
+    return elem.cycle_type() if isinstance(elem, Permutation) else elem.coset_type()
+
+
 @dataclass(frozen=True)
 class EdgeStep:
     """One traversed edge: its kind, the vertex reached and, on a solid step,
@@ -255,10 +261,8 @@ def count_class_paths(kind: GraphKind, mu: tuple[int, ...], solid: int,
 
 
 def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None = None) -> int:
-    """:func:`count_class_paths` from ``elem``'s coset type or cycle type."""
-    _check_element(kind, elem)
-    mu = elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
-    return count_class_paths(kind, mu, solid, dashed)
+    """:func:`count_class_paths` from ``elem``'s :func:`vertex_class`."""
+    return count_class_paths(kind, vertex_class(kind, elem), solid, dashed)
 
 
 @dataclass(frozen=True)

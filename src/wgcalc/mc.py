@@ -1,13 +1,14 @@
 """Monte Carlo oracle for Haar-moment values.
 
-Samples the four computable ensembles with a counter-based RNG (each
+Samples every family with a moment route with a counter-based RNG (each
 sample index owns a fixed run of Philox4x64 counter blocks under the seed
 as key, so results do not depend on chunking, evaluation order or the
 number of threads), estimates entry-monomial means, and compares them
 against the exact backend at a 5-standard-error threshold.
 :func:`ensemble_of` reads the ensemble off a validated
-:class:`~wgcalc.moments.MomentSpec`, and every exact value is computed
-before the first sample is drawn.
+:class:`~wgcalc.moments.MomentSpec`, the family's
+:class:`~wgcalc.exact.Family` record picks the sampler, and every exact
+value is computed before the first sample is drawn.
 
 Haar unitaries come from QR of a complex Ginibre matrix with the
 triangular factor's diagonal made positive (Mezzadri, Notices AMS 54,
@@ -19,8 +20,8 @@ a requested monomial reads: bitwise the same values as the full matrix.
 COE samples are u u^T, the two-block symmetry ensemble is
 g diag(1..1,-1..-1) g*; each of their entries reads every column of u
 (or g), so both are sampled and checked in full.  Symplectic sampling is
-deliberately absent: the exact side only defines those values up to
-sign, so there is no oracle target to compare against.
+deliberately absent (sp has no moment route): the exact side only defines
+those values up to sign, so there is no oracle target to compare against.
 
 :func:`estimate_moments` splits the samples into one contiguous range
 per available CPU, each at least ``MIN_SAMPLES`` long; the calling thread
@@ -39,6 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .exact import FAMILIES
+from .graphs import GraphKind
 from .moments import MomentSpec, exact_moment
 
 _CHUNK = 4096
@@ -174,14 +177,17 @@ def _sample_block(ens: tuple[str, int, int], seed: int, start: int, count: int, 
     of Q for every entry, so they always return all d columns.
     """
     family, d, a = ens
-    if m is None or family not in ("u", "o"):
+    fam = FAMILIES[family]
+    real = fam.pairing and not fam.conjugated  # o
+    group = real or fam.kind is GraphKind.UNITARY  # u and o: Q itself
+    if m is None or not group:
         m = d
-    g = _gaussian_block(seed, start, count, d, family != "o", m)
+    g = _gaussian_block(seed, start, count, d, not real, m)
     q = _qr_positive(g.transpose(2, 1, 0))
     _check_unitary(q)
-    if family in ("u", "o"):
+    if group:
         return q.transpose(2, 1, 0)
-    if family == "coe":
+    if fam.pairing:
         s = np.einsum("jcb,jrb->crb", q, q)
         _assert_small(s - s.swapaxes(0, 1), 1e-10, "symmetry")
         _check_unitary(s, tol=1e-9)
@@ -214,11 +220,12 @@ def _monomial_values(spec: MomentSpec, samples):
 def ensemble_of(spec: MomentSpec) -> tuple[str, int, int]:
     """The ensemble a moment request samples: ``(family, d, a)``.
 
-    For A III the signature is ``(a, d - a)`` with ``a = (d + dminus)/2``;
-    every other family has ``a = d``.  :class:`MomentSpec` has validated
-    everything else, so only the A III signature is checked here.
+    For A III (the spec has a ``dminus``) the signature is ``(a, d - a)``
+    with ``a = (d + dminus)/2``; every other family has ``a = d``.
+    :class:`MomentSpec` has validated everything else, so only the A III
+    signature is checked here.
     """
-    if spec.family != "aiii":
+    if spec.dminus is None:
         return spec.family, spec.d, spec.d
     if (spec.d + spec.dminus) % 2 != 0 or abs(spec.dminus) > spec.d:
         raise ValueError(
@@ -229,7 +236,7 @@ def ensemble_of(spec: MomentSpec) -> tuple[str, int, int]:
             "sample at the mirrored signature instead: negative dminus flips "
             "every degree-k moment by (-1)^k"
         )
-    return "aiii", spec.d, (spec.d + spec.dminus) // 2
+    return spec.family, spec.d, (spec.d + spec.dminus) // 2
 
 
 def estimate_moments(

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import wg_class
+from .exact import FAMILIES, wg_class
+from .graphs import GraphKind
 from .symcore import pairing_mates, trivial_mates, union_type
 
 Indices = tuple[int, ...]
@@ -77,10 +78,10 @@ class MomentSpec:
     """One entry-monomial moment: which family, which indices, which dimensions.
 
     ``rows``/``cols`` hold the plain factors' indices, ``crows``/``ccols``
-    the conjugated factors' where the family has them (unitary and COE).
-    Construction is the one place a moment is validated: every index must
-    lie in ``1..d``, ``d`` must be positive, and only A III takes (and
-    needs) ``dminus``.
+    the conjugated factors' where the family's record says ``conjugated``
+    (unitary and COE).  Construction is the one place a moment is validated:
+    the family needs a moment route, every index must lie in ``1..d``, ``d``
+    must be positive, and only A III takes (and needs) ``dminus``.
     """
 
     family: str
@@ -92,7 +93,8 @@ class MomentSpec:
     dminus: int | None = None
 
     def __post_init__(self):
-        if self.family not in ("u", "o", "coe", "aiii"):
+        fam = FAMILIES.get(self.family)
+        if fam is None or "moment" not in fam.commands:
             raise ValueError(f"unknown moment family {self.family!r}")
         for field in INDEX_FIELDS:
             for v in getattr(self, field):
@@ -101,14 +103,14 @@ class MomentSpec:
         # after the range check, which already refuses any index at d < 1
         if self.d < 1:
             raise ValueError(f"dimension must be positive, got {self.d}")
-        if self.family != "aiii" and self.dminus is not None:
+        if not fam.takes_dminus and self.dminus is not None:
             raise ValueError(f"family {self.family!r} takes no dminus")
         if len(self.rows) != len(self.cols) or len(self.crows) != len(self.ccols):
             raise ValueError("row and column index lists must pair up")
-        if self.family in ("o", "aiii") and self.crows:
+        if not fam.conjugated and self.crows:
             raise ValueError(f"family {self.family!r} takes no conjugated factors")
-        if self.family == "aiii" and self.dminus is None:
-            raise ValueError("aiii moments need dminus")
+        if fam.takes_dminus and self.dminus is None:
+            raise ValueError(f"{self.family} moments need dminus")
 
 
 def _pairing(sigma: Indices) -> Indices:
@@ -123,7 +125,8 @@ def _term_classes(spec: MomentSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     spec's Weingarten sum; a class may recur.
 
     Each term is an outer and an inner perfect matching, in the class of
-    their :func:`~wgcalc.symcore.union_type`.  The families name them:
+    their :func:`~wgcalc.symcore.union_type`.  The record's kind and
+    ``conjugated`` flag name them:
 
     * u: outer ``_matchings(rows, crows)``, inner ``_matchings(cols, ccols)``;
     * o: outer the pairings that join equal ``rows``, inner equal ``cols``;
@@ -141,17 +144,18 @@ def _term_classes(spec: MomentSpec) -> Iterator[tuple[tuple[int, ...], int]]:
     [((1, 1), 2), ((2,), 2)]
     """
     labels = None
-    if spec.family == "u":
+    fam = FAMILIES[spec.family]
+    if fam.kind is GraphKind.UNITARY:
         outer = _matchings(spec.rows, spec.crows)
         inner = list(_matchings(spec.cols, spec.ccols))
         labels = [(0, c) for c in spec.cols] + [(1, c) for c in spec.ccols]
-    elif spec.family == "o":
+    elif fam.pairing and not fam.conjugated:
         rows, labels = spec.rows, spec.cols
         inner = list(pairing_mates(labels))
         # labels with one equality pattern have the same pairings, in order
         same_pattern = [labels.index(c) for c in labels] == [rows.index(r) for r in rows]
         outer = inner if same_pattern else pairing_mates(rows)
-    elif spec.family == "coe":
+    elif fam.pairing:
         i = tuple(x for pair in zip(spec.rows, spec.cols) for x in pair)
         j = tuple(x for pair in zip(spec.crows, spec.ccols) for x in pair)
         outer = map(_pairing, _matchings(i, j))

@@ -22,6 +22,7 @@ from wgcalc.graphs import (
     solid_neighbors,
     squiggled_target,
 )
+from wgcalc.ratfunc import poly_eval
 from wgcalc.symcore import (
     PairPartition,
     all_pair_partitions,
@@ -130,6 +131,40 @@ def test_coe_direct_matches_shifted_orthogonal():
         for k in range(1, 4):
             for m in all_pair_partitions(k):
                 assert wg_coe_direct(m, d) == wg("coe", m, d), (m, d)
+
+
+def _base_family(fam: exact.Family) -> str:
+    """The family solved on ``fam``'s graph at ``d`` itself."""
+    return next(name for name, base in exact.FAMILIES.items()
+                if base.kind is fam.kind and (base.scale, base.shift) == (1, 0))
+
+
+@pytest.mark.parametrize("name", [name for name, fam in exact.FAMILIES.items()
+                                  if (fam.scale, fam.shift) != (1, 0)])
+def test_a_dimension_map_moves_values_and_denominators_alike(name):
+    # Wg and its denominator Q of a family with a dimension map are those of
+    # its base graph at scale*d + shift (the value's absolute value when the
+    # scale is negative); Q is checked at more points than its degree
+    fam = exact.FAMILIES[name]
+    base = _base_family(fam)
+    for k in range(1, 6):
+        den, base_den = exact.wg_denominator(name, k), exact.wg_denominator(base, k)
+        assert len(den) == len(base_den)
+        for d in range(1, len(den) + 2):
+            assert poly_eval(den, d) == poly_eval(base_den, fam.scale * d + fam.shift), (k, d)
+        for d in range(1, 7):
+            dminus = d % 2 if fam.takes_dminus else None
+            for mu in partitions(k):
+                outcomes = []
+                for family, dim in ((name, d), (base, fam.scale * d + fam.shift)):
+                    try:
+                        outcomes.append(wg_class(family, mu, dim, dminus))
+                    except SingularSystemError:
+                        outcomes.append("singular")
+                value, at_base = outcomes
+                if fam.scale < 0 and at_base != "singular":
+                    at_base = abs(at_base)
+                assert value == at_base, (mu, d)
 
 
 def test_unitary_sign_law():
