@@ -177,7 +177,7 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     The one place each family is mapped to its route, all read off its
     :class:`Family` record: the class graph ``kind`` is solved at
     ``scale*d + shift`` (COE at ``d+1``, the dimension-shift identity; sp at
-    ``-2d``, sign deliberately out of scope), and ``o`` at any integer.
+    ``-2d``, sign deliberately out of scope; o at any integer ``d``).
     Guards: ``d >= 1`` where the record has a ``positive`` prefix; on the
     unitary graph, ``d < k`` raises :class:`BelowLevelError` (that system is
     singular at ``-k < d < k``, and no ensemble has ``d <= -k``); ``dminus``
@@ -196,8 +196,7 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
     _check_dim(d)
     mu = validate_partition(mu)
     k = sum(mu)
-    if d < 1:
-        _check_positive(fam, d)
+    _check_positive(fam, d)
     if d < k and fam.kind is _UNITARY:
         raise BelowLevelError(d, k)
     if dminus is not None and abs(_check_dim(dminus)) > d:
