@@ -5,23 +5,23 @@ cache export, cache verify.  Plain output is one short line per result;
 ``--json`` switches every subcommand to a single sorted-key JSON record.
 Exit codes: 0 success, 1 domain error, 2 failed certification or
 comparison, 3 cache corruption, 141 stdout closed early (as under SIGPIPE).
+
+Start-up imports what every subcommand uses: exact, graphs, symcore and
+ratfunc.  The rest load in the handler that runs them: moment and mc import
+moments, mc also mc (and numpy), bounds imports bounds, cache imports
+cache (and configparser for --config), and --json imports json.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
-import json
 import os
 import sys
 import warnings
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import cache as cache_mod
 from . import exact, graphs, symcore
-from .moments import INDEX_FIELDS, IndexRangeError, MomentSpec, exact_moment
 from .ratfunc import poly_text
 
 CACHE_ENV = "WG_CACHE"
@@ -29,6 +29,11 @@ CACHE_ENV = "WG_CACHE"
 
 class UsageError(Exception):
     """Bad invocation; the message names the offending argument."""
+
+
+class CorruptCache(Exception):
+    """A ``cache.CacheCorruptionError``, re-raised by the cache handlers so
+    that :func:`run` maps it to exit code 3 without importing ``cache``."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,6 +47,7 @@ def _common(sub):
 
 def _config_cache_path(args) -> str | None:
     if args.config:
+        import configparser
         parser = configparser.ConfigParser()
         if not parser.read(args.config):
             raise UsageError(f"--config: cannot read {args.config!r}")
@@ -76,6 +82,7 @@ def _need_dminus(args, family: str) -> int | None:
 
 def _emit(args, record: dict, plain_lines: list[str]) -> None:
     if args.json:
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         for line in plain_lines:
@@ -187,10 +194,11 @@ def cmd_factorizations(args) -> int:
     return 0
 
 
-def _moment_spec(args, family: str, dims) -> MomentSpec:
-    """Parse ``--rows/--cols/--crows/--ccols`` and build the spec at the
-    ``(dim, dminus)`` that ``dims()`` checks and returns.  ``dims`` runs
+def _moment_spec(args, family: str, dims):
+    """Parse ``--rows/--cols/--crows/--ccols`` and build the ``MomentSpec`` at
+    the ``(dim, dminus)`` that ``dims()`` checks and returns.  ``dims`` runs
     after the lists parse, so a malformed list is reported first."""
+    from .moments import INDEX_FIELDS, IndexRangeError, MomentSpec
     lists = [_int_list(getattr(args, name), f"--{name}") for name in INDEX_FIELDS]
     dim, dminus = dims()
     try:
@@ -204,6 +212,7 @@ def _moment_spec(args, family: str, dims) -> MomentSpec:
 def cmd_moment(args) -> int:
     family = args.family
     spec = _moment_spec(args, family, lambda: (args.dim, _need_dminus(args, family)))
+    from .moments import exact_moment
     try:
         value = exact_moment(spec)
     except ValueError as exc:
@@ -245,7 +254,7 @@ def _report_output(args, report) -> int:
     return 0 if report.all_pass else 2
 
 
-# check -> family -> the bounds_mod certifier, looked up when the command runs
+# check -> family -> the wgcalc.bounds certifier, looked up when the command runs
 _CERTIFIERS = {
     "counts": {"u": "certify_unitary_bounds", "o": "certify_orthogonal_bounds"},
     "ratio": {"u": "certify_wg_ratio_unitary", "o": "certify_orthogonal_ratio",
@@ -276,8 +285,9 @@ def cmd_bounds(args) -> int:
     gmax = 3 if args.gmax is None else args.gmax
     extra = 4 if args.extra is None else args.extra
     rest = {"counts": (gmax,), "ratio": (args.dim,), "injection": (extra,)}.get(check, ())
+    from . import bounds
     try:
-        report = getattr(bounds_mod, certifier)(args.k, *rest)
+        report = getattr(bounds, certifier)(args.k, *rest)
     except ValueError as exc:
         raise UsageError(f"--dim: {exc}") from None
     return _report_output(args, report)
@@ -356,8 +366,11 @@ def cmd_cache_export(args) -> int:
         raise UsageError(f"--k: level must be positive, got {args.k}")
     path = _cache_path(args, "--out")
     dminus = _need_dminus(args, args.family)
+    from . import cache
     try:
-        written = cache_mod.export(path, args.family, args.k, args.dim, dminus)
+        written = cache.export(path, args.family, args.k, args.dim, dminus)
+    except cache.CacheCorruptionError as exc:
+        raise CorruptCache(exc) from None
     except ValueError as exc:
         # the parser limits --family and --k is checked above, so what is
         # left refuses the dimension
@@ -373,8 +386,11 @@ def cmd_cache_verify(args) -> int:
     path = _cache_path(args, "--path")
     if not 0 < args.fraction <= 1:
         raise UsageError(f"--fraction: must be in (0, 1], got {args.fraction}")
+    from . import cache
     try:
-        checked, total = cache_mod.verify(path, fraction=args.fraction, seed=args.seed)
+        checked, total = cache.verify(path, fraction=args.fraction, seed=args.seed)
+    except cache.CacheCorruptionError as exc:
+        raise CorruptCache(exc) from None
     except OSError as exc:
         raise UsageError(f"--path: {exc.strerror}: {path!r}") from None
     record = {"path": path, "checked": checked, "total": total}
@@ -524,7 +540,7 @@ def run(argv=None) -> int:
         try:
             args = build_parser().parse_args(argv)
             return _run_handler(args)
-        except cache_mod.CacheCorruptionError as exc:
+        except CorruptCache as exc:
             code, error = 3, f"cache corruption: {exc}"
         except (exact.SingularSystemError, exact.BelowLevelError) as exc:
             code, error = 1, f"error: {_dim_error(exc)}"

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -268,8 +267,7 @@ def _coe_level(d: int, j: int) -> dict:
     return dict(zip(elems, sol))
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
+class SeriesTruncation(NamedTuple):
     """Truncated large-``d`` expansion, coefficients straight from path counts.
 
     With ``n`` the element's absolute length and ``k`` its level:

@@ -38,11 +38,11 @@ walks on small levels, and ``exact.wg_coe_direct`` checks the solver.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
+from .symcore import (PairPartition, Permutation, _immutable, format_element, partitions,
+                      validate_partition)
 
 Element = Union[Permutation, PairPartition]
 
@@ -72,16 +72,34 @@ def vertex_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
     return elem.cycle_type() if isinstance(elem, Permutation) else elem.coset_type()
 
 
-@dataclass(frozen=True)
 class EdgeStep:
     """One traversed edge: its kind, the vertex reached and, on a solid step,
     its transposition ``(index, top)``; ``top`` is ``k``, or ``2k-1`` for
-    orthogonal, at the level ``k`` the step stays on."""
+    orthogonal, at the level ``k`` the step stays on.  Immutable; equal, with
+    equal hashes, exactly when the class and these four fields are."""
 
-    kind: str
-    index: int | None
-    target: Element
-    top: int | None = None
+    def __init__(self, kind: str, index: int | None, target: Element, top: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "top", top)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return (f"EdgeStep(kind={self.kind!r}, index={self.index!r}, "
+                f"target={self.target!r}, top={self.top!r})")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.index, self.target, self.top)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def text(self) -> str:
@@ -265,16 +283,12 @@ def count_paths(kind: GraphKind, elem: Element, solid: int, dashed: int | None =
     return count_class_paths(kind, vertex_class(kind, elem), solid, dashed)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A traversal from ``start`` down to the empty object."""
 
     kind: GraphKind
     start: Element
     steps: tuple[EdgeStep, ...]
-
-    def count(self, edge_kind: str) -> int:
-        return sum(1 for s in self.steps if s.kind == edge_kind)
 
     def solid_transpositions(self) -> tuple[tuple[int, int], ...]:
         """The transposition carried by each solid step, in traversal order."""

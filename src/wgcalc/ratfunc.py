@@ -18,10 +18,9 @@ zonal factors for ``o``, shifted for ``coe`` and ``sp``
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -234,8 +233,7 @@ def poly_text(p: Poly, var: str = "d") -> str:
     return " ".join(terms)
 
 
-@dataclass(frozen=True)
-class RationalFunctionRep:
+class RationalFunctionRep(NamedTuple):
     """A reduced rational function ``num/den``."""
 
     num: Poly

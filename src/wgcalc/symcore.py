@@ -24,7 +24,7 @@ matchings: the coset type against the trivial pairing, the cycle type of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, Sequence
 
 EMPTY_TEXT = "∅"  # printed for the level-0 permutation / pairing
@@ -101,17 +101,25 @@ def trivial_mates(k: int) -> tuple[int, ...]:
 
 
 def validate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in parts):
+    """``parts`` as ints, checked in one walk over adjacent parts and the
+    last part: a decreasing tuple is positive if its last part is.  A
+    nonpositive part is reported before an increase."""
+    parts = tuple(map(int, parts))
+    if not parts or (parts[-1] > 0 and all(map(ge, parts, parts[1:]))):
+        return parts
+    if min(parts) <= 0:
         raise ValueError(f"partition parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {parts}")
-    return parts
+    raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the element and step classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class Permutation:
-    """A permutation of ``{1, ..., k}`` in one-line notation.
+    """A permutation of ``{1, ..., k}`` in one-line notation.  Immutable;
+    equal, with equal hashes, exactly when the class and images are.
 
     >>> s = Permutation((4, 1, 5, 3, 2))
     >>> s.cycle_type()
@@ -120,13 +128,31 @@ class Permutation:
     4
     """
 
-    images: tuple[int, ...]
+    # validation stays in __post_init__: bench/tracing.py counts the
+    # elements built from its calls
+    def __init__(self, images: tuple[int, ...]):
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
 
     def __post_init__(self):
         imgs = tuple(int(x) for x in self.images)
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # the hash of the field tuple: set iteration orders depend on it
+        return hash((self.images,))
 
     @property
     def level(self) -> int:
@@ -181,15 +207,17 @@ class Permutation:
         return Permutation(tuple(imgs))
 
 
-@dataclass(frozen=True)
 class PairPartition:
     """A perfect matching of ``{1, ..., 2k}`` stored in canonical block order.
+    Immutable; equal, with equal hashes, exactly when the class and blocks are.
 
     >>> PairPartition(((1, 3), (2, 4))).coset_type()
     (2,)
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    def __init__(self, blocks: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         blocks = tuple(sorted(tuple(sorted(int(x) for x in b)) for b in self.blocks))
@@ -199,6 +227,19 @@ class PairPartition:
             raise ValueError(f"blocks do not tile 1..2k: {blocks}")
         if any(a == b for a, b in blocks):
             raise ValueError(f"degenerate block: {blocks}")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"PairPartition(blocks={self.blocks!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     @classmethod
     def trivial(cls, k: int) -> "PairPartition":

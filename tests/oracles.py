@@ -2,8 +2,9 @@
 construction, evaluation and Laurent expansion; evaluation of series
 truncations; permutation constructors and brute-force group enumeration;
 the delta symbols of the moment sums; minimal path counts; the Dyck-area
-report; the class-node lookup; the cache reader; and the
-path/monotone-factorization bijection with its brute-force generator."""
+report; the class-node lookup; a path's vertices and steps of one kind;
+the cache reader; and the path/monotone-factorization bijection with its
+brute-force generator."""
 
 from __future__ import annotations
 
@@ -249,6 +250,11 @@ def class_node(kind: GraphKind, mu: tuple[int, ...]) -> ClassNode:
 def path_nodes(path: Path) -> tuple[Element, ...]:
     """Every vertex ``path`` visits, its start first."""
     return (path.start,) + tuple(s.target for s in path.steps)
+
+
+def steps_of_kind(path: Path, edge_kind: str) -> int:
+    """How many of ``path``'s steps are ``edge_kind`` (solid, dashed or squiggled)."""
+    return sum(1 for s in path.steps if s.kind == edge_kind)
 
 
 def load_cache(path: str) -> dict[tuple, Fraction]:

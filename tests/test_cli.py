@@ -109,6 +109,43 @@ assert "numpy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+# modules a subcommand loads only when it runs them
+_LAZY_MODULES = {"numpy", "wgcalc.bounds", "wgcalc.cache", "wgcalc.moments", "wgcalc.mc",
+                 "configparser", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["value", "--family", "u", "--perm", "2,1", "--dim", "5"], set()),
+    (["paths", "--family", "u", "--perm", "2,3,1", "--solid", "4", "--list"], set()),
+    (["moment", "--family", "u", "--rows", "1,2", "--cols", "1,2", "--dim", "3"],
+     {"wgcalc.moments", "dataclasses", "inspect"}),
+], ids=["value", "paths", "moment"])
+def test_a_fresh_process_imports_only_what_its_subcommand_runs(argv, loaded):
+    # the modules that the one command adds to a fresh interpreter, beyond
+    # what the interpreter had loaded before wgcalc
+    script = """
+import json, sys
+before = set(sys.modules)
+from wgcalc import cli
+code = cli.run(json.loads(sys.argv[1]))
+print(code, json.dumps(sorted(set(sys.modules) - before)))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    code, added = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert (code, proc.stderr) == ("0", "")
+    assert _LAZY_MODULES & set(json.loads(added)) == loaded
+
+
+def test_a_corrupt_cache_exits_3_as_the_first_command_of_a_process(tmp_path):
+    path = tmp_path / "cache.tsv"
+    path.write_text("garbage\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "wgcalc", "cache", "verify", "--path", str(path)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "cache corruption: line 1: expected 5 tab-separated fields, got 1\n")
+
+
 def test_series_frozen_example(capsys):
     code, out, _ = run_capture(capsys, ["series", "--family", "u", "--perm", "2,1", "--order", "3"])
     assert code == 0
@@ -357,7 +394,7 @@ def test_bounds_pass_and_failure_exit_codes(capsys, monkeypatch):
     assert "all bounds hold" in out
     failing = BoundReport("u", "counts", 2, None, 1,
                           (BoundRow("2", 1, None, None, False),), False, None, None)
-    monkeypatch.setattr(cli.bounds_mod, "certify_unitary_bounds", lambda k, g: failing)
+    monkeypatch.setattr("wgcalc.bounds.certify_unitary_bounds", lambda k, g: failing)
     code, out, _ = run_capture(capsys, ["bounds", "--family", "u", "--k", "2", "--gmax", "1"])
     assert code == 2
     assert "BOUND FAILURE" in out

@@ -230,6 +230,21 @@ def test_malformed_class_is_refused_before_any_solve(mu):
     assert exact._level.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("mu, text", [
+    ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+    ((3, 3, 4, 1), "partition parts must be weakly decreasing: (3, 3, 4, 1)"),
+    ((2, 0), "partition parts must be positive: (2, 0)"),
+    ((0,), "partition parts must be positive: (0,)"),
+    # breaks both rules: positivity is reported first
+    ((1, 2, -1), "partition parts must be positive: (1, 2, -1)"),
+    ((3, -1, 2), "partition parts must be positive: (3, -1, 2)"),
+])
+def test_malformed_class_refusal_texts_are_pinned(mu, text):
+    with pytest.raises(ValueError) as info:
+        wg_class("u", mu, 9)
+    assert str(info.value) == text
+
+
 def test_orthogonal_singular_dimension():
     with pytest.raises(SingularSystemError) as info:
         wg_class("o", (1, 1), 1)
