@@ -26,9 +26,8 @@ ones).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import wg_class
 from .graphs import GraphKind, class_counts
@@ -46,8 +45,7 @@ def _minimal_count(mu: tuple[int, ...]) -> int:
     return math.prod(catalan(part - 1) for part in mu)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     """One certified instance.  ``margin <= 1`` means the inequality holds;
     margins compared against irrational constants are squared."""
 
@@ -58,8 +56,7 @@ class BoundRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     family: str
     check: str
     k: int

@@ -9,7 +9,7 @@ comparison, 3 cache corruption, 141 stdout closed early (as under SIGPIPE).
 Start-up imports what every subcommand uses: exact, graphs, symcore and
 ratfunc.  The rest load in the handler that runs them: moment and mc import
 moments, mc also mc (and numpy), bounds imports bounds, cache imports
-cache (and configparser for --config), and --json imports json.
+cache, and --json imports json.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from fractions import Fraction
 
 from . import exact, graphs, symcore
 from .ratfunc import poly_text
-
-CACHE_ENV = "WG_CACHE"
 
 
 class UsageError(Exception):
@@ -43,16 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _common(sub):
     sub.add_argument("--json", action="store_true", help="emit one JSON record")
-
-
-def _config_cache_path(args) -> str | None:
-    if args.config:
-        import configparser
-        parser = configparser.ConfigParser()
-        if not parser.read(args.config):
-            raise UsageError(f"--config: cannot read {args.config!r}")
-        return parser.get("wg", "cache", fallback=None)
-    return None
 
 
 def _parse_element(args, family: str):
@@ -353,18 +341,10 @@ def cmd_mc(args) -> int:
     return 0 if report.passed else 2
 
 
-def _cache_path(args, flag: str) -> str:
-    explicit = getattr(args, flag.lstrip("-"), None)
-    path = explicit or os.environ.get(CACHE_ENV) or _config_cache_path(args)
-    if not path:
-        raise UsageError(f"{flag} is required (or set {CACHE_ENV})")
-    return path
-
-
 def cmd_cache_export(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k: level must be positive, got {args.k}")
-    path = _cache_path(args, "--out")
+    path = args.out
     dminus = _need_dminus(args, args.family)
     from . import cache
     try:
@@ -383,7 +363,7 @@ def cmd_cache_export(args) -> int:
 
 
 def cmd_cache_verify(args) -> int:
-    path = _cache_path(args, "--path")
+    path = args.path
     if not 0 < args.fraction <= 1:
         raise UsageError(f"--fraction: must be in (0, 1], got {args.fraction}")
     from . import cache
@@ -416,10 +396,6 @@ def build_parser() -> _Parser:
     def element_flags(sub):
         sub.add_argument("--perm", help="permutation as comma-separated images, e.g. 2,1")
         sub.add_argument("--pairing", help='pair partition, e.g. "1,2|3,4"')
-
-    def config_flag(sub):
-        sub.add_argument("--config", help="config file whose [wg] cache key names the "
-                                          f"cache path; the path flag and {CACHE_ENV} win")
 
     sub = subs.add_parser("value", help="exact Weingarten value")
     sub.add_argument("--family", required=True, choices=list(exact.FAMILIES))
@@ -497,16 +473,14 @@ def build_parser() -> _Parser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--dminus", type=int)
-    sub.add_argument("--out")
-    config_flag(sub)
+    sub.add_argument("--out", required=True)
     _common(sub)
     sub.set_defaults(handler=cmd_cache_export)
 
     sub = cache_subs.add_parser("verify", help="recompute a random sample of records")
-    sub.add_argument("--path")
+    sub.add_argument("--path", required=True)
     sub.add_argument("--fraction", type=float, default=0.05)
     sub.add_argument("--seed", type=int, default=0)
-    config_flag(sub)
     _common(sub)
     sub.set_defaults(handler=cmd_cache_verify)
 

@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ Z_THRESHOLD = 5.0
 ABS_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     mean: complex
     se_real: float
     se_imag: float
@@ -66,8 +65,7 @@ class MomentEstimate:
     stream: str
 
 
-@dataclass(frozen=True)
-class ZReport:
+class ZReport(NamedTuple):
     spec: MomentSpec
     estimate: MomentEstimate
     exact: Fraction

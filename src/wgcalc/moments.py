@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import FAMILIES, wg_class
 from .graphs import GraphKind
@@ -73,17 +72,7 @@ class IndexRangeError(ValueError):
         super().__init__(f"{field} {self.reason}")
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """One entry-monomial moment: which family, which indices, which dimensions.
-
-    ``rows``/``cols`` hold the plain factors' indices, ``crows``/``ccols``
-    the conjugated factors' where the family's record says ``conjugated``
-    (unitary and COE).  Construction is the one place a moment is validated:
-    the family needs a moment route, every index must lie in ``1..d``, ``d``
-    must be positive, and only A III takes (and needs) ``dminus``.
-    """
-
+class _MomentFields(NamedTuple):
     family: str
     rows: Indices
     cols: Indices
@@ -92,7 +81,23 @@ class MomentSpec:
     d: int = 2
     dminus: int | None = None
 
-    def __post_init__(self):
+
+class MomentSpec(_MomentFields):
+    """One entry-monomial moment: which family, which indices, which dimensions.
+
+    ``rows``/``cols`` hold the plain factors' indices, ``crows``/``ccols``
+    the conjugated factors' where the family's record says ``conjugated``
+    (unitary and COE).  Construction is the one place a moment is validated:
+    the family needs a moment route, every index must lie in ``1..d``, ``d``
+    must be positive, and only A III takes (and needs) ``dminus``.
+    ``_make`` and ``_replace`` skip ``__new__``, and so these checks;
+    nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         fam = FAMILIES.get(self.family)
         if fam is None or "moment" not in fam.commands:
             raise ValueError(f"unknown moment family {self.family!r}")
@@ -111,6 +116,7 @@ class MomentSpec:
             raise ValueError(f"family {self.family!r} takes no conjugated factors")
         if fam.takes_dminus and self.dminus is None:
             raise ValueError(f"{self.family} moments need dminus")
+        return self
 
 
 def _pairing(sigma: Indices) -> Indices:

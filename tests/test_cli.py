@@ -118,11 +118,19 @@ _LAZY_MODULES = {"numpy", "wgcalc.bounds", "wgcalc.cache", "wgcalc.moments", "wg
     (["value", "--family", "u", "--perm", "2,1", "--dim", "5"], set()),
     (["paths", "--family", "u", "--perm", "2,3,1", "--solid", "4", "--list"], set()),
     (["moment", "--family", "u", "--rows", "1,2", "--cols", "1,2", "--dim", "3"],
-     {"wgcalc.moments", "dataclasses", "inspect"}),
-], ids=["value", "paths", "moment"])
-def test_a_fresh_process_imports_only_what_its_subcommand_runs(argv, loaded):
+     {"wgcalc.moments"}),
+    (["bounds", "--check", "counts", "--k", "4"], {"wgcalc.bounds"}),
+    (["cache", "export", "--family", "u", "--k", "2", "--dim", "3", "--out", "{tmp}"],
+     {"wgcalc.cache"}),
+    # numpy imports inspect itself
+    (["mc", "--family", "u", "--dim", "2", "--rows", "1", "--cols", "1", "--crows", "1",
+      "--ccols", "1", "--samples", "1000"],
+     {"numpy", "wgcalc.mc", "wgcalc.moments", "inspect"}),
+], ids=["value", "paths", "moment", "bounds", "cache", "mc"])
+def test_a_fresh_process_imports_only_what_its_subcommand_runs(argv, loaded, tmp_path):
     # the modules that the one command adds to a fresh interpreter, beyond
     # what the interpreter had loaded before wgcalc
+    argv = [str(tmp_path / "cache.tsv") if arg == "{tmp}" else arg for arg in argv]
     script = """
 import json, sys
 before = set(sys.modules)
@@ -452,25 +460,23 @@ def test_cache_round_trip_and_corruption_exit(capsys, tmp_path):
     assert "line 2" in err
 
 
-def test_cache_path_from_environment_and_config(capsys, tmp_path, monkeypatch):
-    env_path = str(tmp_path / "env.tsv")
-    monkeypatch.setenv("WG_CACHE", env_path)
-    code, out, _ = run_capture(capsys, ["cache", "export", "--family", "o", "--k", "2", "--dim", "4"])
-    assert code == 0
-    assert env_path in out
-    monkeypatch.delenv("WG_CACHE")
-    cfg = tmp_path / "wg.ini"
-    cfg_path = str(tmp_path / "cfg.tsv")
-    cfg.write_text(f"[wg]\ncache = {cfg_path}\n")
-    code, out, _ = run_capture(capsys, ["cache", "export", "--family", "o", "--k", "1", "--dim", "4",
-                                        "--config", str(cfg)])
-    assert code == 0
-    assert cfg_path in out
-    flag_path = str(tmp_path / "flag.tsv")
-    code, out, _ = run_capture(capsys, ["cache", "export", "--family", "o", "--k", "1", "--dim", "4",
-                                        "--config", str(cfg), "--out", flag_path])
-    assert code == 0
-    assert flag_path in out
+@pytest.mark.parametrize("argv, error", [
+    (["export", "--family", "o", "--k", "1", "--dim", "4"],
+     "the following arguments are required: --out"),
+    (["verify"], "the following arguments are required: --path"),
+    (["export", "--family", "o", "--k", "1", "--dim", "4", "--out", "{tmp}", "--config", "x"],
+     "unrecognized arguments: --config x"),
+    (["verify", "--path", "{tmp}", "--config", "x"], "unrecognized arguments: --config x"),
+], ids=["export-no-out", "verify-no-path", "export-config", "verify-config"])
+@pytest.mark.parametrize("set_env", [False, True], ids=["plain", "WG_CACHE"])
+def test_the_cache_path_comes_from_its_flag_alone(capsys, tmp_path, monkeypatch, argv, error,
+                                                  set_env):
+    # neither WG_CACHE nor a --config file can stand in for --out or --path
+    if set_env:
+        monkeypatch.setenv("WG_CACHE", str(tmp_path / "env.tsv"))
+    argv = [str(tmp_path / "cache.tsv") if arg == "{tmp}" else arg for arg in argv]
+    assert run_capture(capsys, ["cache", *argv]) == (1, "", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_errors_name_the_offending_argument(capsys):
@@ -502,7 +508,7 @@ def test_errors_name_the_offending_argument(capsys):
                                         "--k", "2", "--dim", "67"])
     assert code == 1
     assert "--dim" in err
-    # only the cache subcommands read --config; no subcommand takes --threads
+    # no subcommand takes --threads or --config
     for flag in ("--threads", "--config"):
         code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1",
                                               "--dim", "5", flag, "1"])
