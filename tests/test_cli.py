@@ -1,7 +1,9 @@
 """End-to-end checks of the wg command surface."""
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -313,6 +315,33 @@ def test_series_and_count_bounds_are_pinned(capsys):
             assert (code, err) == (0, ""), argv
             digest.update(out.encode())
     assert digest.hexdigest() == "8bbeece90c6a66068382abe3ce4903a7735c2aa56aa3f9f3a3694659be24a96a"
+
+
+def _ratio_argvs():
+    """``wg bounds --check ratio``: u at k <= 6 from d = k-1 to k+3 and at the
+    four d just past its upper-bound threshold; sp and o at k <= 3 from one
+    below their thresholds to three above."""
+    for k in range(1, 7):
+        past = next(d for d in itertools.count(1) if d**4 > 36 * k**7)
+        for d in [*range(k - 1, k + 4), *range(past, past + 4)]:
+            yield ["bounds", "--check", "ratio", "--family", "u", "--k", str(k), "--dim", str(d)]
+    for family, const in (("sp", 36), ("o", 144)):
+        for k in range(1, 4):
+            first = math.isqrt(const * k**7) + 1  # the least d with d^2 > const k^7
+            for d in range(first - 1, first + 4):
+                yield ["bounds", "--check", "ratio", "--family", family, "--k", str(k),
+                       "--dim", str(d)]
+
+
+def test_ratio_bounds_are_pinned(capsys):
+    # SHA-256 of the exit code, plain stdout, --json stdout and stderr of
+    # every ratio certificate above, refusals included, in order
+    digest = hashlib.sha256()
+    for argv in _ratio_argvs():
+        for extra in ([], ["--json"]):
+            code, out, err = run_capture(capsys, argv + extra)
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "5ffd630211d0ffb92a74a93d2f5c87e748be37f3c86b7d12134ad8cf90476be8"
 
 
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
