@@ -1,20 +1,24 @@
 """Catalan closed forms and exhaustive certification of the uniform bounds.
 
-The certification ops re-check, with exact arithmetic over concrete ranges,
-the inequalities the asymptotic theory rests on:
+The value bounds are all stated on one normalized ratio.  For a class
+``s`` of level ``k`` with ``|s| = k - len(s)`` and the family's ``scale``
+from :data:`wgcalc.exact.FAMILIES`,
+
+    ``R(s, d) = sign (|scale| d)^(k+|s|) W(s, d) / #P(s, |s|)``
+
+with ``sign = (-1)^|s|`` for u and o and ``1`` for sp, whose values are
+absolute.  The certification ops re-check, with exact arithmetic over
+concrete ranges, the inequalities the asymptotic theory rests on:
 
 * path-count growth, permutations:  ``(k-1)^g #P(s,|s|) <= #P(s,|s|+2g)
   <= (6 k^{7/2})^g #P(s,|s|)``
-* value ratio, unitary: ``1/(1-(k-1)/d^2) <= (-1)^|s| d^(k+|s|) W_u / #P
-  <= 1/(1-6k^{7/2}/d^2)`` (lower for any d >= k, upper past the threshold
-  ``d > sqrt(6) k^{7/4}``)
 * path-count growth, pairings: ``(2k-2)^g #P(m,|m|) <= #P(m,|m|+2g)`` and
   ``#P(m,|m|+g) <= (12 k^{7/2})^g #P(m,|m|)``
-* value ratio, symplectic (``d > 6k^{7/2}``):
-  ``#P/(1-(k-1)/(2d^2)) <= (2d)^(|m|+k) |W_sp| <= #P/(1-6k^{7/2}/d)``
-* value ratio, orthogonal (``d > 12k^{7/2}``):
-  ``#P (1-24k^{7/2}/d)/(1-144k^7/d^2) <= (-1)^|m| d^(|m|+k) W_o
-  <= #P/(1-144k^7/d^2)``
+* value ratio, u and sp: ``1/(1-(k-1)/c) <= R <= 1/(1-6k^{7/2}/t)``, with
+  ``c = d^2, t = d^2`` for u (lower for any d >= k, upper past
+  ``d > sqrt(6) k^{7/4}``) and ``c = 2d^2, t = d`` for sp (``d > 6k^{7/2}``)
+* value ratio, o (``d > 12k^{7/2}``):
+  ``(1-24k^{7/2}/d)/(1-144k^7/d^2) <= R <= 1/(1-144k^7/d^2)``
 
 Constants like ``6 k^{7/2}`` are irrational, so every comparison against
 them is squared into integers first; nothing here touches floating point.
@@ -29,7 +33,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exact import wg_class
+from .exact import FAMILIES, DimensionError, wg_class
 from .graphs import GraphKind, class_counts
 from .symcore import Permutation, format_partition, partitions
 
@@ -45,15 +49,26 @@ def _minimal_count(mu: tuple[int, ...]) -> int:
     return math.prod(catalan(part - 1) for part in mu)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+
+
 class BoundRow(NamedTuple):
     """One certified instance.  ``margin <= 1`` means the inequality holds;
-    margins compared against irrational constants are squared."""
+    margins compared against irrational constants are squared.  ``g`` is
+    the growth step on path-count rows and the path length ``l`` on
+    injection rows (printed as ``g=`` on both); value rows have none."""
 
     class_key: str
     g: Optional[int]
     lower_margin: Optional[Fraction]
     upper_margin: Optional[Fraction]
     ok: bool
+
+    @property
+    def label(self) -> str:
+        return self.class_key if self.g is None else f"{self.class_key} g={self.g}"
 
 
 class BoundReport(NamedTuple):
@@ -74,7 +89,7 @@ def _finish(family, check, k, d, gmax, rows) -> BoundReport:
         for row in rows:
             val = getattr(row, attr)
             if val is not None and (best is None or val > best):
-                best, label = val, row.class_key if row.g is None else f"{row.class_key} g={row.g}"
+                best, label = val, row.label
         return label
 
     return BoundReport(
@@ -95,8 +110,9 @@ def _count_growth(kind: GraphKind, k: int, gmax: int, lower_base: int, upper_con
     """Path-count growth on level ``k`` for ``g <= gmax``, read off one count
     sweep: ``lower_base^g #P(|s|) <= #P(|s|+2g)`` and
     ``#P(|s|+upper_step*g)^2 <= upper_const^g k^(7g) #P(|s|)^2``."""
-    if k < 1 or gmax < 0:
-        raise ValueError(f"need k >= 1 and gmax >= 0, got k={k}, gmax={gmax}")
+    _check_k(k)
+    if gmax < 0:
+        raise ValueError(f"gmax must be nonnegative, got {gmax}")
     rows = []
     for mu, counts in zip(partitions(k), class_counts(kind, k, k - 1 + 2 * gmax, partitions(k))):
         row = counts[k - len(mu):]  # counts from the minimal length on
@@ -114,93 +130,74 @@ def _count_growth(kind: GraphKind, k: int, gmax: int, lower_base: int, upper_con
     return _finish(kind.value, "path-count growth", k, None, gmax, rows)
 
 
-def certify_unitary_bounds(k: int, gmax: int) -> BoundReport:
+def certify_unitary_bounds(k: int, gmax: int = 3) -> BoundReport:
     """Exhaustive check of the two-sided path-count growth bound on S_k."""
     return _count_growth(GraphKind.UNITARY, k, gmax, k - 1, 36, 2)
 
 
-def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
-    """Value-versus-leading-term ratio bound for every class of S_k at one d."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if d < k:
-        raise ValueError(f"ratio bound needs d >= k, got d={d}, k={k}")
-    upper_applies = d**4 > 36 * k**7
-    rows = []
-    for mu in partitions(k):
-        n = k - len(mu)
-        ratio = (-1) ** n * Fraction(d) ** (k + n) * wg_class("u", mu, d) / _minimal_count(mu)
-        lower_bound = Fraction(d * d, d * d - (k - 1))
-        ok_low = lower_bound <= ratio
-        low = lower_bound / ratio
-        if upper_applies:
-            # ratio <= 1/(1 - 6 k^{7/2}/d^2), squared once the sign allows
-            if ratio <= 1:
-                ok_up, up = True, Fraction(0)
-            else:
-                lhs = (ratio - 1) ** 2 * d**4
-                rhs = 36 * ratio**2 * k**7
-                ok_up, up = lhs <= rhs, lhs / rhs
-        else:
-            ok_up, up = True, None
-        rows.append(BoundRow(format_partition(mu), None, low, up, ok_low and ok_up))
-    return _finish("u", "value ratio", k, d, None, rows)
-
-
-def certify_orthogonal_bounds(k: int, gmax: int) -> BoundReport:
+def certify_orthogonal_bounds(k: int, gmax: int = 3) -> BoundReport:
     """Pairing path-count growth: lower bound on +2g steps, upper on +g."""
     return _count_growth(GraphKind.ORTHOGONAL, k, gmax, 2 * k - 2, 144, 1)
 
 
-def certify_sp_ratio(k: int, d: int) -> BoundReport:
-    """Two-sided ratio bound for the absolute symplectic values at one d."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if d * d <= 36 * k**7:
-        raise ValueError(f"symplectic ratio bound needs d > 6 k^(7/2); d={d}, k={k}")
+def _ratio(family: str, mu: tuple[int, ...], d: int) -> Fraction:
+    """``R(mu, d)`` of the module docstring."""
+    scale = FAMILIES[family].scale
+    k = sum(mu)
+    n = k - len(mu)
+    sign = 1 if scale < 0 else (-1) ** n
+    power = Fraction(abs(scale) * d) ** (k + n)
+    return sign * power * wg_class(family, mu, d) / _minimal_count(mu)
+
+
+def _ratio_report(family: str, k: int, d: int, c: int, square: Optional[int]) -> BoundReport:
+    """Every class of level ``k`` against ``c/(c-(k-1)) <= R`` and, unless
+    ``square`` is None, the upper bound squared once its sign allows:
+    ``(R-1)^2 square <= 36 R^2 k^7``, margin 0 where ``R <= 1``."""
+    lower = Fraction(c, c - (k - 1))
     rows = []
     for mu in partitions(k):
-        n = k - len(mu)
-        base = _minimal_count(mu)
-        value = Fraction(2 * d) ** (n + k) * wg_class("sp", mu, d)
-        lower_bound = base * Fraction(2 * d * d, 2 * d * d - (k - 1))
-        ok_low = lower_bound <= value
-        low = lower_bound / value
-        # value <= base * d/(d - 6 k^{7/2})  <=>  (value-base) d <= 6 value k^{7/2}
-        diff = value - base
-        if diff <= 0:
+        ratio = _ratio(family, mu, d)
+        if square is None:
+            ok_up, up = True, None
+        elif ratio <= 1:
             ok_up, up = True, Fraction(0)
         else:
-            lhs = diff**2 * d * d
-            rhs = 36 * value**2 * k**7
+            lhs, rhs = (ratio - 1) ** 2 * square, 36 * ratio**2 * k**7
             ok_up, up = lhs <= rhs, lhs / rhs
-        rows.append(BoundRow(format_partition(mu), None, low, up, ok_low and ok_up))
-    return _finish("sp", "value ratio", k, d, None, rows)
+        rows.append(BoundRow(format_partition(mu), None, lower / ratio, up,
+                             lower <= ratio and ok_up))
+    return _finish(family, "value ratio", k, d, None, rows)
+
+
+def certify_wg_ratio_unitary(k: int, d: int) -> BoundReport:
+    """Value-versus-leading-term ratio bound for every class of S_k at one d."""
+    _check_k(k)
+    if d < k:
+        raise DimensionError(f"ratio bound needs d >= k, got d={d}, k={k}")
+    return _ratio_report("u", k, d, d * d, d**4 if d**4 > 36 * k**7 else None)
+
+
+def certify_sp_ratio(k: int, d: int) -> BoundReport:
+    """Two-sided ratio bound for the absolute symplectic values at one d."""
+    _check_k(k)
+    if d * d <= 36 * k**7:
+        raise DimensionError(f"symplectic ratio bound needs d > 6 k^(7/2); d={d}, k={k}")
+    return _ratio_report("sp", k, d, 2 * d * d, d * d)
 
 
 def certify_orthogonal_ratio(k: int, d: int) -> BoundReport:
     """Two-sided ratio bound for the signed orthogonal values at one d."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if d * d <= 144 * k**7:
-        raise ValueError(f"orthogonal ratio bound needs d > 12 k^(7/2); d={d}, k={k}")
+        raise DimensionError(f"orthogonal ratio bound needs d > 12 k^(7/2); d={d}, k={k}")
     rows = []
     for mu in partitions(k):
-        n = k - len(mu)
-        base = _minimal_count(mu)
-        value = (-1) ** n * Fraction(d) ** (n + k) * wg_class("o", mu, d)
-        scaled = value * (d * d - 144 * k**7)
-        ok_up = scaled <= base * d * d
-        up = scaled / (base * d * d)
-        # base d (d - 24 k^{7/2}) <= scaled, squared when the left side is positive
-        diff = base * d * d - scaled
-        if diff <= 0:
-            ok_low, low = True, Fraction(0)
-        else:
-            lhs = diff**2
-            rhs = 576 * base**2 * d * d * k**7
-            ok_low, low = lhs <= rhs, lhs / rhs
-        rows.append(BoundRow(format_partition(mu), None, low, up, ok_low and ok_up))
+        # upper: up = R (1 - 144k^7/d^2) <= 1; lower: 1 - up <= 24k^{7/2}/d,
+        # squared once 1 - up is positive
+        up = _ratio("o", mu, d) * (d * d - 144 * k**7) / (d * d)
+        low = Fraction(0) if up >= 1 else (1 - up) ** 2 * d * d / (576 * k**7)
+        rows.append(BoundRow(format_partition(mu), None, low, up, low <= 1 and up <= 1))
     return _finish("o", "value ratio", k, d, None, rows)
 
 
@@ -231,8 +228,7 @@ def neighborhood_certify(k: int) -> BoundReport:
     are visited in the order of those permutations, the order in which a
     lexicographic walk over S_k meets them; the cost is p(k) k(k-1)/2 swaps.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     rows = []
     for sigma in sorted(map(_first_of_class, partitions(k)), key=lambda s: s.images):
         mu, seen = sigma.cycle_type(), set()
@@ -251,8 +247,7 @@ def neighborhood_certify(k: int) -> BoundReport:
 
 def easy_injection_check(k: int, extra: int = 4) -> BoundReport:
     """(k-1) #P(s,l) <= #P(s,l+2) for every class and l up to |s|+extra."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    _check_k(k)
     if extra < 0:
         raise ValueError(f"extra must be nonnegative, got {extra}")
     rows = []

@@ -86,11 +86,6 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise UsageError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def _dim_error(exc: Exception) -> UsageError:
-    """``--dim: <reason>`` for an engine refusal of the requested dimension."""
-    return UsageError(f"--dim: {exc}")
-
-
 def cmd_value(args) -> int:
     family = args.family
     elem = _parse_element(args, family)
@@ -107,10 +102,7 @@ def cmd_value(args) -> int:
         return 0
     if args.dim is None:
         raise UsageError("--dim is required unless --symbolic is given")
-    try:
-        value = exact.wg(family, elem, args.dim, dminus)
-    except (ValueError, exact.SingularSystemError) as exc:
-        raise _dim_error(exc) from None
+    value = exact.wg(family, elem, args.dim, dminus)
     record.update(dim=args.dim, value=str(value))
     _emit(args, record, [str(value)])
     return 0
@@ -193,18 +185,13 @@ def _moment_spec(args, family: str, dims):
         return MomentSpec(family, *lists, dim, dminus)
     except IndexRangeError as exc:
         raise UsageError(f"--{exc.field}: {exc.reason}") from None
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def cmd_moment(args) -> int:
     family = args.family
     spec = _moment_spec(args, family, lambda: (args.dim, _need_dminus(args, family)))
     from .moments import exact_moment
-    try:
-        value = exact_moment(spec)
-    except ValueError as exc:
-        raise _dim_error(exc) from None
+    value = exact_moment(spec)
     record = {"family": family, "dim": spec.d, "rows": list(spec.rows),
               "cols": list(spec.cols), "value": str(value)}
     if spec.crows:
@@ -223,9 +210,8 @@ def _report_output(args, report) -> int:
     rows = []
     lines = []
     for row in report.rows:
-        label = row.class_key if row.g is None else f"{row.class_key} g={row.g}"
         state = "ok" if row.ok else "FAIL"
-        lines.append(f"{label}: lower {_margin_text(row.lower_margin)} "
+        lines.append(f"{row.label}: lower {_margin_text(row.lower_margin)} "
                      f"upper {_margin_text(row.upper_margin)} {state}")
         rows.append({"class": row.class_key, "g": row.g,
                      "lower_margin": None if row.lower_margin is None else str(row.lower_margin),
@@ -270,15 +256,11 @@ def cmd_bounds(args) -> int:
         if check == "counts":
             raise UsageError("--family: count bounds cover families u and o")
         raise UsageError(f"--family: the {check} check covers family u only")
-    gmax = 3 if args.gmax is None else args.gmax
-    extra = 4 if args.extra is None else args.extra
-    rest = {"counts": (gmax,), "ratio": (args.dim,), "injection": (extra,)}.get(check, ())
+    # the one flag the check owns, when given; the certifier has the defaults
+    owned = {"counts": args.gmax, "ratio": args.dim, "injection": args.extra}.get(check)
     from . import bounds
-    try:
-        report = getattr(bounds, certifier)(args.k, *rest)
-    except ValueError as exc:
-        raise UsageError(f"--dim: {exc}") from None
-    return _report_output(args, report)
+    certify = getattr(bounds, certifier)
+    return _report_output(args, certify(args.k) if owned is None else certify(args.k, owned))
 
 
 def _mc_dims(args, family: str) -> tuple[int, int | None]:
@@ -351,10 +333,6 @@ def cmd_cache_export(args) -> int:
         written = cache.export(path, args.family, args.k, args.dim, dminus)
     except cache.CacheCorruptionError as exc:
         raise CorruptCache(exc) from None
-    except ValueError as exc:
-        # the parser limits --family and --k is checked above, so what is
-        # left refuses the dimension
-        raise _dim_error(exc) from None
     except OSError as exc:
         raise UsageError(f"--out: {exc.strerror}: {path!r}") from None
     record = {"path": path, "written": written}
@@ -506,7 +484,10 @@ def _run_handler(args) -> int:
 def run(argv=None) -> int:
     """Run one command; return its exit code.  Each distinct warning the
     engine raised is printed once on stderr as ``warning: <message>``,
-    before the error line if the command failed.  Safe to call repeatedly in
+    before the error line if the command failed.  The engine's refusals of
+    the dimension, :class:`wgcalc.exact.DimensionError` and
+    :class:`wgcalc.exact.SingularSystemError`, print as
+    ``error: --dim: <reason>``.  Safe to call repeatedly in
     one process: every call parses with the one parser :func:`build_parser`
     keeps."""
     with warnings.catch_warnings(record=True) as caught:
@@ -516,8 +497,8 @@ def run(argv=None) -> int:
             return _run_handler(args)
         except CorruptCache as exc:
             code, error = 3, f"cache corruption: {exc}"
-        except (exact.SingularSystemError, exact.BelowLevelError) as exc:
-            code, error = 1, f"error: {_dim_error(exc)}"
+        except (exact.SingularSystemError, exact.DimensionError) as exc:
+            code, error = 1, f"error: --dim: {exc}"
         except (UsageError, ValueError, TypeError) as exc:
             code, error = 1, f"error: {exc}"
         finally:

@@ -25,9 +25,13 @@ and ``k-2``.  Singular systems are detected exactly
 and reported, never patched.  The level-``k`` unitary system is singular
 at every ``-k < d < k`` (checked for ``k = 2..7``) and no ensemble has
 ``d <= -k``, so the unitary route refuses every ``d < k`` before solving.
+Every refused dimension raises :class:`DimensionError`, a ``ValueError``:
+``d < 1`` where a family needs ``d >= 1``, :class:`BelowLevelError` for
+the unitary ``d < k``, and the thresholds of :mod:`wgcalc.bounds`.
 
 Each family is one :class:`Family` record in :data:`FAMILIES`, read by
-this module and by ``cli``, ``moments``, ``mc`` and ``cache``.  Public API:
+this module and by ``cli``, ``moments``, ``mc``, ``cache`` and ``bounds``.
+Public API:
 :func:`wg` (one element) and :func:`wg_class` (one class, and the one place
 a record is mapped to its memo, shifted dimension and guards);
 :func:`wg_coe_direct` (COE element by element, an independent check of the
@@ -115,7 +119,13 @@ class SingularSystemError(ArithmeticError):
         super().__init__(f"singular {family} system at level {level}, {dims}")
 
 
-class BelowLevelError(ValueError):
+class DimensionError(ValueError):
+    """A refused dimension: below 1 where the family's record asks for
+    ``d >= 1``, below the level on the unitary graph, or short of a bound
+    certificate's threshold."""
+
+
+class BelowLevelError(DimensionError):
     """A unitary class of level ``k`` was asked for at ``d < k``, where the
     system is singular (``-k < d < k``) or no ensemble exists (``d <= -k``)."""
 
@@ -167,7 +177,7 @@ def _check_dim(d) -> int:
 
 def _check_positive(fam: Family, d: int) -> None:
     if fam.positive is not None and d < 1:
-        raise ValueError(f"{fam.positive}dimension must be positive, got {d}")
+        raise DimensionError(f"{fam.positive}dimension must be positive, got {d}")
 
 
 def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None) -> Fraction:

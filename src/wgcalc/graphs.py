@@ -308,7 +308,7 @@ def enumerate_paths(kind: GraphKind, elem: Element, solid: int,
     live moves, filtered once.  Paths share one :class:`EdgeStep` per step.
     """
     _check_element(kind, elem)
-    if dashed is not None and (dashed > elem.level or (elem.level - dashed) % 2):
+    if solid < 0 or dashed is not None and (dashed > elem.level or (elem.level - dashed) % 2):
         return []
     rows, columns = count_columns(kind, elem.level, solid)
     columns = list(columns)

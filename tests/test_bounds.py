@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from wgcalc.bounds import (
     easy_injection_check,
     neighborhood_certify,
 )
+from wgcalc.exact import DimensionError
 from wgcalc.graphs import GraphKind, count_paths
 from wgcalc.symcore import (
     class_representative,
@@ -161,6 +163,23 @@ def test_empty_ranges_are_refused():
         with pytest.raises(ValueError, match="^k must be positive, got "):
             call()
     assert neighborhood_certify(1).rows == ()
+
+
+def test_refused_dimensions_are_dimension_errors():
+    for call, message in (
+        (lambda: certify_wg_ratio_unitary(3, 2), "ratio bound needs d >= k, got d=2, k=3"),
+        (lambda: certify_sp_ratio(2, 67), "symplectic ratio bound needs d > 6 k^(7/2); d=67, k=2"),
+        (lambda: certify_orthogonal_ratio(1, 12),
+         "orthogonal ratio bound needs d > 12 k^(7/2); d=12, k=1"),
+    ):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            call()
+    # the range checks are plain ValueErrors: they refuse no dimension
+    for call in (lambda: certify_unitary_bounds(0), lambda: certify_orthogonal_bounds(2, -1),
+                 lambda: easy_injection_check(2, extra=-1), lambda: certify_sp_ratio(0, 10**6)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert not isinstance(refused.value, DimensionError)
 
 
 def test_easy_injection():

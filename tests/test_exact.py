@@ -222,6 +222,17 @@ def test_dimension_guards():
     assert wg_class("u", (1, 1), 2) == F(1, 3)
 
 
+def test_refused_dimensions_raise_dimension_error():
+    assert issubclass(exact.BelowLevelError, exact.DimensionError)
+    assert issubclass(exact.DimensionError, ValueError)
+    assert not issubclass(SingularSystemError, ValueError)
+    for family, mu, d in (("coe", (1,), 0), ("sp", (1,), -1), ("aiii", (1,), 0), ("u", (2,), 1)):
+        with pytest.raises(exact.DimensionError):
+            wg_class(family, mu, d, 0 if family == "aiii" else None)
+    with pytest.raises(exact.DimensionError, match="^COE dimension must be positive, got 0$"):
+        wg_coe_direct(parse_pair_partition("1,2"), 0)
+
+
 @pytest.mark.parametrize("mu", [(1, 2), (2, 0), (3, -1)])
 def test_malformed_class_is_refused_before_any_solve(mu):
     clear_caches()

@@ -109,13 +109,13 @@ def test_enumeration_matches_counts():
     perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
     for _ in range(12):
         s = rng.choice(perms)
-        l = rng.randrange(0, 6)
-        assert len(enumerate_paths(U, s, l)) == count_paths(U, s, l)
+        for l in (-1, rng.randrange(0, 6)):
+            assert len(enumerate_paths(U, s, l)) == count_paths(U, s, l)
     for m in all_pair_partitions(2):
-        for l in range(5):
+        for l in range(-1, 5):
             assert len(enumerate_paths(O, m, l)) == count_paths(O, m, l)
     for s in [Permutation((2, 1)), Permutation((2, 3, 1)), Permutation((1, 3, 2))]:
-        for l in range(5):
+        for l in range(-1, 5):
             assert len(enumerate_paths(A3, s, l)) == count_paths(A3, s, l)
 
 
