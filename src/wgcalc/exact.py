@@ -30,14 +30,13 @@ Every refused dimension raises :class:`DimensionError`, a ``ValueError``:
 the unitary ``d < k``, and the thresholds of :mod:`wgcalc.bounds`.
 
 Each family is one :class:`Family` record in :data:`FAMILIES`, read by
-this module and by ``cli``, ``moments``, ``mc``, ``cache`` and ``bounds``.
-Public API:
-:func:`wg` (one element) and :func:`wg_class` (one class, and the one place
-a record is mapped to its memo, shifted dimension and guards);
-:func:`wg_coe_direct` (COE element by element, an independent check of the
-class reduction); :func:`series` (large-``d`` expansions from the path
-counts of :mod:`wgcalc.graphs`) and :func:`reconstruct_rational` (closed
-forms in ``d``).
+this module and by ``cli``, ``moments``, ``mc``, ``cache`` and
+``bounds``.  Public API: :func:`wg` (one element) and :func:`wg_class`
+(one class, and the one place a record is mapped to its memo, shifted
+dimension and guards); :func:`wg_coe_direct` (COE element by element, an
+independent check of the class reduction); :func:`series` (large-``d``
+expansions from the path counts of :mod:`wgcalc.graphs`) and
+:func:`reconstruct_rational` (closed forms in ``d``).
 
 Closed forms interpolate ``Q*Wg`` against a known denominator
 (:func:`wg_denominator`): ``Q_u = lcm_{lambda |- k} prod_{(i,j)} (d + j - i)``
