@@ -3,6 +3,8 @@
 Subcommands: value, series, paths, factorizations, moment, bounds, mc,
 cache export, cache verify.  Plain output is one short line per result;
 ``--json`` switches every subcommand to a single sorted-key JSON record.
+``paths --list`` and ``factorizations --list`` print their count first and
+then each line as the walk finds it.
 Exit codes: 0 success, 1 domain error, 2 failed certification or
 comparison, 3 cache corruption, 141 stdout closed early (as under SIGPIPE).
 
@@ -20,6 +22,8 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable
 
 from . import exact, graphs, symcore
 from .ratfunc import poly_text
@@ -68,10 +72,13 @@ def _need_dminus(args, family: str) -> int | None:
     return None
 
 
-def _emit(args, record: dict, plain_lines: list[str]) -> None:
+def _emit(args, record: dict, plain_lines: Iterable[str]) -> None:
+    """Print ``record`` as JSON or ``plain_lines`` one by one.  A listing is
+    lazy in both: plain lines print as they come, and JSON turns it into a
+    list of its formatted lines (``default=list``)."""
     if args.json:
         import json
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True, default=list))
     else:
         for line in plain_lines:
             print(line)
@@ -142,13 +149,11 @@ def cmd_paths(args) -> int:
     record = {"family": family, "element": symcore.format_element(elem), "solid": args.solid}
     if args.dashed is not None:
         record["dashed"] = args.dashed
+    record["count"] = graphs.count_paths(kind, elem, args.solid, args.dashed)
     if args.list:
-        paths = graphs.enumerate_paths(kind, elem, args.solid, args.dashed)
-        record["count"] = len(paths)
-        record["paths"] = [graphs.format_path(p) for p in paths]
-    else:
-        record["count"] = graphs.count_paths(kind, elem, args.solid, args.dashed)
-    _emit(args, record, [f"count: {record['count']}"] + record.get("paths", []))
+        record["paths"] = map(graphs.format_path,
+                              graphs.enumerate_paths(kind, elem, args.solid, args.dashed))
+    _emit(args, record, chain([f"count: {record['count']}"], record.get("paths", ())))
     return 0
 
 
@@ -159,18 +164,11 @@ def cmd_factorizations(args) -> int:
     if args.length < 0:
         raise UsageError(f"--length: must be nonnegative, got {args.length}")
     record = {"family": family, "element": symcore.format_element(elem), "length": args.length}
+    record["count"] = graphs.count_paths(kind, elem, args.length)
     if args.list:
-        paths = graphs.enumerate_paths(kind, elem, args.length)
-        # a path's solid transpositions are its factorization; the (t, s) key
-        # lists them in monotone-sequence order
-        factors = sorted((p.solid_transpositions() for p in paths),
-                         key=lambda ts: [(t, s) for s, t in ts])
-        record["count"] = len(paths)
-        record["factorizations"] = ["".join(f"({s},{t})" for s, t in ts) or "e"
-                                    for ts in factors]
-    else:
-        record["count"] = graphs.count_paths(kind, elem, args.length)
-    _emit(args, record, [f"count: {record['count']}"] + record.get("factorizations", []))
+        record["factorizations"] = ("".join(f"({s},{t})" for s, t in ts) or "e" for ts in
+                                    graphs.monotone_factorizations(kind, elem, args.length))
+    _emit(args, record, chain([f"count: {record['count']}"], record.get("factorizations", ())))
     return 0
 
 

@@ -248,8 +248,10 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     No class reduction: one unknown per pair partition of each level, its
     edges read element by element from :mod:`wgcalc.graphs`, so this route
     is structurally independent of ``wg("coe", ...)`` and doubles as a
-    check of the class constancy it assumes.
+    check of the class constancy it assumes.  ``m`` is checked first, as
+    :func:`wg` checks it.
     """
+    vertex_class(GraphKind.ORTHOGONAL, m)
     _check_positive(FAMILIES["coe"], _check_dim(d))
     return _coe_level(d, m.level)[m]
 

@@ -17,10 +17,12 @@ No other module decides an element's edges (:func:`solid_targets`,
 :func:`dashed_target`, :func:`squiggled_target`).  A path runs from its
 start vertex down to the empty object; paths with their solid-step
 annotations biject with monotone transposition factorizations
-(Matsumoto-Novak), so ``wg factorizations`` lists each path's
-:meth:`Path.solid_transpositions`.  The inverse map and a brute-force
-generator of the sequences live in ``tests/oracles.py``, where they check
-that bijection.
+(Matsumoto-Novak).  One walk lists both, lazily and in a fixed order:
+:func:`enumerate_paths` yields the paths, :func:`monotone_factorizations`
+their :meth:`Path.solid_transpositions` with the dashed edge tried first,
+which is already the sequences' order, so nothing is sorted or held.  The
+inverse map and a brute-force generator of the sequences live in
+``tests/oracles.py``, where they check that bijection and that order.
 
 Path counts are class functions of the start vertex (cycle type, coset
 type), so each kind is also described once at class level:
@@ -29,8 +31,8 @@ join/cut rule (Goulden-Jackson, *Transitive factorizations into
 transpositions*, PAMS 1997), and :mod:`wgcalc.exact` builds its rows from
 these node tables.  One sweep, :func:`count_columns`, yields the counts of
 one flat row per class and squiggled count, one solid length at a time;
-:func:`count_class_paths` keeps the last column, :func:`enumerate_paths`
-every column, series and bounds a few rows (:func:`class_counts`).  Class
+:func:`count_class_paths` keeps the last column, the listings' walk every
+column, series and bounds a few rows (:func:`class_counts`).  Class
 constancy is assumed, not derived: the tests check it against element-level
 walks on small levels, and ``exact.wg_coe_direct`` checks the solver.
 """
@@ -296,20 +298,39 @@ class Path(NamedTuple):
 
 
 def enumerate_paths(kind: GraphKind, elem: Element, solid: int,
-                    dashed: int | None = None) -> list[Path]:
-    """All paths with ``solid`` solid steps and, if given, ``dashed`` dashed
-    steps, ordered by the choices made at each vertex: solid edges by index,
-    then dashed, then squiggled.
-
-    The walk keeps its own stack and enters only vertices that
-    :func:`count_columns` puts on a path (with ``dashed``, on the row of the
-    squiggled steps left).  Its memos live for this call: each vertex's class
-    rows and edges, and per ``(vertex, solid and squiggled steps left)`` its
-    live moves, filtered once.  Paths share one :class:`EdgeStep` per step.
-    """
+                    dashed: int | None = None) -> Iterator[Path]:
+    """Each path with ``solid`` solid steps and, if given, ``dashed`` dashed
+    steps, yielded as the walk finds it, in the order of the choices made at
+    each vertex: solid edges by index, then dashed, then squiggled.  The
+    element is checked here, before the first path."""
     _check_element(kind, elem)
+    return _walk(kind, elem, solid, dashed, False)
+
+
+def monotone_factorizations(kind: GraphKind, elem: Element, length: int
+                            ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Each path's :meth:`Path.solid_transpositions`, ``length`` of them, from
+    the walk that tries the dashed edge before the solid ones.  After a
+    dashed step every top is below the level's, and solid steps go by index,
+    so this is the monotone sequences' order: by their ``(t, s)`` pairs,
+    lexicographically.  The element is checked here, before the first item."""
+    _check_element(kind, elem)
+    return (path.solid_transpositions() for path in _walk(kind, elem, length, None, True))
+
+
+def _walk(kind: GraphKind, elem: Element, solid: int, dashed: int | None,
+          dashed_first: bool) -> Iterator[Path]:
+    """The walk behind both listings.
+
+    It keeps its own stack and enters only vertices that
+    :func:`count_columns` puts on a path (with ``dashed``, on the row of the
+    squiggled steps left).  Its memos live for one listing: each vertex's
+    class rows and edges, and per ``(vertex, solid and squiggled steps
+    left)`` its live moves, filtered once.  Paths share one
+    :class:`EdgeStep` per step, and none is kept once yielded.
+    """
     if solid < 0 or dashed is not None and (dashed > elem.level or (elem.level - dashed) % 2):
-        return []
+        return
     rows, columns = count_columns(kind, elem.level, solid)
     columns = list(columns)
     class_of = PairPartition.coset_type if kind is GraphKind.ORTHOGONAL else Permutation.cycle_type
@@ -339,12 +360,12 @@ def enumerate_paths(kind: GraphKind, elem: Element, solid: int,
         if remaining and node not in solid_of:
             solid_of[node] = solid_neighbors(kind, node)
         edges = [(e, remaining - 1, q) for e in solid_of[node]] if remaining else []
-        edges += [(e, remaining, q - 1 if q is not None and e.kind == SQUIGGLED else q)
-                  for e in down_of[node]]
+        down = [(e, remaining, q - 1 if q is not None and e.kind == SQUIGGLED else q)
+                for e in down_of[node]]
+        edges = down + edges if dashed_first else edges + down
         moves = [(e, entry(e.target, r, left)) for e, r, left in reversed(edges)]
         return [(e, reached) for e, reached in moves if reached is not None]
 
-    out: list[Path] = []
     acc: list[EdgeStep] = []
     start = entry(elem, solid, None if dashed is None else (elem.level - dashed) // 2)
     # (steps taken before, step or None at the start, entry reached)
@@ -354,13 +375,12 @@ def enumerate_paths(kind: GraphKind, elem: Element, solid: int,
         acc[depth:] = [step] if step else []
         node, remaining, q, moves = here
         if node.level == 0:
-            out.append(Path(kind, elem, tuple(acc)))
+            yield Path(kind, elem, tuple(acc))
             continue
         if moves is None:
             moves = here[3] = live_moves(node, remaining, q)
         depth = len(acc)
         stack.extend((depth, e, reached) for e, reached in moves)
-    return out
 
 
 def format_path(path: Path) -> str:

@@ -157,7 +157,7 @@ def test_criterion_07_path_factorization_bijection():
         for f in enumerate_monotone_factorizations(GraphKind.UNITARY, 4, length):
             by_target.setdefault(f.target(), []).append(f)
         for sigma in all_permutations(4):
-            paths = graphs.enumerate_paths(GraphKind.UNITARY, sigma, length)
+            paths = list(graphs.enumerate_paths(GraphKind.UNITARY, sigma, length))
             facts = by_target.get(sigma, [])
             assert len(paths) == len(facts)
             assert len(paths) == graphs.count_paths(GraphKind.UNITARY, sigma, length)
@@ -167,6 +167,16 @@ def test_criterion_07_path_factorization_bijection():
                 assert factorization_to_path(f) == p
                 round_tripped.add(f)
             assert round_tripped == set(facts)
+            # the listing walk yields the sequences in the oracle's order
+            assert list(graphs.monotone_factorizations(GraphKind.UNITARY, sigma, length)) == [
+                f.transpositions for f in facts]
+        for level in range(4):
+            by_target = {}
+            for f in enumerate_monotone_factorizations(GraphKind.ORTHOGONAL, level, length):
+                by_target.setdefault(f.target(), []).append(f.transpositions)
+            for m in all_pair_partitions(level):
+                assert list(graphs.monotone_factorizations(GraphKind.ORTHOGONAL, m, length)) == (
+                    by_target.get(m, [])), (m, length)
     _finish(7, t0, 60.0)
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from decimal import Decimal
 from pathlib import Path
@@ -346,17 +347,28 @@ def test_ratio_bounds_are_pinned(capsys):
 
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # a 1.3 MB line fills the pipe long before the child is done, so the
-    # child writes to a closed pipe after the reader has gone, as under `| head -1`
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "wgcalc", "paths", "--family", "u", "--perm", "2,1",
-         "--solid", "100001", "--list"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
-    )
-    assert proc.stdout.readline() == b"count: 1\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (141, b"")
+    # child writes to a closed pipe after the reader has gone, as under
+    # `| head -1`; the 33,197,736 paths of a 7-cycle print as the walk finds
+    # them, so their first path comes at once.  A child still silent or alive
+    # at the deadline, such as one that builds the listing first, is killed.
+    for perm, solid, lines in (("2,1", "100001", [b"count: 1\n"]),
+                               ("2,3,4,5,6,7,1", "12", [b"count: 33197736\n", b"2,3,4,5,6,7,1 "])):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wgcalc", "paths", "--family", "u", "--perm", perm,
+             "--solid", solid, "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        )
+        deadline = threading.Timer(10, proc.kill)
+        deadline.start()
+        try:
+            read = [proc.stdout.readline()[:len(line)] for line in lines]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            code = proc.wait()
+        finally:
+            deadline.cancel()
+        assert (read, code, err) == (lines, 141, b""), perm
 
 
 def test_counts_past_4300_digits_print_whole(capsys):
@@ -380,25 +392,37 @@ def test_counts_past_4300_digits_print_whole(capsys):
     assert (code, err, f", {digits}], \"element\": " in out) == (0, "", True)
 
 
-def _count_max_rss(solid: int) -> int:
-    """Max RSS of a child that answers ``wg paths ... --solid`` without a listing."""
+def _max_rss(argv: list[str]) -> int:
+    """Max RSS of a child that runs ``wg argv``, a count or a listing.
+
+    A process's max RSS starts at that of whoever spawned it, since it is
+    kept across ``exec``; so a small launcher spawns the child, and the test
+    process's own peak does not hide the child's."""
     script = ("import resource, sys; from wgcalc import cli; "
               "code = cli.run(sys.argv[1:]); "
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "paths", "--family", "u", "--perm", "2,3,4,1",
-         "--solid", str(solid)], capture_output=True, text=True, env=_child_env(), timeout=120)
-    count, status = proc.stdout.splitlines()
-    code, rss = status.split()
-    assert (count.startswith("count: "), code, proc.stderr) == (True, "0", "")
+    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    lines = proc.stdout.splitlines()
+    code, rss = lines[-1].split()
+    assert (lines[0].startswith("count: "), code, proc.stderr) == (True, "0", "")
     return int(rss)
 
 
 def test_count_only_queries_run_in_flat_memory():
     # the counts' bit length grows with --solid, so a table of every solid
-    # length grows with its square (about 160 MB at 20001); one column does not
+    # length grows with its square (about 160 MB at 20001); one column does
+    # not.  A listing prints each line as the walk finds it and keeps none,
+    # so its 84,084 lines need no more memory than their count.
     pytest.importorskip("resource")
-    assert _count_max_rss(20001) <= 1.25 * _count_max_rss(1001)
+    count = ["paths", "--family", "u", "--perm", "2,3,4,1", "--solid"]
+    assert _max_rss(count + ["20001"]) <= 1.25 * _max_rss(count + ["1001"])
+    six = ["--family", "u", "--perm", "2,3,4,5,6,1"]
+    flat = 1.25 * _max_rss(["paths", *six, "--solid", "9"])
+    for argv in (["paths", *six, "--solid", "9", "--list"],
+                 ["factorizations", *six, "--length", "9", "--list"]):
+        assert _max_rss(argv) <= flat, argv
 
 
 def test_one_parser_serves_every_call(capsys):

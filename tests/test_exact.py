@@ -25,6 +25,7 @@ from wgcalc.graphs import (
 from wgcalc.ratfunc import poly_eval
 from wgcalc.symcore import (
     PairPartition,
+    Permutation,
     all_pair_partitions,
     class_representative,
     coset_representative,
@@ -319,6 +320,10 @@ def test_family_route_argument_checks():
         wg("u", PairPartition.trivial(1), 3)
     with pytest.raises(TypeError):
         wg("coe", identity(1), 3)
+    # the element-level route refuses a non-pairing as wg("coe", ...) does
+    for elem in (Permutation((2, 1)), (2, 1)):
+        with pytest.raises(TypeError, match="o graph vertices are pair partitions, got "):
+            wg_coe_direct(elem, 3)
     with pytest.raises(ValueError, match="needs dminus"):
         reconstruct_rational("aiii", identity(1))
     with pytest.raises(ValueError, match="unknown family"):

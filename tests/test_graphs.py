@@ -97,7 +97,7 @@ def test_count_paths_orthogonal_small():
 
 
 def test_loop_then_exit_is_the_unique_two_step_path():
-    paths = enumerate_paths(O, LOOPY, 2)
+    paths = list(enumerate_paths(O, LOOPY, 2))
     assert len(paths) == 1
     (p,) = paths
     assert path_nodes(p)[1] == LOOPY  # first step traverses the self-loop
@@ -110,13 +110,13 @@ def test_enumeration_matches_counts():
     for _ in range(12):
         s = rng.choice(perms)
         for l in (-1, rng.randrange(0, 6)):
-            assert len(enumerate_paths(U, s, l)) == count_paths(U, s, l)
+            assert len(list(enumerate_paths(U, s, l))) == count_paths(U, s, l)
     for m in all_pair_partitions(2):
         for l in range(-1, 5):
-            assert len(enumerate_paths(O, m, l)) == count_paths(O, m, l)
+            assert len(list(enumerate_paths(O, m, l))) == count_paths(O, m, l)
     for s in [Permutation((2, 1)), Permutation((2, 3, 1)), Permutation((1, 3, 2))]:
         for l in range(-1, 5):
-            assert len(enumerate_paths(A3, s, l)) == count_paths(A3, s, l)
+            assert len(list(enumerate_paths(A3, s, l))) == count_paths(A3, s, l)
 
 
 def test_one_walk_expands_each_vertex_once(monkeypatch):
@@ -134,7 +134,7 @@ def test_one_walk_expands_each_vertex_once(monkeypatch):
                               (O, PairPartition(((1, 2), (3, 6), (4, 5))), 4),
                               (A3, Permutation((2, 1, 4, 3)), 4)):
         asked.clear()
-        paths = enumerate_paths(kind, elem, solid)
+        paths = list(enumerate_paths(kind, elem, solid))
         assert len(paths) == count_paths(kind, elem, solid)
         assert asked and max(asked.values()) == 1, (kind, elem)
         objects = {}
@@ -279,7 +279,7 @@ def test_deep_counts_need_no_recursion():
 
 
 def test_single_path_identity_level_one():
-    paths = enumerate_paths(U, Permutation((1,)), 0)
+    paths = list(enumerate_paths(U, Permutation((1,)), 0))
     assert len(paths) == 1
     assert [s.kind for s in paths[0].steps] == [DASHED]
 
@@ -291,10 +291,10 @@ def test_a_dashed_count_lists_the_full_listing_filtered():
     cases += [(O, m) for k in range(4) for m in all_pair_partitions(k)]
     for kind, e in cases:
         for l in range(e.absolute_length() + 3):
-            paths = enumerate_paths(kind, e, l)
+            paths = list(enumerate_paths(kind, e, l))
             for dashed in range(-1, e.level + 2):
                 kept = [p for p in paths if steps_of_kind(p, DASHED) == dashed]
-                assert enumerate_paths(kind, e, l, dashed) == kept, (kind, e, l, dashed)
+                assert list(enumerate_paths(kind, e, l, dashed)) == kept, (kind, e, l, dashed)
 
 
 def test_parity_unitary():
@@ -384,7 +384,7 @@ def test_bijection_round_trip_unitary():
     perms = [Permutation(p) for p in itertools.permutations(range(1, 4))]
     for s in perms:
         for l in range(5):
-            paths = enumerate_paths(U, s, l)
+            paths = list(enumerate_paths(U, s, l))
             facts = {path_to_factorization(p) for p in paths}
             assert len(facts) == len(paths)
             for f in facts:
@@ -403,7 +403,7 @@ def test_bijection_round_trip_unitary():
 def test_bijection_round_trip_orthogonal():
     for m in all_pair_partitions(2):
         for l in range(5):
-            paths = enumerate_paths(O, m, l)
+            paths = list(enumerate_paths(O, m, l))
             facts = [path_to_factorization(p) for p in paths]
             assert len(set(facts)) == len(paths)
             for f, p in zip(facts, paths):
