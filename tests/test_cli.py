@@ -345,6 +345,92 @@ def test_ratio_bounds_are_pinned(capsys):
     assert digest.hexdigest() == "5ffd630211d0ffb92a74a93d2f5c87e748be37f3c86b7d12134ad8cf90476be8"
 
 
+def _moment_argvs():
+    """``wg moment`` in every family over all-distinct, paired, alternating
+    and all-equal labels, up to u k=8, o 2k=14, COE 4+4 and A III k=8 (each
+    under a second when every matching is walked); unbalanced monomials,
+    which are 0; the known-defect rows at d < k; and refused requests."""
+    def seq(values):
+        return ",".join(map(str, values))
+
+    def patterns(n):
+        return [tuple(range(1, n + 1)), tuple(1 + r // 2 for r in range(n)),
+                tuple(1 + r % 2 for r in range(n)), (1,) * n]
+
+    def moment(family, level, rows, cols, crows=(), ccols=(), dminus=None):
+        # at d = max(label, level), and two above it up to level 6
+        argv = ["moment", "--family", family, "--rows", seq(rows), "--cols", seq(cols)]
+        if crows:
+            argv += ["--crows", seq(crows), "--ccols", seq(ccols)]
+        if dminus is not None:
+            argv += ["--dminus", str(dminus)]
+        d = max(level, *rows, *cols, *crows, *ccols, 1)
+        for dim in (d, d + 2)[:2 if level <= 6 else 1]:
+            yield argv + ["--dim", str(dim)]
+
+    def rotate(labels):
+        return labels[1:] + labels[:1]
+
+    for k in range(1, 9):
+        pairs = itertools.product(patterns(k), repeat=2) if k <= 4 else (
+            (p, p) for p in patterns(k)[1:])
+        for rows, cols in pairs:
+            yield from moment("u", k, rows, cols, rows[::-1], rotate(cols))
+        equal, paired, alternating = patterns(k)[3], patterns(k)[1], patterns(k)[2]
+        yield from moment("u", k, equal, paired, equal[1:], paired[1:])
+        yield from moment("u", k, alternating, alternating, alternating[::-1], (2,) * k)
+    for k in range(1, 8):
+        pairs = itertools.product(patterns(2 * k), repeat=2) if k <= 3 else (
+            (p, p) for p in patterns(2 * k)[1:])
+        for rows, cols in pairs:
+            yield from moment("o", k, rows, cols[::-1])
+        yield from moment("o", k, patterns(2 * k - 1)[3], patterns(2 * k - 1)[3])
+    for k in range(1, 5):
+        for flat in patterns(2 * k):
+            conj = flat[::-1] if k % 2 else rotate(flat)
+            yield from moment("coe", k, flat[0::2], flat[1::2], conj[0::2], conj[1::2])
+        flat = patterns(2 * k)[2]
+        yield from moment("coe", k, flat[0::2], flat[1::2], flat[2::2], flat[3::2])
+        yield from moment("coe", k, flat[0::2], flat[1::2], (2,) * k, (2,) * k)
+    for k in range(1, 9):
+        for rows in patterns(k):
+            for dminus in (1, -1)[:2 if k <= 6 else 1]:
+                yield from moment("aiii", k, rows, rotate(rows), dminus=dminus)
+        yield from moment("aiii", k, patterns(k)[2], (2,) * k, dminus=0)
+    # the known-defect rows: E|u11|^2k and E[o11^2k] at d < k
+    for k, d in ((2, 1), (3, 2), (3, 1), (4, 2), (4, 3), (4, 1)):
+        ones = seq((1,) * k)
+        yield ["moment", "--family", "u", "--rows", ones, "--cols", ones, "--crows", ones,
+               "--ccols", ones, "--dim", str(d)]
+    for k, d in ((2, 1), (3, 1), (3, 2)):
+        ones = seq((1,) * (2 * k))
+        yield ["moment", "--family", "o", "--rows", ones, "--cols", ones, "--dim", str(d)]
+    for command in ("moment --family sp --rows 1 --cols 1 --dim 2",
+                    "moment --family u --rows 1,3 --cols 1,2 --crows 1,2 --ccols 1,2 --dim 2",
+                    "moment --family u --rows 1 --cols 1 --crows 1 --ccols 1 --dim 3 --dminus 1",
+                    "moment --family aiii --rows 1 --cols 1 --dim 2",
+                    "moment --family aiii --rows 1,1,1 --cols 1,1,1 --dim 1 --dminus 1",
+                    "moment --family coe --rows 1 --cols 1 --dim 2 --dminus 0",
+                    "moment --family coe --rows 1,1 --cols 1,1 --crows 1,1 --ccols 1,1 --dim 0",
+                    "moment --family o --rows 1 --cols 1 --crows 1 --ccols 1 --dim 2",
+                    "moment --family o --rows 1,1 --cols 1 --dim 2",
+                    "moment --family o --rows 1 --cols 1 --dim 0",
+                    "moment --family coe --rows 1,x --cols 1,1 --dim 2",
+                    "moment --family aiii --rows 1,2 --cols 2,1 --dim 2 --dminus 5"):
+        yield command.split()
+
+
+def test_moments_are_pinned(capsys):
+    # SHA-256 of the exit code, plain stdout, --json stdout and stderr of
+    # every moment above, refusals included, in order
+    digest = hashlib.sha256()
+    for argv in _moment_argvs():
+        for extra in ([], ["--json"]):
+            code, out, err = run_capture(capsys, argv + extra)
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == "2bbb6d79d01e06de8a588305506e70348c817fba499b333ae9ea4f04112fa156"
+
+
 def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     # a 1.3 MB line fills the pipe long before the child is done, so the
     # child writes to a closed pipe after the reader has gone, as under
