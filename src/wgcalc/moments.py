@@ -15,52 +15,27 @@ sums of Weingarten values:
 
 ``delta_sigma(i,j) = 1`` iff ``i[sigma(r)] == j[r]`` for every slot,
 ``Delta_m(i) = 1`` iff every block of ``m`` joins equal indices, and
-``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  Every term is a pair of perfect
-matchings, outer and inner, held as plain mate tuples; one classifier,
-:func:`~wgcalc.symcore.union_type`, serves all four families (see
-:func:`_term_classes`).  Matchings are built from equal-value position
-groups, and outer matchings with one multiset of inner-label pairs over
-their blocks share one representative.  Wg is a class function, so
-:func:`exact_moment` counts the terms of each class and looks each class up
-once.  :class:`MomentSpec` is the one validator of a moment request.
+``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  Every term is a perfect matching
+of the ends of tiles, one tile per factor slot, that joins equal labels;
+the tiles close into cycles, and their lengths give the term's class (see
+:func:`_term_classes`).  Tiles with equal ends are interchangeable, so the
+terms of each class are counted over how many tiles of each type remain,
+and no matching is visited.  Wg is a class function, so
+:func:`exact_moment` looks each class up once.  :class:`MomentSpec` is the
+one validator of a moment request.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .exact import FAMILIES, wg_class
 from .graphs import GraphKind
-from .symcore import pairing_mates, trivial_mates, union_type
 
 Indices = tuple[int, ...]
 INDEX_FIELDS = ("rows", "cols", "crows", "ccols")
-
-
-def _matchings(source: Sequence[int], target: Sequence[int]) -> Iterator[Indices]:
-    """Mates of every sigma with ``source[sigma(r)] == target[r]`` as the
-    bipartite matching of source slot ``sigma(r)`` with point ``k + r``,
-    0-based: products of per-value bijections between position groups."""
-    if sorted(source) != sorted(target):
-        return
-    k = len(source)
-    src_groups: dict[int, list[int]] = {}
-    tgt_groups: dict[int, list[int]] = {}
-    for pos, v in enumerate(source):
-        src_groups.setdefault(v, []).append(pos)
-    for pos, v in enumerate(target, k):
-        tgt_groups.setdefault(v, []).append(pos)
-    values = sorted(src_groups)
-    choices = [itertools.permutations(src_groups[v]) for v in values]
-    for combo in itertools.product(*choices):
-        mate = [0] * (2 * k)
-        for v, assigned in zip(values, combo):
-            for r, s in zip(tgt_groups[v], assigned):
-                mate[r], mate[s] = s, r
-        yield tuple(mate)
 
 
 class IndexRangeError(ValueError):
@@ -119,70 +94,102 @@ class MomentSpec(_MomentFields):
         return self
 
 
-def _pairing(sigma: Indices) -> Indices:
-    """Mates of the pairing ``sigma . e_k`` of a bipartite matching ``sigma``:
-    point ``sigma(x)`` is matched with ``sigma(x^1)``, listed in point order."""
-    images = sigma[len(sigma) // 2:]
-    return tuple(images[x ^ 1] for x in sorted(range(len(images)), key=images.__getitem__))
+def _tiles(spec: MomentSpec) -> tuple[list[tuple[int, int]], int, int]:
+    """The tiles of :func:`_term_classes`, each a pair of ends ``4 * label +
+    kind``; ``flip``, such that an end of kind ``s`` joins kind ``s ^ flip``;
+    and ``w``, the tiles per unit of a class part."""
+    fam = FAMILIES[spec.family]
+    plain = [(4 * r, 4 * c) for r, c in zip(spec.rows, spec.cols)]
+    conj = [(4 * r, 4 * c) for r, c in zip(spec.crows, spec.ccols)]
+    if fam.kind is GraphKind.UNITARY:
+        return [(r, c + 2) for r, c in plain] + [(r + 1, c + 3) for r, c in conj], 1, 2
+    if not fam.pairing:
+        return [(r, c + 1) for r, c in plain], 1, 1
+    if fam.conjugated:
+        return plain + [(r + 1, c + 1) for r, c in conj], 1, 2
+    return [(r, c + 1) for r, c in plain], 0, 2
 
 
-def _term_classes(spec: MomentSpec) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(class, number of terms)`` pairs that cover the nonzero terms of the
-    spec's Weingarten sum; a class may recur.
+def _term_classes(spec: MomentSpec) -> Iterable[tuple[tuple[int, ...], int]]:
+    """``(class, number of terms)`` for each class that the nonzero terms of
+    the spec's Weingarten sum meet, each class once.
 
-    Each term is an outer and an inner perfect matching, in the class of
-    their :func:`~wgcalc.symcore.union_type`.  The record's kind and
+    Every factor is a tile whose two ends carry its two indices, and every
+    term is a perfect matching of the tile ends in which each end joins an
+    end of its partner kind with an equal label.  The record's kind and
     ``conjugated`` flag name them:
 
-    * u: outer ``_matchings(rows, crows)``, inner ``_matchings(cols, ccols)``;
-    * o: outer the pairings that join equal ``rows``, inner equal ``cols``;
-    * coe: outer the pairing ``sigma . e_k`` of each matching sigma of the
-      interleaved indices, inner the trivial pairing;
-    * aiii: outer ``_matchings(rows, cols)``, inner the identity matching.
+    * u: sigma joins the row end of a plain tile to that of a conjugated
+      tile, tau the column ends;
+    * o: ``m`` joins two row ends, ``n`` two column ends;
+    * coe: sigma joins an end of a plain tile, ``(i[2t], i[2t+1])``, to an
+      end of a conjugated one, ``(j[2t], j[2t+1])``; ``sigma . e_k`` pairs
+      the two plain ends that meet one conjugated tile;
+    * aiii: sigma joins the column end of tile ``r`` to the row end of
+      tile ``sigma(r)``.
 
-    A permutation ``h`` of the points that keeps the inner labels (for u,
-    ``cols`` and ``ccols`` kept apart) permutes the inner set, and
-    ``union_type(h m, q) = union_type(m, h^-1 q)``, so outer matchings with
-    one multiset of inner-label pairs over their blocks meet the same
-    classes; with a single inner matching the key is the matching itself.
+    With its tiles the matching closes into cycles, and a cycle of ``w * l``
+    tiles is a part ``l`` of the term's class: ``w`` is one for aiii, and
+    two where the cycles alternate two matchings or two sets of tiles.
+
+    A cycle is built from the first remaining tile, left by its first end:
+    each step joins the open end to the start tile's other end, closing the
+    cycle, or to a fitting end of a remaining tile, whose other end is then
+    open.  Tiles with equal ends are interchangeable, so the completions of
+    a partial cycle depend only on how many tiles of each type remain: a
+    step into one of ``c`` tiles counts ``c`` times (``2c`` when both its
+    ends fit), and completions are memoized on those counts and the open
+    cycle.  Equal labels cost polynomially many states, and no matching is
+    visited.
 
     >>> list(_term_classes(MomentSpec("u", (1, 1), (1, 1), (1, 1), (1, 1), d=3)))
     [((1, 1), 2), ((2,), 2)]
     """
-    labels = None
-    fam = FAMILIES[spec.family]
-    if fam.kind is GraphKind.UNITARY:
-        outer = _matchings(spec.rows, spec.crows)
-        inner = list(_matchings(spec.cols, spec.ccols))
-        labels = [(0, c) for c in spec.cols] + [(1, c) for c in spec.ccols]
-    elif fam.pairing and not fam.conjugated:
-        rows, labels = spec.rows, spec.cols
-        inner = list(pairing_mates(labels))
-        # labels with one equality pattern have the same pairings, in order
-        same_pattern = [labels.index(c) for c in labels] == [rows.index(r) for r in rows]
-        outer = inner if same_pattern else pairing_mates(rows)
-    elif fam.pairing:
-        i = tuple(x for pair in zip(spec.rows, spec.cols) for x in pair)
-        j = tuple(x for pair in zip(spec.crows, spec.ccols) for x in pair)
-        outer = map(_pairing, _matchings(i, j))
-        inner = [trivial_mates(len(i) // 2)]
-    else:
-        k = len(spec.rows)
-        outer = _matchings(spec.rows, spec.cols)
-        inner = [tuple(range(k, 2 * k)) + tuple(range(k))]
-    if labels is not None:
-        label_pair = [[tuple(sorted((x, y))) for y in labels] for x in labels]
-    # one [representative, number of outer matchings] per key; with no inner
-    # matching (an unbalanced or odd monomial, zero by symmetry) the outer
-    # set is not enumerated
-    reps: dict = {}
-    for m in outer if inner else ():
-        key = m if labels is None else tuple(
-            sorted([label_pair[a][b] for a, b in enumerate(m) if a < b]))
-        reps.setdefault(key, [m, 0])[1] += 1
-    for m, n in reps.values():
-        for q in inner:
-            yield union_type(m, q), n
+    tiles, flip, w = _tiles(spec)
+    types = sorted(Counter(tuple(sorted(t)) for t in tiles).items())
+    # open end -> (type, its other end, its ends that fit) of each tile type
+    # with an end of the partner kind and the same label
+    fits: dict = {}
+    for i, ((a, b), _) in enumerate(types):
+        for end, other in ((a, b),) if a == b else ((a, b), (b, a)):
+            fits.setdefault(end ^ flip, []).append((i, other, 2 if a == b else 1))
+    cycles: dict = {}
+    chains: dict = {}
+
+    def rest(counts: tuple[int, ...]) -> dict:
+        # classes of the matchings of the remaining tiles
+        got = cycles.get(counts)
+        if got is None:
+            first = next((i for i, c in enumerate(counts) if c), None)
+            if first is None:
+                got = {(): 1}
+            else:
+                (a, b), _ = types[first]
+                got = chain(counts[:first] + (counts[first] - 1,) + counts[first + 1:], b, a, 1)
+            cycles[counts] = got
+        return got
+
+    def chain(counts: tuple[int, ...], close: int, end: int, length: int) -> dict:
+        # classes of the completions of a cycle of `length` tiles whose open
+        # end is `end` and whose start tile's free end is `close`
+        key = counts, close, end, length
+        got = chains.get(key)
+        if got is None:
+            got = {}
+            if end ^ flip == close:
+                for mu, n in rest(counts).items():
+                    mu = tuple(sorted((*mu, length // w), reverse=True))
+                    got[mu] = got.get(mu, 0) + n
+            for i, other, ends in fits.get(end, ()):
+                c = counts[i]
+                if c:
+                    left = counts[:i] + (c - 1,) + counts[i + 1:]
+                    for mu, n in chain(left, close, other, length + 1).items():
+                        got[mu] = got.get(mu, 0) + c * ends * n
+            chains[key] = got
+        return got
+
+    return rest(tuple(c for _, c in types)).items()
 
 
 def exact_moment(spec: MomentSpec) -> Fraction:
@@ -191,20 +198,12 @@ def exact_moment(spec: MomentSpec) -> Fraction:
     Wg is a class function, so the Weingarten sum is, over the classes of
     :func:`_term_classes`, the number of terms in each class times one
     :func:`wgcalc.exact.wg_class` lookup.  The terms are counted, not
-    visited: one representative per key of the outer set pairs with the
-    inner set, and its classes count once per outer member of that key.
-    Lookup errors (a unitary ``d`` below the level, a singular system)
-    propagate unchanged.
+    visited.  Lookup errors (a unitary ``d`` below the level, a singular
+    system) propagate unchanged; every class has the same level, so each
+    lookup raises the same error.
 
     >>> exact_moment(MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3))
     Fraction(1, 3)
     """
-    counts: Counter = Counter()
-    for mu, n in _term_classes(spec):
-        if not counts:
-            # every term has the same level, so a refused level raises at
-            # the first term instead of after the whole enumeration
-            wg_class(spec.family, mu, spec.d, spec.dminus)
-        counts[mu] += n
-    return sum((n * wg_class(spec.family, mu, spec.d, spec.dminus) for mu, n in counts.items()),
-               Fraction(0))
+    return sum((n * wg_class(spec.family, mu, spec.d, spec.dminus)
+                for mu, n in _term_classes(spec)), Fraction(0))

@@ -478,21 +478,25 @@ def test_counts_past_4300_digits_print_whole(capsys):
     assert (code, err, f", {digits}], \"element\": " in out) == (0, "", True)
 
 
-def _max_rss(argv: list[str]) -> int:
-    """Max RSS of a child that runs ``wg argv``, a count or a listing.
+def _max_rss(argv: list[str], first: str = "count: ", deadline: float = 120) -> int:
+    """Max RSS of a child that runs ``wg argv``, whose output must start with
+    ``first``; the child is killed after ``deadline`` seconds.
 
     A process's max RSS starts at that of whoever spawned it, since it is
     kept across ``exec``; so a small launcher spawns the child, and the test
-    process's own peak does not hide the child's."""
+    process's own peak does not hide the child's.  The launcher kills the
+    child at the deadline and then fails."""
     script = ("import resource, sys; from wgcalc import cli; "
               "code = cli.run(sys.argv[1:]); "
               "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
-    proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", script, *argv],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
-    lines = proc.stdout.splitlines()
-    code, rss = lines[-1].split()
-    assert (lines[0].startswith("count: "), code, proc.stderr) == (True, "0", "")
+    launch = ("import subprocess, sys; "
+              "sys.exit(subprocess.call(sys.argv[2:], timeout=float(sys.argv[1])))")
+    proc = subprocess.run([sys.executable, "-c", launch, str(deadline), sys.executable, "-c",
+                           script, *argv],
+                          capture_output=True, text=True, env=_child_env(), timeout=deadline + 60)
+    assert (proc.returncode, proc.stderr) == (0, ""), argv
+    code, rss = proc.stdout.splitlines()[-1].split()
+    assert (proc.stdout.startswith(first), code) == (True, "0"), argv
     return int(rss)
 
 
@@ -500,7 +504,10 @@ def test_count_only_queries_run_in_flat_memory():
     # the counts' bit length grows with --solid, so a table of every solid
     # length grows with its square (about 160 MB at 20001); one column does
     # not.  A listing prints each line as the walk finds it and keeps none,
-    # so its 84,084 lines need no more memory than their count.
+    # so its 84,084 lines need no more memory than their count.  Moments
+    # count their terms without visiting them: a walk over the 10! matchings
+    # of COE 5+5 took 18 s and 494 MB, and one over the 9! of A III 9 took
+    # 179 MB; the deadline stops such a walk within seconds.
     pytest.importorskip("resource")
     count = ["paths", "--family", "u", "--perm", "2,3,4,1", "--solid"]
     assert _max_rss(count + ["20001"]) <= 1.25 * _max_rss(count + ["1001"])
@@ -509,6 +516,13 @@ def test_count_only_queries_run_in_flat_memory():
     for argv in (["paths", *six, "--solid", "9", "--list"],
                  ["factorizations", *six, "--length", "9", "--list"]):
         assert _max_rss(argv) <= flat, argv
+    five, nine = ",".join("1" * 5), ",".join("1" * 9)
+    for argv, value in (
+            (["--family", "coe", "--rows", five, "--cols", five, "--crows", five, "--ccols", five,
+              "--dim", "6"], "256/9009"),
+            (["--family", "aiii", "--rows", nine, "--cols", nine, "--dim", "9", "--dminus", "1"],
+             "7/2431")):
+        assert _max_rss(["moment", *argv], first=value + "\n", deadline=10) <= flat, argv
 
 
 def test_one_parser_serves_every_call(capsys):

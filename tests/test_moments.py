@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 import pytest
@@ -217,13 +218,34 @@ def test_single_entry_moments_match_closed_forms_at_d8():
     # E|u11|^2k = 1/C(d+k-1, k) and E[o11^2k] = (2k-1)!!/prod_{j<k} (d+2j);
     # a per-term enumeration needs (k!)^2 and ((2k-1)!!)^2 terms here
     d = 8
-    for k in range(1, 8):
+    for k in range(1, 9):
         ones = (1,) * k
         assert exact_moment(MomentSpec("u", ones, ones, ones, ones, d)) == F(1, comb(d + k - 1, k))
-    for k in range(1, 7):
+    for k in range(1, 8):
         ones = (1,) * (2 * k)
         want = F(prod(range(1, 2 * k, 2)), prod(d + 2 * j for j in range(k)))
         assert exact_moment(MomentSpec("o", ones, ones, d=d)) == want
+    # COE: s11 = sum_j u_j^2 over a column u of U, uniform on the unit sphere
+    # of C^d, whose Dirichlet moments give E prod |u_j|^(2 m_j) =
+    # (d-1)! prod m_j! / (d-1+sum m)!; so E|s11|^2k = (d-1)!/(d+2k-1)!
+    # sum_{|alpha|=k} (k!/alpha!)^2 prod (2 alpha_j)!
+    for k in range(1, 7):
+        ones = (1,) * k
+        total = sum((F(factorial(k), prod(map(factorial, alpha.values())))) ** 2
+                    * prod(factorial(2 * m) for m in alpha.values())
+                    for alpha in map(Counter, combinations_with_replacement(range(d), k)))
+        want = total * F(factorial(d - 1), factorial(d + 2 * k - 1))
+        assert exact_moment(MomentSpec("coe", ones, ones, ones, ones, d)) == want
+    # A III: s11 = 2B - 1 with B ~ Beta(a, b), a - b = dminus, a + b = d, so
+    # E[s11^k] = sum_i C(k,i) 2^i (-1)^(k-i) prod_{t<i} (a+t)/(d+t); level 9 is
+    # singular at d = 8, so k = 9 is checked at d = 9
+    for k, dim in [*((k, d) for k in range(1, 9)), (9, 9)]:
+        ones = (1,) * k
+        for dminus in (2, -4):
+            a = F(dim + dminus, 2)
+            want = sum(comb(k, i) * 2**i * (-1) ** (k - i) * prod((a + t) / (dim + t) for t in range(i))
+                       for i in range(k + 1))
+            assert exact_moment(MomentSpec("aiii", ones, ones, d=dim, dminus=dminus)) == want
 
 
 def _centralizer(mu, scale=1):
@@ -241,18 +263,23 @@ def test_all_equal_class_counts_match_closed_forms():
             totals[mu] += n
         return totals
 
-    ones = (1,) * 5
-    assert counts(MomentSpec("u", ones, ones, ones, ones, d=5)) == {
-        mu: factorial(5) ** 2 // _centralizer(mu) for mu in partitions(5)}
-    ones = (1,) * 8
-    assert counts(MomentSpec("o", ones, ones, d=8)) == {
-        mu: 105 * 2 ** 4 * factorial(4) // _centralizer(mu, 2) for mu in partitions(4)}
-    ones = (1,) * 3
-    assert counts(MomentSpec("coe", ones, ones, ones, ones, d=3)) == {
-        mu: (2 ** 3 * factorial(3)) ** 2 // _centralizer(mu, 2) for mu in partitions(3)}
-    ones = (1,) * 6
-    assert counts(MomentSpec("aiii", ones, ones, d=6, dminus=0)) == {
-        mu: factorial(6) // _centralizer(mu) for mu in partitions(6)}
+    for k in range(1, 9):
+        ones = (1,) * k
+        assert counts(MomentSpec("u", ones, ones, ones, ones, d=k)) == {
+            mu: factorial(k) ** 2 // _centralizer(mu) for mu in partitions(k)}
+    for k in range(1, 8):
+        ones = (1,) * (2 * k)
+        assert counts(MomentSpec("o", ones, ones, d=k)) == {
+            mu: prod(range(1, 2 * k, 2)) * 2**k * factorial(k) // _centralizer(mu, 2)
+            for mu in partitions(k)}
+    for k in range(1, 7):
+        ones = (1,) * k
+        assert counts(MomentSpec("coe", ones, ones, ones, ones, d=k)) == {
+            mu: (2**k * factorial(k)) ** 2 // _centralizer(mu, 2) for mu in partitions(k)}
+    for k in range(1, 10):
+        ones = (1,) * k
+        assert counts(MomentSpec("aiii", ones, ones, d=k, dminus=0)) == {
+            mu: factorial(k) // _centralizer(mu) for mu in partitions(k)}
 
 
 def test_moments_below_level_are_refused():
