@@ -146,6 +146,11 @@ def _term_classes(spec: MomentSpec) -> Iterable[tuple[tuple[int, ...], int]]:
     [((1, 1), 2), ((2,), 2)]
     """
     tiles, flip, w = _tiles(spec)
+    ends = Counter(end for tile in tiles for end in tile)
+    # an end left without a partner (an unbalanced or odd monomial, zero by
+    # symmetry) leaves no term, so nothing is counted
+    if any(n != ends[end ^ 1] if flip else n % 2 for end, n in ends.items()):
+        return ()
     types = sorted(Counter(tuple(sorted(t)) for t in tiles).items())
     # open end -> (type, its other end, its ends that fit) of each tile type
     # with an end of the partner kind and the same label

@@ -58,6 +58,9 @@ def test_unitary_moments():
     # phase invariance kills unbalanced monomials outright
     assert exact_moment(MomentSpec("u", (1,), (1,), (), (), d)) == 0
     assert exact_moment(MomentSpec("u", (1,), (1,), (2,), (2,), d)) == 0
+    # at any size, before any term is counted: one column index has no partner
+    labels = tuple(range(1, 401))
+    assert exact_moment(MomentSpec("u", labels, labels, labels, labels[:-1] + (401,), 401)) == 0
 
 
 def test_orthogonal_moments():
