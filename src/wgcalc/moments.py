@@ -15,14 +15,14 @@ sums of Weingarten values:
 
 ``delta_sigma(i,j) = 1`` iff ``i[sigma(r)] == j[r]`` for every slot,
 ``Delta_m(i) = 1`` iff every block of ``m`` joins equal indices, and
-``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  Every term is a perfect matching
-of the ends of tiles, one tile per factor slot, that joins equal labels;
-the tiles close into cycles, and their lengths give the term's class (see
-:func:`_term_classes`).  Tiles with equal ends are interchangeable, so the
-terms of each class are counted over how many tiles of each type remain,
-and no matching is visited.  Wg is a class function, so
-:func:`exact_moment` looks each class up once.  :class:`MomentSpec` is the
-one validator of a moment request.
+``W_o(m,n)`` is ``W_o`` of ``m^-1 . n``.  Each factor is a tile whose two
+ends carry its two indices, and every term is a perfect matching of the
+tile ends that joins equal labels; with the tiles it closes into cycles,
+whose lengths give the term's class (see :func:`_term_classes`).  Tiles
+with equal ends are interchangeable, so the terms of each class are
+counted over how many tiles of each type remain, and no matching is
+visited.  Wg is a class function, so :func:`exact_moment` looks each class
+up once.  :class:`MomentSpec` is the one validator of a moment request.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _term_classes(spec: MomentSpec) -> Iterable[tuple[tuple[int, ...], int]]:
     ends = Counter(end for tile in tiles for end in tile)
     # an end left without a partner (an unbalanced or odd monomial, zero by
     # symmetry) leaves no term, so nothing is counted
-    if any(n != ends[end ^ 1] if flip else n % 2 for end, n in ends.items()):
+    if any(n != ends[end ^ flip] if flip else n % 2 for end, n in ends.items()):
         return ()
     types = sorted(Counter(tuple(sorted(t)) for t in tiles).items())
     # open end -> (type, its other end, its ends that fit) of each tile type
@@ -185,12 +185,12 @@ def _term_classes(spec: MomentSpec) -> Iterable[tuple[tuple[int, ...], int]]:
                 for mu, n in rest(counts).items():
                     mu = tuple(sorted((*mu, length // w), reverse=True))
                     got[mu] = got.get(mu, 0) + n
-            for i, other, ends in fits.get(end, ()):
+            for i, other, ways in fits.get(end, ()):
                 c = counts[i]
                 if c:
                     left = counts[:i] + (c - 1,) + counts[i + 1:]
                     for mu, n in chain(left, close, other, length + 1).items():
-                        got[mu] = got.get(mu, 0) + c * ends * n
+                        got[mu] = got.get(mu, 0) + c * ways * n
             chains[key] = got
         return got
 
