@@ -505,9 +505,9 @@ def test_count_only_queries_run_in_flat_memory():
     # length grows with its square (about 160 MB at 20001); one column does
     # not.  A listing prints each line as the walk finds it and keeps none,
     # so its 84,084 lines need no more memory than their count.  Moments
-    # count their terms without visiting them: a walk over the 10! matchings
-    # of COE 5+5 took 18 s and 494 MB, and one over the 9! of A III 9 took
-    # 179 MB; the deadline stops such a walk within seconds.
+    # count their terms without visiting them; a walk over the 10! matchings
+    # of COE 5+5 takes 18 s and 494 MB, and one over the 9! of A III 9 takes
+    # 179 MB, and the deadline stops such a walk within seconds.
     pytest.importorskip("resource")
     count = ["paths", "--family", "u", "--perm", "2,3,4,1", "--solid"]
     assert _max_rss(count + ["20001"]) <= 1.25 * _max_rss(count + ["1001"])
