@@ -246,8 +246,8 @@ def test_single_entry_moments_match_closed_forms_at_d8():
         ones = (1,) * k
         for dminus in (2, -4):
             a = F(dim + dminus, 2)
-            want = sum(comb(k, i) * 2**i * (-1) ** (k - i) * prod((a + t) / (dim + t) for t in range(i))
-                       for i in range(k + 1))
+            want = sum(comb(k, i) * 2**i * (-1) ** (k - i)
+                       * prod((a + t) / (dim + t) for t in range(i)) for i in range(k + 1))
             assert exact_moment(MomentSpec("aiii", ones, ones, d=dim, dminus=dminus)) == want
 
 
