@@ -226,13 +226,14 @@ def _report_output(args, report) -> int:
     return 0 if report.all_pass else 2
 
 
-# check -> family -> the wgcalc.bounds certifier, looked up when the command runs
-_CERTIFIERS = {
-    "counts": {"u": "certify_unitary_bounds", "o": "certify_orthogonal_bounds"},
-    "ratio": {"u": "certify_wg_ratio_unitary", "o": "certify_orthogonal_ratio",
-              "sp": "certify_sp_ratio"},
-    "neighborhood": {"u": "neighborhood_certify"},
-    "injection": {"u": "easy_injection_check"},
+# check -> (the one flag it takes, or None; family -> the wgcalc.bounds
+# certifier, looked up when the command runs)
+_CHECKS = {
+    "counts": ("gmax", {"u": "certify_unitary_bounds", "o": "certify_orthogonal_bounds"}),
+    "ratio": ("dim", {"u": "certify_wg_ratio_unitary", "o": "certify_orthogonal_ratio",
+                      "sp": "certify_sp_ratio"}),
+    "neighborhood": (None, {"u": "neighborhood_certify"}),
+    "injection": ("extra", {"u": "easy_injection_check"}),
 }
 
 
@@ -240,25 +241,26 @@ def cmd_bounds(args) -> int:
     if args.k < 1:
         raise UsageError(f"--k: must be positive, got {args.k}")
     check = args.check
-    for flag, value, owner in (("--dim", args.dim, "ratio"), ("--gmax", args.gmax, "counts"),
-                               ("--extra", args.extra, "injection")):
-        if value is not None and check != owner:
-            raise UsageError(f"{flag} does not apply to --check {check}")
+    owned, certifiers = _CHECKS[check]
+    # a stray flag is named in this order, the first one given
+    for flag in ("dim", "gmax", "extra"):
+        if getattr(args, flag) is not None and flag != owned:
+            raise UsageError(f"--{flag} does not apply to --check {check}")
     for flag, value in (("--gmax", args.gmax), ("--extra", args.extra)):
         if value is not None and value < 0:
             raise UsageError(f"{flag}: must be nonnegative, got {value}")
     if check == "ratio" and args.dim is None:
         raise UsageError("--dim is required for --check ratio")
-    certifier = _CERTIFIERS[check].get(args.family)
+    certifier = certifiers.get(args.family)
     if certifier is None:
         if check == "counts":
             raise UsageError("--family: count bounds cover families u and o")
         raise UsageError(f"--family: the {check} check covers family u only")
-    # the one flag the check owns, when given; the certifier has the defaults
-    owned = {"counts": args.gmax, "ratio": args.dim, "injection": args.extra}.get(check)
+    # the flag's value, when given; the certifier has the defaults
+    value = getattr(args, owned) if owned else None
     from . import bounds
     certify = getattr(bounds, certifier)
-    return _report_output(args, certify(args.k) if owned is None else certify(args.k, owned))
+    return _report_output(args, certify(args.k) if value is None else certify(args.k, value))
 
 
 def _mc_dims(args, family: str) -> tuple[int, int | None]:
@@ -419,7 +421,7 @@ def build_parser() -> _Parser:
     sub.set_defaults(handler=cmd_moment)
 
     sub = subs.add_parser("bounds", help="certify the path-count and ratio bounds")
-    sub.add_argument("--check", choices=list(_CERTIFIERS), default="counts")
+    sub.add_argument("--check", choices=list(_CHECKS), default="counts")
     sub.add_argument("--family", choices=_families("bounds"), default="u")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--gmax", type=int)

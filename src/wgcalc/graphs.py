@@ -71,7 +71,7 @@ def _check_element(kind: GraphKind, elem: Element) -> None:
 def vertex_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
     """The class of the ``kind`` vertex ``elem``: its coset type or cycle type."""
     _check_element(kind, elem)
-    return elem.cycle_type() if isinstance(elem, Permutation) else elem.coset_type()
+    return elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
 
 
 class EdgeStep:

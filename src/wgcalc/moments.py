@@ -194,7 +194,13 @@ def _term_classes(spec: MomentSpec) -> Iterable[tuple[tuple[int, ...], int]]:
             chains[key] = got
         return got
 
-    return rest(tuple(c for _, c in types)).items()
+    # the count recurses once per tile and once per cycle, so a moment too
+    # large for Python's stack is refused here, before any level is solved
+    try:
+        return rest(tuple(c for _, c in types)).items()
+    except RecursionError:
+        raise ValueError(f"moment of level {len(tiles) // w} is too large "
+                         "to count its terms") from None
 
 
 def exact_moment(spec: MomentSpec) -> Fraction:
@@ -205,7 +211,8 @@ def exact_moment(spec: MomentSpec) -> Fraction:
     :func:`wgcalc.exact.wg_class` lookup.  The terms are counted, not
     visited.  Lookup errors (a unitary ``d`` below the level, a singular
     system) propagate unchanged; every class has the same level, so each
-    lookup raises the same error.
+    lookup raises the same error.  A moment too large to count its terms
+    on Python's stack raises :class:`ValueError` before any lookup.
 
     >>> exact_moment(MomentSpec("u", rows=(1,), cols=(1,), crows=(1,), ccols=(1,), d=3))
     Fraction(1, 3)

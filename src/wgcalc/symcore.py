@@ -9,23 +9,22 @@ Conventions used throughout the package:
   empty tuple is the unique partition of 0.
 * A pair partition splits ``{1, ..., 2k}`` into ``k`` unordered pairs.
   Blocks are stored canonically: each pair sorted, pairs sorted by their
-  first entry.  ``trivial(k)`` is ``{1,2}{3,4}...{2k-1,2k}``.
-* A perfect matching given as a *mate tuple* lives on the points
-  ``0, ..., n-1``: ``mates[x]`` is the point matched with ``x``.
+  first entry.  ``trivial(k)`` is ``{1,2}{3,4}...{2k-1,2k}``.  The
+  ``mates`` tuple of a pairing gives, for each point ``x`` of ``0..2k-1``,
+  the point its block joins to ``x``.
 
-The two combinatorial statistics that drive everything else live here:
-``cycle_type`` / ``absolute_length`` for permutations, and ``coset_type`` /
-``absolute_length`` for pair partitions.  Both are cases of
-:func:`union_type`, the halved cycle lengths of the union of two perfect
-matchings: the coset type against the trivial pairing, the cycle type of
-``sigma tau^-1`` on the matchings that join slot ``sigma(r)``, respectively
-``tau(r)``, to a second copy of slot ``r``.
+The two combinatorial statistics that drive everything else live here,
+each computed by one walk over the element's points: ``cycle_type`` /
+``absolute_length`` for permutations, ``coset_type`` / ``absolute_length``
+for pair partitions.  The coset type is the halved cycle lengths of the
+union of the pairing and the trivial one, whose cycles the walk
+``x -> mates[x] ^ 1`` follows: ``x ^ 1`` is the trivial mate of ``x``.
 """
 
 from __future__ import annotations
 
 from operator import ge
-from typing import Iterator, Sequence
+from typing import Iterator
 
 EMPTY_TEXT = "∅"  # printed for the level-0 permutation / pairing
 
@@ -66,38 +65,6 @@ def partitions(n: int) -> Iterator[tuple[int, ...]]:
                     h += 1
                     parts[h] = t
         yield tuple(parts[:m])
-
-
-def union_type(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Halved cycle lengths of the union of the perfect matchings with mate
-    tuples ``p`` and ``q``, as a decreasing partition.
-
-    Every point has one edge from each matching, so the union splits into
-    alternating even cycles ``2 mu_1 >= 2 mu_2 >= ...``; the result is ``mu``.
-
-    >>> union_type((1, 0, 3, 2, 5, 4), (1, 0, 4, 5, 2, 3))
-    (2, 1)
-    """
-    seen = [False] * len(p)
-    parts = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        size = 0
-        x = start
-        while not seen[x]:
-            y = p[x]
-            seen[x] = seen[y] = True
-            x = q[y]
-            size += 1
-        parts.append(size)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def trivial_mates(k: int) -> tuple[int, ...]:
-    """Mate tuple of the trivial pairing ``{0,1}{2,3}...{2k-2,2k-1}``."""
-    return tuple(x ^ 1 for x in range(2 * k))
 
 
 def validate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -173,26 +140,23 @@ class Permutation:
             inv[s - 1] = r
         return Permutation(tuple(inv))
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycle decomposition; each cycle starts at its smallest point."""
-        imgs = self.images
-        seen: set[int] = set()
-        out = []
-        for start in range(1, len(imgs) + 1):
-            if start not in seen:
-                cyc = [start]
-                while (x := imgs[cyc[-1] - 1]) != start:
-                    cyc.append(x)
-                seen.update(cyc)
-                out.append(tuple(cyc))
-        return tuple(out)
-
     def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        imgs = self.images
+        seen = [False] * len(imgs)
+        parts = []
+        for start in range(len(imgs)):
+            size, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x, size = imgs[x] - 1, size + 1
+            if size:
+                parts.append(size)
+        parts.sort(reverse=True)
+        return tuple(parts)
 
     def absolute_length(self) -> int:
         """Minimal number of transpositions whose product is this permutation."""
-        return self.level - len(self.cycles())
+        return self.level - len(self.cycle_type())
 
     def swap_values(self, a: int, b: int) -> "Permutation":
         """Left-multiply by the transposition ``(a b)``."""
@@ -225,8 +189,6 @@ class PairPartition:
         points = [x for b in blocks for x in b]
         if sorted(points) != list(range(1, 2 * len(blocks) + 1)):
             raise ValueError(f"blocks do not tile 1..2k: {blocks}")
-        if any(a == b for a, b in blocks):
-            raise ValueError(f"degenerate block: {blocks}")
 
     __setattr__ = __delattr__ = _immutable
 
@@ -274,49 +236,44 @@ class PairPartition:
         return PairPartition(tuple((sub.get(x, x), sub.get(y, y)) for x, y in self.blocks))
 
     def coset_type(self) -> tuple[int, ...]:
-        """:func:`union_type` of this pairing and the trivial one."""
-        return union_type(self.mates, trivial_mates(self.level))
+        """Halved cycle lengths of the union of this pairing and the trivial
+        one: each step leaves a point by its block and returns by the trivial
+        block of its mate."""
+        mates = self.mates
+        seen = [False] * len(mates)
+        parts = []
+        for start in range(len(mates)):
+            size, x = 0, start
+            while not seen[x]:
+                y = mates[x]
+                seen[x] = seen[y] = True
+                x, size = y ^ 1, size + 1
+            if size:
+                parts.append(size)
+        parts.sort(reverse=True)
+        return tuple(parts)
 
     def absolute_length(self) -> int:
         return self.level - len(self.coset_type())
 
 
-def pairing_mates(labels: Sequence) -> Iterator[tuple[int, ...]]:
-    """Mate tuples of the pairings of the positions ``0..len(labels)-1``
-    whose blocks join equal labels, in a fixed order: the first free
-    position is paired with each later one in turn.
-
-    >>> list(pairing_mates("abab"))
-    [(2, 3, 0, 1)]
-    """
-
-    def rec(mate: list[int]):
-        if -1 not in mate:
-            yield tuple(mate)
-            return
-        first = mate.index(-1)
-        for x in range(first + 1, len(mate)):
-            if mate[x] < 0 and labels[x] == labels[first]:
-                mate[first], mate[x] = x, first
-                yield from rec(mate)
-                mate[first] = mate[x] = -1
-
-    return rec([-1] * len(labels))
-
-
-def pair_partitions(labels: Sequence) -> Iterator[PairPartition]:
-    """The pairings of :func:`pairing_mates`, in its order, on ``1..len(labels)``.
-
-    >>> [m.blocks for m in pair_partitions("abab")]
-    [((1, 3), (2, 4))]
-    """
-    for mate in pairing_mates(labels):
-        yield PairPartition(tuple((a + 1, b + 1) for a, b in enumerate(mate) if a < b))
-
-
 def all_pair_partitions(k: int) -> Iterator[PairPartition]:
-    """All ``(2k-1)!!`` pair partitions of ``{1..2k}``, in a fixed order."""
-    return pair_partitions((0,) * (2 * k))
+    """All ``(2k-1)!!`` pair partitions of ``{1..2k}`` in a fixed order: the
+    smallest free point is paired with each later free point in turn.
+
+    >>> [m.blocks for m in all_pair_partitions(2)]
+    [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    """
+
+    def rec(free: tuple[int, ...], blocks: tuple[tuple[int, int], ...]):
+        if not free:
+            yield PairPartition(blocks)
+            return
+        first, rest = free[0], free[1:]
+        for i, x in enumerate(rest):
+            yield from rec(rest[:i] + rest[i + 1:], (*blocks, (first, x)))
+
+    return rec(tuple(range(1, 2 * k + 1)), ())
 
 
 def class_representative(mu: tuple[int, ...]) -> Permutation:
@@ -364,12 +321,6 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(imgs)
 
 
-def format_permutation(sigma: Permutation) -> str:
-    if sigma.level == 0:
-        return EMPTY_TEXT
-    return ",".join(str(x) for x in sigma.images)
-
-
 def parse_pair_partition(text: str) -> PairPartition:
     text = text.strip()
     if text in ("", EMPTY_TEXT):
@@ -386,16 +337,12 @@ def parse_pair_partition(text: str) -> PairPartition:
     return PairPartition(tuple(blocks))
 
 
-def format_pair_partition(m: PairPartition) -> str:
-    if m.level == 0:
-        return EMPTY_TEXT
-    return "|".join(f"{a},{b}" for a, b in m.blocks)
-
-
 def format_element(elem: Permutation | PairPartition) -> str:
+    if elem.level == 0:
+        return EMPTY_TEXT
     if isinstance(elem, PairPartition):
-        return format_pair_partition(elem)
-    return format_permutation(elem)
+        return "|".join(f"{a},{b}" for a, b in elem.blocks)
+    return ",".join(str(x) for x in elem.images)
 
 
 def format_partition(mu: tuple[int, ...]) -> str:

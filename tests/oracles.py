@@ -1,10 +1,11 @@
 """Reference helpers that only the tests use: rational-function equality,
 construction, evaluation and Laurent expansion; evaluation of series
 truncations; permutation constructors and brute-force group enumeration;
-the delta symbols of the moment sums; minimal path counts; the Dyck-area
-report; the class-node lookup; a path's vertices and steps of one kind;
-the cache reader; and the path/monotone-factorization bijection with its
-brute-force generator."""
+the union type of two perfect matchings, against which the tests check
+the cycle and coset types; the delta symbols of the moment sums; minimal
+path counts; the Dyck-area report; the class-node lookup; a path's
+vertices and steps of one kind; the cache reader; and the
+path/monotone-factorization bijection with its brute-force generator."""
 
 from __future__ import annotations
 
@@ -128,6 +129,37 @@ def as_permutation(m: PairPartition) -> Permutation:
     """The permutation sending the trivial pairing to ``m``, block order."""
     imgs = [x for b in m.blocks for x in b]
     return Permutation(tuple(imgs))
+
+
+def union_type(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Halved cycle lengths of the union of the perfect matchings with mate
+    tuples ``p`` and ``q`` (``p[x]`` is the point matched with ``x``), as a
+    decreasing partition.
+
+    Every point has one edge from each matching, so the union splits into
+    alternating even cycles ``2 mu_1 >= 2 mu_2 >= ...``; the result is
+    ``mu``.  Against the trivial pairing it is the coset type, and on two
+    bipartite matchings the cycle type of ``sigma tau^-1``; the tests check
+    both statistics against it.
+
+    >>> union_type((1, 0, 3, 2, 5, 4), (1, 0, 4, 5, 2, 3))
+    (2, 1)
+    """
+    seen = [False] * len(p)
+    parts = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        size = 0
+        x = start
+        while not seen[x]:
+            y = p[x]
+            seen[x] = seen[y] = True
+            x = q[y]
+            size += 1
+        parts.append(size)
+    parts.sort(reverse=True)
+    return tuple(parts)
 
 
 def strong_admissible_sequence(m: PairPartition) -> tuple[int, ...]:

@@ -682,6 +682,28 @@ def test_errors_name_the_offending_argument(capsys):
         assert "--seed" in err
 
 
+def test_a_pairing_block_that_repeats_a_point_is_refused(capsys):
+    # a block {a, a} leaves a point of 1..2k uncovered, so the tiling check
+    # refuses it
+    code, out, err = run_capture(capsys, ["value", "--family", "o", "--pairing", "1,1|2,2",
+                                          "--dim", "3"])
+    assert (code, out, err) == (
+        1, "", "error: --pairing: blocks do not tile 1..2k: ((1, 1), (2, 2))\n")
+
+
+def test_a_moment_too_large_to_count_is_refused_without_a_traceback():
+    # counting the terms recurses once per tile, so a level-400 u moment
+    # exceeds Python's stack; the refusal comes before the level-400 solve,
+    # which could not finish
+    labels = ",".join(map(str, range(1, 401)))
+    proc = subprocess.run([sys.executable, "-m", "wgcalc", "moment", "--family", "u",
+                           "--rows", labels, "--cols", labels, "--crows", labels,
+                           "--ccols", labels, "--dim", "400"],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: moment of level 400 is too large to count its terms\n")
+
+
 def test_shifted_routes_name_their_own_family_and_dimension(capsys):
     code, _, err = run_capture(capsys, ["value", "--family", "coe", "--pairing", "1,2|3,4",
                                         "--dim", "0"])

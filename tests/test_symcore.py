@@ -7,6 +7,7 @@ from oracles import (
     identity,
     strong_admissible_sequence,
     transposition,
+    union_type,
 )
 
 from wgcalc.graphs import GraphKind, dashed_target, squiggled_target
@@ -16,14 +17,12 @@ from wgcalc.symcore import (
     all_pair_partitions,
     class_representative,
     coset_representative,
-    format_pair_partition,
+    format_element,
     format_partition,
-    format_permutation,
     parse_pair_partition,
     parse_partition,
     parse_permutation,
     partitions,
-    union_type,
 )
 
 
@@ -144,9 +143,9 @@ def test_strong_admissible_sequence():
 
 def test_parse_format_round_trip():
     for text in ["4,1,5,3,2", "1", "∅"]:
-        assert format_permutation(parse_permutation(text)) == text
+        assert format_element(parse_permutation(text)) == text
     for text in ["1,3|2,4", "1,2", "∅"]:
-        assert format_pair_partition(parse_pair_partition(text)) == text
+        assert format_element(parse_pair_partition(text)) == text
     assert parse_permutation("") == Permutation(())
     assert parse_pair_partition("1,3|2,4") == PairPartition(((1, 3), (2, 4)))
     assert parse_partition("3+1+1") == (3, 1, 1)
