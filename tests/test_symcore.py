@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from oracles import (
@@ -10,7 +11,8 @@ from oracles import (
     union_type,
 )
 
-from wgcalc.graphs import GraphKind, dashed_target, squiggled_target
+from wgcalc.graphs import (DASHED, EdgeStep, GraphKind, dashed_target, solid_neighbors,
+                           squiggled_target)
 from wgcalc.symcore import (
     PairPartition,
     Permutation,
@@ -285,3 +287,44 @@ def test_as_permutation_recovers_pairing():
     for k in range(4):
         for m in all_pair_partitions(k):
             assert PairPartition.trivial(k).apply(as_permutation(m)) == m
+
+
+def test_value_semantics_are_pinned():
+    # repr, hash, equality, text and immutability of every element of level
+    # <= 5 (permutations) or <= 4 (pairings) and of every solid step leaving
+    # it: the hash is that of the field tuple, so set and dict orders follow it
+    perms = [p for k in range(6) for p in all_permutations(k)]
+    pairings = [m for k in range(5) for m in all_pair_partitions(k)]
+    groups = [
+        (perms, lambda p: (p.images,), lambda p: f"Permutation(images={p.images!r})",
+         lambda p: ",".join(map(str, p.images)) or "∅", "images"),
+        (pairings, lambda m: (m.blocks,), lambda m: f"PairPartition(blocks={m.blocks!r})",
+         lambda m: "|".join(f"{a},{b}" for a, b in m.blocks) or "∅", "blocks"),
+    ]
+    for kind, elements in ((GraphKind.UNITARY, perms), (GraphKind.ORTHOGONAL, pairings)):
+        steps = [s for e in elements for s in solid_neighbors(kind, e)]
+        steps.append(EdgeStep(DASHED, None, elements[1]))
+        groups.append((steps, lambda s: (s.kind, s.index, s.target, s.top),
+                       lambda s: (f"EdgeStep(kind={s.kind!r}, index={s.index!r}, "
+                                  f"target={s.target!r}, top={s.top!r})"),
+                       None, "kind"))
+    for items, fields, text, formatted, field in groups:
+        keys = [fields(x) for x in items]
+        for x, key in zip(items, keys):
+            assert repr(x) == text(x)
+            assert hash(x) == hash(key)
+            assert x == type(x)(*key) and not x != type(x)(*key)
+            if formatted is not None:
+                assert format_element(x) == formatted(x)
+            with pytest.raises(AttributeError):
+                setattr(x, field, getattr(x, field))
+        for x, kx in zip(items[::7], keys[::7]):
+            for y, ky in zip(items, keys):
+                assert (x == y, x != y) == (kx == ky, kx != ky)
+        assert len(set(items)) == len(set(keys))
+    assert Permutation([2.0, "1"]).images == (2, 1)
+    assert PairPartition([[4, 3], [2, 1]]).blocks == ((1, 2), (3, 4))
+    with pytest.raises(ValueError, match=re.escape("not a permutation of 1..2: (1, 1)")):
+        Permutation((1, 1))
+    with pytest.raises(ValueError, match=re.escape("blocks do not tile 1..2k: ((1, 3), (3, 4))")):
+        PairPartition(((3, 4), (3, 1)))
