@@ -212,10 +212,14 @@ def wg_class(family: str, mu: tuple[int, ...], d: int, dminus: int | None = None
             f"|dminus|={abs(dminus)} exceeds d={d}: no signature (a,b) realizes this",
             stacklevel=2,
         )
+    # _level recurses down to level 0 before it solves a level, so a level
+    # too deep for Python's stack is refused here with nothing solved
     try:
         value = _level(fam.kind, fam.scale * d + fam.shift, dminus, k)[mu]
     except SingularSystemError as exc:
         raise SingularSystemError(family, exc.level, d, dminus) from None
+    except RecursionError:
+        raise ValueError(f"level {k} is too deep to solve level by level") from None
     return abs(value) if fam.scale < 0 else value
 
 
@@ -253,7 +257,10 @@ def wg_coe_direct(m: PairPartition, d: int) -> Fraction:
     """
     vertex_class(GraphKind.ORTHOGONAL, m)
     _check_positive(FAMILIES["coe"], _check_dim(d))
-    return _coe_level(d, m.level)[m]
+    try:  # refused as in wg_class
+        return _coe_level(d, m.level)[m]
+    except RecursionError:
+        raise ValueError(f"level {m.level} is too deep to solve level by level") from None
 
 
 @lru_cache(maxsize=LEVEL_CAP)

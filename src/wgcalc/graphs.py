@@ -43,8 +43,7 @@ import enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .symcore import (PairPartition, Permutation, _immutable, format_element, partitions,
-                      validate_partition)
+from .symcore import PairPartition, Permutation, format_element, partitions, validate_partition
 
 Element = Union[Permutation, PairPartition]
 
@@ -74,34 +73,19 @@ def vertex_class(kind: GraphKind, elem: Element) -> tuple[int, ...]:
     return elem.coset_type() if kind is GraphKind.ORTHOGONAL else elem.cycle_type()
 
 
-class EdgeStep:
+class _EdgeStepFields(NamedTuple):
+    kind: str
+    index: int | None
+    target: Element
+    top: int | None = None
+
+
+class EdgeStep(_EdgeStepFields):
     """One traversed edge: its kind, the vertex reached and, on a solid step,
     its transposition ``(index, top)``; ``top`` is ``k``, or ``2k-1`` for
-    orthogonal, at the level ``k`` the step stays on.  Immutable; equal, with
-    equal hashes, exactly when the class and these four fields are."""
-
-    def __init__(self, kind: str, index: int | None, target: Element, top: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "top", top)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return (f"EdgeStep(kind={self.kind!r}, index={self.index!r}, "
-                f"target={self.target!r}, top={self.top!r})")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.index, self.target, self.top)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    orthogonal, at the level ``k`` the step stays on.  A named tuple of these
+    four fields, compared and hashed as their tuple; it has no ``__slots__``,
+    so that :attr:`text` can be cached on the instance."""
 
     @cached_property
     def text(self) -> str:

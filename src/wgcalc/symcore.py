@@ -12,6 +12,12 @@ Conventions used throughout the package:
   first entry.  ``trivial(k)`` is ``{1,2}{3,4}...{2k-1,2k}``.  The
   ``mates`` tuple of a pairing gives, for each point ``x`` of ``0..2k-1``,
   the point its block joins to ``x``.
+* Both are named tuples of their one field (``images``, ``blocks``), whose
+  ``__new__`` normalizes and checks it: immutable, equal to any tuple with
+  the same field tuple and hashed as that tuple.  So the level-0
+  ``Permutation(())`` and ``PairPartition(())`` are equal, both ``((),)``;
+  no memo holds both kinds.  ``_make`` and ``_replace`` skip ``__new__``,
+  and so its checks; nothing calls them.
 
 The two combinatorial statistics that drive everything else live here,
 each computed by one walk over the element's points: ``cycle_type`` /
@@ -24,7 +30,7 @@ union of the pairing and the trivial one, whose cycles the walk
 from __future__ import annotations
 
 from operator import ge
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 EMPTY_TEXT = "∅"  # printed for the level-0 permutation / pairing
 
@@ -79,14 +85,16 @@ def validate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 
 
-def _immutable(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the element and step classes."""
-    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+class _PermutationFields(NamedTuple):
+    images: tuple[int, ...]
 
 
-class Permutation:
-    """A permutation of ``{1, ..., k}`` in one-line notation.  Immutable;
-    equal, with equal hashes, exactly when the class and images are.
+class Permutation(_PermutationFields):
+    """A permutation of ``{1, ..., k}`` in one-line notation.  A named tuple
+    of its ``images``, made ints and checked by ``__new__``; equal to any
+    tuple with the same field tuple and hashed as it (see the module
+    docstring).  ``_make`` and ``_replace`` skip ``__new__``, and so these
+    checks; nothing calls them.
 
     >>> s = Permutation((4, 1, 5, 3, 2))
     >>> s.cycle_type()
@@ -95,31 +103,19 @@ class Permutation:
     4
     """
 
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]):
+        self = super().__new__(cls, tuple(map(int, images)))
+        self.__post_init__()
+        return self
+
     # validation stays in __post_init__: bench/tracing.py counts the
     # elements built from its calls
-    def __init__(self, images: tuple[int, ...]):
-        object.__setattr__(self, "images", images)
-        self.__post_init__()
-
     def __post_init__(self):
-        imgs = tuple(int(x) for x in self.images)
-        object.__setattr__(self, "images", imgs)
+        imgs = self.images
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"Permutation(images={self.images!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # the hash of the field tuple: set iteration orders depend on it
-        return hash((self.images,))
 
     @property
     def level(self) -> int:
@@ -171,37 +167,31 @@ class Permutation:
         return Permutation(tuple(imgs))
 
 
-class PairPartition:
+class _PairPartitionFields(NamedTuple):
+    blocks: tuple[tuple[int, int], ...]
+
+
+class PairPartition(_PairPartitionFields):
     """A perfect matching of ``{1, ..., 2k}`` stored in canonical block order.
-    Immutable; equal, with equal hashes, exactly when the class and blocks are.
+    A named tuple of its ``blocks``, sorted and checked by ``__new__``; equal
+    to any tuple with the same field tuple and hashed as it.  ``_make`` and
+    ``_replace`` skip ``__new__``, and so these checks; nothing calls them.
 
     >>> PairPartition(((1, 3), (2, 4))).coset_type()
     (2,)
     """
 
-    def __init__(self, blocks: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "blocks", blocks)
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple[tuple[int, int], ...]):
+        self = super().__new__(cls, tuple(sorted(tuple(sorted(map(int, b))) for b in blocks)))
         self.__post_init__()
+        return self
 
     def __post_init__(self):
-        blocks = tuple(sorted(tuple(sorted(int(x) for x in b)) for b in self.blocks))
-        object.__setattr__(self, "blocks", blocks)
-        points = [x for b in blocks for x in b]
-        if sorted(points) != list(range(1, 2 * len(blocks) + 1)):
-            raise ValueError(f"blocks do not tile 1..2k: {blocks}")
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"PairPartition(blocks={self.blocks!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
+        points = [x for b in self.blocks for x in b]
+        if sorted(points) != list(range(1, 2 * len(self.blocks) + 1)):
+            raise ValueError(f"blocks do not tile 1..2k: {self.blocks}")
 
     @classmethod
     def trivial(cls, k: int) -> "PairPartition":

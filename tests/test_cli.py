@@ -62,6 +62,9 @@ def test_python_dash_m_runs_the_command(module):
 def test_value_symbolic(capsys):
     code, out, _ = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic"])
     assert (code, out) == (0, "-1/(d^3 - d)\n")
+    # the level-0 value is the constant polynomial 1, printed with no denominator
+    code, out, _ = run_capture(capsys, ["value", "--family", "u", "--perm", "", "--symbolic"])
+    assert (code, out) == (0, "1\n")
     code, out, err = run_capture(capsys, ["value", "--family", "u", "--perm", "2,1", "--symbolic",
                                           "--dim", "3"])
     assert (code, out, err) == (1, "", "error: --dim does not apply with --symbolic\n")
@@ -702,6 +705,25 @@ def test_a_moment_too_large_to_count_is_refused_without_a_traceback():
                           capture_output=True, text=True, env=_child_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: moment of level 400 is too large to count its terms\n")
+
+
+def test_a_value_too_deep_to_solve_is_refused_without_a_traceback():
+    # a level is solved from the levels below it, recursing to level 0 first,
+    # so a level-500 value exceeds Python's stack before any level is solved;
+    # wg_coe_direct, which has no command, recurses the same way
+    cycle = ",".join(map(str, [*range(2, 501), 1]))
+    pairing = "|".join(f"{2 * i},{2 * i + 1}" for i in range(1, 500)) + "|1000,1"
+    coe = ("from wgcalc import exact, symcore\n"
+           "try:\n    exact.wg_coe_direct(symcore.PairPartition.trivial(500), 3)\n"
+           "except ValueError as exc:\n    print(exc)\n")
+    for argv in (["-m", "wgcalc", "value", "--family", "u", "--perm", cycle, "--dim", "510"],
+                 ["-m", "wgcalc", "value", "--family", "o", "--pairing", pairing, "--dim", "510"],
+                 ["-c", coe]):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env=_child_env(), timeout=60)
+        message = "level 500 is too deep to solve level by level\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            (0, message, "") if argv[0] == "-c" else (1, "", "error: " + message))
 
 
 def test_shifted_routes_name_their_own_family_and_dimension(capsys):

@@ -316,6 +316,12 @@ def test_family_route_argument_checks():
         wg_class("u", (1,), 3, dminus=1)
     with pytest.raises(ValueError, match="needs dminus"):
         wg_class("aiii", (1,), 3)
+    # a dimension is an int, and not a bool
+    for d, dminus in ((2.5, None), (True, None), (3, 1.5)):
+        with pytest.raises(ValueError, match="dimension must be an integer, got "):
+            wg_class("u" if dminus is None else "aiii", (1,), d, dminus)
+    with pytest.raises(ValueError, match="dimension must be an integer, got 2.5"):
+        wg("u", Permutation((1,)), 2.5)
     with pytest.raises(TypeError):
         wg("u", PairPartition.trivial(1), 3)
     with pytest.raises(TypeError):

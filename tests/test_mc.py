@@ -392,6 +392,8 @@ def test_coe_degenerate_monomial_hits_absolute_floor():
     report = compare_with_exact(spec, 1000, SEED)
     assert report.exact == 1
     assert report.passed
+    # past the floor, a difference with no spread to measure it by fails
+    assert mc._component_check(2 * mc.ABS_FLOOR, 0.0) == (float("inf"), False)
 
 
 def test_coe_fourth_moment():
