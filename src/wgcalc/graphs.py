@@ -169,6 +169,10 @@ def level_nodes(kind: GraphKind, j: int) -> dict[tuple[int, ...], ClassNode]:
     (``2m`` ways for pairings, which also take ``c-1`` self-loops).  The
     dashed step drops a top fixed point (``c == 1``), the squiggled step a
     top 2-cycle (``c == 2``); both land on ``rest``.
+
+    :mod:`wgcalc.exact` numbers its unknowns in this order, and the solver
+    eliminates them from the last to the first, so the order is part of the
+    contract: in it each level's system is near-triangular.
     """
     ortho = kind is GraphKind.ORTHOGONAL
     nodes = {}

@@ -2,7 +2,8 @@
 
 Results are :class:`fractions.Fraction`.  The linear solver takes sparse
 ``{column: int}`` rows with int or Fraction right-hand sides, eliminates
-fraction-free, picking each Markowitz pivot column from a lazy heap, and
+fraction-free in one sweep from the last column to the first, so the
+caller's numbering of the unknowns is the elimination order, and
 back-substitutes on integer numerator/denominator pairs, building one
 Fraction per unknown; polynomials and rational functions work over
 Fraction throughout.  Polynomials are coefficient
@@ -17,7 +18,6 @@ zonal factors for ``o``, shifted for ``coe`` and ``sp``
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
@@ -53,22 +53,22 @@ def solve_linear_exact(rows: Sequence[dict[int, int]],
     builds; each right-hand side is an int or a Fraction.  A copy of every
     row, zero entries dropped, is scaled by its right-hand side's
     denominator and divided by its content; the caller's rows are left
-    untouched.  Each step pivots Markowitz-style (the uneliminated column
-    with the fewest active rows, lowest column first on ties, then the
-    shortest row in it) and clears that column from the other active rows
-    by ``p*row - f*pivot_row`` with ``gcd(p, f)`` divided out first and the
-    row's content afterwards.  The column is
-    popped from a lazy heap of ``(active rows, column)`` entries, one pushed
-    whenever a column's count changes; a popped entry whose count is no
-    longer the column's, or whose column is gone, is skipped.
+    untouched.  Columns are eliminated in one fixed sweep, from the last to
+    the first, so the caller's numbering of the unknowns is the elimination
+    order.  Column ``col`` pivots on row ``col`` while that row is active
+    and nonzero in ``col``, else on the shortest active row nonzero there,
+    and is cleared from the other active rows by ``p*row - f*pivot_row``
+    with ``gcd(p, f)`` divided out first and the row's content afterwards.
+    A pivot row then holds no column above its own, so back-substitution
+    runs from column 0 upwards.
 
     Back-substitution stays on integers: each solved unknown is a reduced
     ``(numerator, denominator)`` pair, and a pivot row with the lcm ``m`` of
     its other columns' denominators gives ``(b*m - sum v*num*(m//den)) /
     (p*m)``, built as one Fraction.
 
-    Returns ``None`` when the matrix is singular, detected exactly as an
-    uneliminated column with no nonzero in any active row.
+    Returns ``None`` when the matrix is singular, detected exactly as a
+    column with no nonzero in any active row when the sweep reaches it.
     """
     n = len(rows)
     a: list[dict[int, int]] = []
@@ -78,31 +78,22 @@ def solve_linear_exact(rows: Sequence[dict[int, int]],
         a.append(ints)
         b.append(rhs_int)
     # active rows with a nonzero in each uneliminated column
-    col_rows: dict[int, set[int]] = {c: set() for c in range(n)}
+    col_rows: list[set[int]] = [set() for _ in range(n)]
     for r, row in enumerate(a):
         for c in row:
             col_rows[c].add(r)
-    # (count, column) for every count a column has had; the current one is live
-    heap = [(len(rs), c) for c, rs in col_rows.items()]
-    heapq.heapify(heap)
-    order: list[tuple[int, int]] = []
-    while col_rows:
-        count, col = heapq.heappop(heap)
-        active = col_rows.get(col)
-        if active is None or count != len(active):
-            continue
-        del col_rows[col]
+    pivots: list[tuple[int, int]] = [(0, 0)] * n  # (pivot row, its entry in the column)
+    for col in range(n - 1, -1, -1):
+        active = col_rows[col]
         if not active:
             return None
-        piv = min(active, key=lambda r: len(a[r]))
+        piv = col if col in active else min(active, key=lambda r: len(a[r]))
         active.remove(piv)
         prow, pb = a[piv], b[piv]
+        p = prow.pop(col)
+        pivots[col] = piv, p
         for c in prow:
-            if c != col:
-                rs = col_rows[c]
-                rs.discard(piv)
-                heapq.heappush(heap, (len(rs), c))
-        p = prow[col]
+            col_rows[c].discard(piv)
         for r in active:
             row = a[r]
             f = row.pop(col)
@@ -110,36 +101,31 @@ def solve_linear_exact(rows: Sequence[dict[int, int]],
             pp, ff = p // g, f // g
             new = {c: pp * v for c, v in row.items()} if pp != 1 else row
             for c, v in prow.items():
-                if c == col:
-                    continue
                 nv = new.get(c, 0) - ff * v
                 if nv:
                     if c not in new:
-                        rs = col_rows[c]
-                        rs.add(r)
-                        heapq.heappush(heap, (len(rs), c))
+                        col_rows[c].add(r)
                     new[c] = nv
                 else:
                     del new[c]
-                    rs = col_rows[c]
-                    rs.discard(r)
-                    heapq.heappush(heap, (len(rs), c))
+                    col_rows[c].discard(r)
             rhs_r = pp * b[r] - ff * pb
             g = gcd(rhs_r, *new.values())
             if g > 1:
                 new = {c: v // g for c, v in new.items()}
                 rhs_r //= g
             a[r], b[r] = new, rhs_r
-        order.append((col, piv))
-    x: list[Fraction] = [Fraction(0)] * n
-    nums, dens = [0] * n, [1] * n
-    for col, piv in reversed(order):
+    x: list[Fraction] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    for piv, p in pivots:
         prow = a[piv]
-        others = [c for c in prow if c != col]
-        m = lcm(*[dens[c] for c in others])
-        acc = b[piv] * m - sum(prow[c] * nums[c] * (m // dens[c]) for c in others)
-        value = x[col] = Fraction(acc, prow[col] * m)
-        nums[col], dens[col] = value.numerator, value.denominator
+        m = lcm(*[dens[c] for c in prow])
+        acc = b[piv] * m - sum(v * nums[c] * (m // dens[c]) for c, v in prow.items())
+        value = Fraction(acc, p * m)
+        x.append(value)
+        nums.append(value.numerator)
+        dens.append(value.denominator)
     return x
 
 

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: rational-function equality,
 construction, evaluation and Laurent expansion; evaluation of series
-truncations; permutation constructors and brute-force group enumeration;
+truncations; a dense linear solve and the update count of the sparse
+solver's sweep; permutation constructors and brute-force group enumeration;
 the union type of two perfect matchings, against which the tests check
 the cycle and coset types; the delta symbols of the moment sums; minimal
 path counts; the Dyck-area report; the class-node lookup; a path's
@@ -103,6 +104,67 @@ def evaluate_series(st: SeriesTruncation, d: int, dminus: int | None = None) -> 
     if st.family == "sp":
         return total
     return sign * total
+
+
+# ---- linear systems -----------------------------------------------------
+
+
+def gauss_jordan(rows, rhss, n):
+    """Dense Fraction Gauss-Jordan elimination, first nonzero as pivot, of
+    ``rows`` against each right-hand side in ``rhss``: the reference for the
+    sparse solver.  One solution per right-hand side, or ``None`` when the
+    matrix is singular."""
+    m = [[Fraction(row.get(c, 0)) for c in range(n)] + [Fraction(rhs[r]) for rhs in rhss]
+         for r, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [v / lead for v in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
+    return [[m[r][n + i] for r in range(n)] for i in range(len(rhss))]
+
+
+def sweep_updates(pattern: Sequence[set[int]]) -> int:
+    """Multiply-subtracts of the sweep of
+    :func:`wgcalc.ratfunc.solve_linear_exact` on a structurally nonsingular
+    nonzero pattern (row ``r`` is the set of its nonzero columns), counted
+    symbolically: no entry cancels.  Columns go from the last to the first;
+    column ``col`` pivots on row ``col`` while that row is active and holds
+    ``col``, else on the shortest active row that does, and every other
+    active row holding ``col`` takes one multiply-subtract per other entry
+    of the pivot row.
+
+    >>> sweep_updates([{0, 1}, {0, 1}])  # row 0 takes the pivot row's column 0
+    1
+    >>> sweep_updates([{0}, {0, 1}])  # triangular in this numbering
+    0
+    """
+    rows = [set(row) for row in pattern]
+    col_rows: list[set[int]] = [set() for _ in rows]
+    for r, row in enumerate(rows):
+        for c in row:
+            col_rows[c].add(r)
+    updates = 0
+    for col in reversed(range(len(rows))):
+        active = col_rows[col]
+        piv = col if col in active else min(active, key=lambda r: len(rows[r]))
+        active.remove(piv)
+        prow = rows[piv] - {col}
+        for c in prow:
+            col_rows[c].discard(piv)
+        for r in active:
+            rows[r].discard(col)
+            for c in prow - rows[r]:
+                col_rows[c].add(r)
+            rows[r] |= prow
+            updates += len(prow)
+    return updates
 
 
 # ---- permutations, pairings and the moment deltas -----------------------

@@ -4,9 +4,17 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
-from oracles import all_permutations, equivalent, evaluate_rational, evaluate_series, identity
+from oracles import (
+    all_permutations,
+    equivalent,
+    evaluate_rational,
+    evaluate_series,
+    gauss_jordan,
+    identity,
+    sweep_updates,
+)
 
-from wgcalc import exact
+from wgcalc import cli, exact
 from wgcalc.exact import (
     SingularSystemError,
     clear_caches,
@@ -19,7 +27,9 @@ from wgcalc.exact import (
 from wgcalc.graphs import (
     GraphKind,
     dashed_target,
+    level_nodes,
     solid_neighbors,
+    solid_targets,
     squiggled_target,
 )
 from wgcalc.ratfunc import poly_eval
@@ -132,6 +142,58 @@ def test_coe_direct_matches_shifted_orthogonal():
         for k in range(1, 4):
             for m in all_pair_partitions(k):
                 assert wg_coe_direct(m, d) == wg("coe", m, d), (m, d)
+    for m in all_pair_partitions(5):  # one solve of 945 unknowns
+        assert wg_coe_direct(m, 6) == wg("coe", m, 6), m
+
+
+def test_orthogonal_levels_with_a_vanishing_diagonal_entry(capsys):
+    """At ``d = 1-k`` the diagonal entry ``d + k - 1`` of class ``(k)`` is
+    zero, though the level-``k`` system is nonsingular: its values satisfy
+    every row rebuilt from the node table and match a dense solve.  (The
+    sweep fills that entry in from later columns before it reaches column
+    0, so the pivot stays on the diagonal.)"""
+    O = GraphKind.ORTHOGONAL
+    for d, k in ((-1, 2), (-3, 4), (-5, 6)):
+        values, below = exact._level(O, d, None, k), exact._level(O, d, None, k - 1)
+        nodes = level_nodes(O, k)
+        classes = list(nodes)
+        rows, rhs = [], []
+        for mu, node in nodes.items():
+            row = dict.fromkeys(range(len(classes)), 0)
+            row[classes.index(mu)] += d
+            for target, mult in node.solid:
+                row[classes.index(target)] += mult
+            rows.append(row)
+            rhs.append(0 if node.dashed is None else below[node.dashed])
+        assert classes[0] == (k,) and rows[0][0] == 0
+        x = [values[mu] for mu in classes]
+        assert all(sum(v * x[c] for c, v in row.items()) == b for row, b in zip(rows, rhs))
+        assert gauss_jordan(rows, [rhs], len(classes)) == [x]
+    assert cli.run(["value", "--family", "o", "--pairing", "1,3|2,4", "--dim", "-1"]) == 0
+    assert capsys.readouterr().out == "-1/2\n"
+
+
+def test_numberings_keep_the_elimination_sweep_short():
+    """The solver eliminates from the last unknown to the first, so the key
+    order of each solved level is its elimination order: ``partitions``
+    order keeps every class level near-triangular, and the COE pairings'
+    order keeps level 4 far below ``all_pair_partitions`` order."""
+    for kind, dminus in ((GraphKind.UNITARY, None), (GraphKind.ORTHOGONAL, None),
+                         (GraphKind.AIII, 1)):
+        for k in range(1, 15):
+            classes = list(exact._level(kind, 20, dminus, k))
+            index = {mu: i for i, mu in enumerate(classes)}
+            nodes = level_nodes(kind, k)
+            pattern = [{index[mu]} | {index[t] for t, _ in nodes[mu].solid} for mu in classes]
+            assert sweep_updates(pattern) <= 2 * len(classes), (kind, k)
+
+    def pairing_pattern(elems):
+        index = {e: i for i, e in enumerate(elems)}
+        return [{index[e]} | {index[t] for t in solid_targets(GraphKind.ORTHOGONAL, e)}
+                for e in elems]
+
+    assert sweep_updates(pairing_pattern(list(exact._coe_level(6, 4)))) <= 40_000
+    assert sweep_updates(pairing_pattern(list(all_pair_partitions(4)))) > 40_000
 
 
 def _base_family(fam: exact.Family) -> str:
@@ -485,7 +547,8 @@ def test_series_matches_exact_at_large_dimension():
 
 
 # SHA-256 of every solved level on the grid of _pinned_levels, taken before
-# the solver's heap pivots and integer back-substitution
+# the solver's integer back-substitution and its last-to-first sweep, and
+# unchanged by both
 LEVEL_DIGEST = "1c663ab60c040619f2fcc1bdf06753364e7c1d591b480340f079a2596e8bcc58"
 
 

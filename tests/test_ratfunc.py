@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import equivalent, from_integer_polys, laurent_at_infinity
+from oracles import equivalent, from_integer_polys, gauss_jordan, laurent_at_infinity
 
 from wgcalc.ratfunc import (
     DenominatorMismatchError,
@@ -27,6 +27,12 @@ def test_solve_linear_exact():
     assert solve_linear_exact([{0: 1, 1: 2}, {0: 2, 1: 4}], [F(0), 0]) is None
     # a zero entry is no nonzero: column 1 is empty, so the system is singular
     assert solve_linear_exact([{0: 1, 1: 0}, {0: 2}], [1, 2]) is None
+    # row 1 has no entry in column 1, so column 1 pivots on row 0, the one
+    # active row holding it; column 0 then finds its own row used up
+    assert solve_linear_exact([{0: 2, 1: 3}, {0: 5}], [7, 10]) == [F(2), F(1)]
+    # row 2 is zero in column 2: of rows 0 and 1, the shorter one pivots
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 2, 2: 1}, {0: 1, 1: 1}]
+    assert solve_linear_exact(rows, [6, 7, 3]) == [F(1), F(2), F(3)]
 
 
 def _sparse_system(rng: random.Random, n: int, k: int) -> list[dict[int, int]]:
@@ -73,27 +79,6 @@ def test_solve_linear_exact_random_sparse(n):
         assert x == plain
 
 
-def _gauss_jordan(rows, rhss, n):
-    """Dense Fraction Gauss-Jordan elimination, first nonzero as pivot, of
-    ``rows`` against each right-hand side in ``rhss``: the reference for the
-    sparse solver.  One solution per right-hand side, or ``None`` when the
-    matrix is singular."""
-    m = [[F(row.get(c, 0)) for c in range(n)] + [F(rhs[r]) for rhs in rhss]
-         for r, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [v / lead for v in m[col]]
-        for r in range(n):
-            f = m[r][col]
-            if r != col and f:
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [[m[r][n + i] for r in range(n)] for i in range(len(rhss))]
-
-
 def _unstructured_system(rng: random.Random, n: int) -> list[dict[int, int]]:
     """Random rows of 1 to 4 signed entries in 1..9 on a random permutation of
     the diagonal: no dominance, so pivots are negative and non-unit and the
@@ -116,7 +101,7 @@ def test_solve_linear_exact_matches_dense_oracle(n):
         rhss = ([0] * n,
                 [_big_fraction(rng) for _ in range(n)],
                 [rng.choice([0, 0, rng.randint(-9, 9), _big_fraction(rng)]) for _ in range(n)])
-        want = _gauss_jordan(rows, rhss, n)
+        want = gauss_jordan(rows, rhss, n)
         assert want is not None
         for rhs, expected in zip(rhss, want):
             x = solve_linear_exact(rows, rhs)
